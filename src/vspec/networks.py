@@ -228,10 +228,6 @@ def hash_file(path: str | Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def hash_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # Network type analysis
 # ---------------------------------------------------------------------------

@@ -13,6 +13,14 @@ variables, with mixed strict and non-strict relations, exactly:
 Pivoting uses Bland's rule (smallest eligible column; ties in the ratio
 test broken by smallest basic variable), which guarantees termination and
 makes witnesses deterministic.
+
+The tableau is stored densely but worked sparsely: a pivot updates other
+rows only in the columns where the pivot row is non-zero, and only rows
+whose pivot-column entry is non-zero.  The reduced-cost row is computed
+once per simplex phase and then updated from the pivot row after each
+pivot.  In exact arithmetic these are the same numbers a dense tableau
+computes, so Bland's rule makes the same pivots and the witnesses are
+those of a dense tableau.
 """
 
 from __future__ import annotations
@@ -138,51 +146,39 @@ def feasible(problem: LPProblem) -> list[Fraction] | None:
         cost2 = [ZERO] * n_cols
         cost2[eps_col] = ONE
         _simplex(tableau, basis, cost2, n_cols, banned=artificials)
-        eps_value = _basic_value(tableau, basis, eps_col, n_cols)
-        if eps_value <= 0:
-            return None
 
-    witness = []
-    for v in range(n):
-        pos = _basic_value(tableau, basis, 2 * v, n_cols)
-        neg = _basic_value(tableau, basis, 2 * v + 1, n_cols)
-        witness.append(pos - neg)
-    return witness
-
-
-def _basic_value(tableau, basis, column, n_cols) -> Fraction:
-    for i, b in enumerate(basis):
-        if b == column:
-            return tableau[i][n_cols]
-    return ZERO
+    # Non-basic columns are at 0.
+    value = {b: tableau[i][n_cols] for i, b in enumerate(basis)}
+    if eps_col is not None and value.get(eps_col, ZERO) <= 0:
+        return None
+    return [value.get(2 * v, ZERO) - value.get(2 * v + 1, ZERO) for v in range(n)]
 
 
 def _simplex(tableau, basis, cost, n_cols, banned: set[int] | None = None) -> None:
     """Primal simplex (maximisation) with Bland's rule; mutates in place."""
     banned = banned or set()
-    m = len(tableau)
+    # Reduced costs c_j - c_B . T[:, j]; entry n_cols carries minus the
+    # objective value.  A basic column's entry is exactly 0, so it is never
+    # chosen to enter and the basis needs no membership test.
+    reduced = list(cost) + [ZERO]
+    for row, b in zip(tableau, basis):
+        cb = cost[b]
+        if cb:
+            for j, k in enumerate(row):
+                if k:
+                    reduced[j] -= cb * k
     while True:
-        # Reduced costs: c_j - c_B . T[:, j]
-        entering = -1
-        for j in range(n_cols):
-            if j in banned or j in basis:
-                continue
-            reduced = cost[j]
-            for i in range(m):
-                cb = cost[basis[i]]
-                if cb:
-                    reduced -= cb * tableau[i][j]
-            if reduced > 0:
-                entering = j
-                break
+        entering = next(
+            (j for j in range(n_cols) if reduced[j] > 0 and j not in banned), -1
+        )
         if entering == -1:
             return
         leaving = -1
         best: Fraction | None = None
-        for i in range(m):
-            a = tableau[i][entering]
+        for i, row in enumerate(tableau):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[i][n_cols] / a
+                ratio = row[n_cols] / a
                 if best is None or ratio < best or (
                     ratio == best and basis[i] < basis[leaving]
                 ):
@@ -190,21 +186,31 @@ def _simplex(tableau, basis, cost, n_cols, banned: set[int] | None = None) -> No
                     leaving = i
         if leaving == -1:
             raise AssertionError("LP objective is unbounded; the eps cap is missing")
-        _pivot(tableau, basis, leaving, entering, n_cols)
+        d = reduced[entering]
+        for j, k in _pivot(tableau, basis, leaving, entering):
+            reduced[j] -= d * k
+        reduced[entering] = ZERO
 
 
-def _pivot(tableau, basis, row, col, n_cols) -> None:
-    pivot = tableau[row][col]
-    inv = ONE / pivot
-    tableau[row] = [k * inv for k in tableau[row]]
-    for i in range(len(tableau)):
-        if i == row:
-            continue
-        factor = tableau[i][col]
-        if factor:
-            pr = tableau[row]
-            tableau[i] = [a - factor * b for a, b in zip(tableau[i], pr)]
+def _pivot(tableau, basis, row, col) -> list[tuple[int, Fraction]]:
+    """Pivot on (row, col) in place, touching only the pivot row's non-zero
+    columns; return them, other than ``col``, with the normalised entries."""
+    pivot_row = tableau[row]
+    support = [j for j, k in enumerate(pivot_row) if k]
+    pivot = pivot_row[col]
+    if pivot != 1:
+        inv = ONE / pivot
+        for j in support:
+            pivot_row[j] *= inv
+    rest = [(j, pivot_row[j]) for j in support if j != col]
+    for i, other in enumerate(tableau):
+        factor = other[col]
+        if factor and i != row:
+            for j, k in rest:
+                other[j] -= factor * k
+            other[col] = ZERO
     basis[row] = col
+    return rest
 
 
 def _drive_out_artificials(tableau, basis, artificials, n_cols) -> None:
@@ -224,5 +230,5 @@ def _drive_out_artificials(tableau, basis, artificials, n_cols) -> None:
                 del tableau[i]
                 del basis[i]
                 continue
-            _pivot(tableau, basis, i, pivot_col, n_cols)
+            _pivot(tableau, basis, i, pivot_col)
         i += 1

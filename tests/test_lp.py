@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -122,3 +123,65 @@ def test_witnesses_satisfy_every_relation_kind():
         if witness is not None:
             for constraint in problem.constraints:
                 assert holds(constraint, witness)
+
+
+# sha256 of repr() of the witnesses of test_pinned_witnesses; see its docstring.
+PINNED_DIGEST = "f3715d3027f18fdea63acd772d3c5f331d03ea60a16413a0226e33de2cc98ee3"
+
+
+def float32_like(rng: random.Random) -> Fraction:
+    """A value with a 24-bit mantissa over a large power-of-two denominator."""
+    return Fraction(rng.randint(-(1 << 24) + 1, (1 << 24) - 1), 1 << rng.randint(16, 30))
+
+
+def pinned_problem(rng: random.Random, index: int) -> LPProblem:
+    n = rng.randint(1, 5)
+    constraints = []
+    for _ in range(rng.randint(1, 8)):
+        if index % 5 == 4:
+            terms = {v: float32_like(rng) for v in range(n)}
+        else:
+            terms = {v: Fraction(rng.randint(-4, 4)) for v in range(n)}
+        terms = {v: k for v, k in terms.items() if k} or {rng.randrange(n): Fraction(1)}
+        relation = rng.choice(["<=", "<", ">=", ">", "="])
+        rhs = Fraction(rng.randint(-8, 8))
+        constraints.append(LPConstraint(tuple(terms.items()), relation, rhs))
+    if index % 3 == 0:
+        # a redundant multiple of an equality, whose artificial cannot leave
+        # the basis after phase 1 and whose row is dropped
+        base = rng.choice(constraints)
+        k = Fraction(rng.choice([2, 3, -1, -2]))
+        constraints.append(LPConstraint(base.terms, "=", base.rhs))
+        scaled = tuple((v, k * a) for v, a in base.terms)
+        constraints.append(LPConstraint(scaled, "=", k * base.rhs))
+    if index % 2 == 0:
+        for v in range(n):
+            constraints.append(c({v: 1}, ">=", -rng.randint(1, 9)))
+            constraints.append(c({v: 1}, "<", rng.randint(1, 9)))
+    rng.shuffle(constraints)
+    return LPProblem(n, constraints)
+
+
+def test_pinned_witnesses():
+    """The solver's witnesses on a seeded corpus are pinned to a digest.
+
+    The corpus covers all five relations, negative right-hand sides (which
+    need artificials), strict rows (the eps column), redundant equalities
+    (rows dropped after phase 1) and float32-style coefficients.  The digest
+    was recorded by running this corpus on the parent commit of the sparse
+    simplex (d48a7f5, a dense tableau), before ``lp.py`` changed, so it
+    gates "same pivot path": a pivot rule that differs anywhere shows up
+    as a different witness.
+    """
+    rng = random.Random(20261018)
+    witnesses = []
+    for index in range(300):
+        problem = pinned_problem(rng, index)
+        witness = feasible(problem)
+        if witness is not None:
+            assert all(holds(c, witness) for c in problem.constraints)
+        witnesses.append(witness)
+    unsat = sum(w is None for w in witnesses)
+    assert 60 <= unsat <= 240
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
