@@ -22,10 +22,10 @@ from .agda import emit_itp_module, hash_module_text, module_name_for
 from .core import print_expr
 from .errors import CacheError, VspecError
 from .pipeline import CompiledSpec, compile_spec, parse_network_bindings
-from .proofcache import PropertyRecord, ProofCacheFile
+from .proofcache import PropertyRecord, ProofCacheFile, path_for_proof_file
 from .rational import render_ratio
 from .verdicts import NOT_CHECKED, PropertyStatus
-from .verifier import check_query
+from .verifier import DEFAULT_PHASE_BUDGET, check_query
 
 VERIFIER_ID = "builtin"
 
@@ -87,9 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_args(verify_p)
     verify_p.add_argument("--proof-file", default=None)
     verify_p.add_argument("--output", default="out")
-    verify_p.add_argument("--phase-budget", type=int, default=20)
+    verify_p.add_argument("--phase-budget", type=int, default=DEFAULT_PHASE_BUDGET)
     verify_p.add_argument("--solver", choices=["builtin", "emit-only"], default="builtin")
-    verify_p.add_argument("--jobs", type=int, default=1)
 
     check_p = sub.add_parser("check", help="query cached verification statuses")
     check_p.add_argument("--proof-file", required=True)
@@ -203,9 +202,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         for plan in compiled.plans:
             verdicts = [
-                check_query(
-                    q, compiled.ctx, phase_budget=args.phase_budget, jobs=args.jobs
-                )
+                check_query(q, compiled.ctx, phase_budget=args.phase_budget)
                 for q in plan.queries
             ]
             status = marabou.interpret_verdicts(plan, verdicts)
@@ -218,10 +215,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except CacheError:
             existing_digest = None
     cache = ProofCacheFile(
-        spec_path=compiled.spec_path,
+        spec_path=path_for_proof_file(compiled.spec_path, proof_file),
         spec_digest=compiled.spec_digest,
         networks=[
-            (name, info.path, info.digest) for name, info in compiled.ctx.items()
+            (name, path_for_proof_file(info.path, proof_file), info.digest)
+            for name, info in compiled.ctx.items()
         ],
         properties=[
             PropertyRecord(name, status, count, VERIFIER_ID, _timestamp())

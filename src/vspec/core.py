@@ -196,10 +196,6 @@ def contains_network(e: Expr) -> bool:
     return contains(e, lambda s: isinstance(s, NetworkApp))
 
 
-def contains_quantifier(e: Expr) -> bool:
-    return contains(e, lambda s: isinstance(s, Quant))
-
-
 def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """Rebuild e with f applied to each immediate child (binder-unaware)."""
     if isinstance(e, TensorLit):

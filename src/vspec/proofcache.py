@@ -11,9 +11,11 @@ itself is hash-stable::
     witness <name> <var>=<p/q> ...
     itp-module sha256:<hex>
 
-Status checks recompute the digests of the referenced spec and network
-files; any mismatch is reported as a stale cache instead of silently
-re-verifying.  This module deliberately has no reference to the verifier:
+Relative spec and network paths are relative to the proof file's own
+directory, so a cache can be checked from any working directory.  Status
+checks recompute the digests of the referenced spec and network files; any
+mismatch is reported as a stale cache instead of silently re-verifying.
+This module deliberately has no reference to the verifier:
 a status query can never trigger verification.
 """
 
@@ -73,6 +75,17 @@ def render_proof_file(cache: ProofCacheFile) -> str:
     if cache.itp_module_digest is not None:
         lines.append(f"itp-module sha256:{cache.itp_module_digest}")
     return "".join(line + "\n" for line in lines)
+
+
+def path_for_proof_file(path: str, proof_path: str | Path) -> str:
+    """``path`` (relative to the working directory) as recorded in the proof
+    cache at ``proof_path``: relative to the proof file's directory.
+    Absolute paths, and every path when the proof file sits in the working
+    directory, are recorded unchanged."""
+    base = Path(proof_path).parent
+    if Path(path).is_absolute() or base == Path("."):
+        return path
+    return os.path.relpath(path, os.path.realpath(base))
 
 
 def write_proof_file(cache: ProofCacheFile, path: str | Path) -> None:
@@ -196,10 +209,14 @@ def read_proof_file(path: str | Path) -> ProofCacheFile:
 
 
 def verify_digests(cache: ProofCacheFile, proof_path: str | Path) -> None:
-    """Recompute the spec and network digests; raise StaleCache on the first
+    """Recompute the spec and network digests, resolving relative paths
+    against the proof file's directory; raise StaleCache on the first
     mismatch or missing file."""
 
-    def check(label: str, file_path: str, expected: str) -> None:
+    base = Path(proof_path).parent
+
+    def check(label: str, recorded: str, expected: str) -> None:
+        file_path = str(base / recorded)  # an absolute path stays as it is
         if not Path(file_path).exists():
             raise CacheError(
                 "StaleCache",

@@ -123,7 +123,7 @@ class LinearConstraint:
     constant: Fraction
 
 
-_FLIP_REL = {"<=": ">=", ">=": "<=", "<": ">", ">": "<", "=": "="}
+FLIP_REL = {"<=": ">=", ">=": "<=", "<": ">", ">": "<", "=": "="}
 
 
 def term_order(item: tuple[QVar, Fraction]) -> tuple[int, int]:
@@ -138,7 +138,7 @@ def canonical_constraint(
     if ordered and ordered[0][1] < 0:
         ordered = [(v, -c) for v, c in ordered]
         constant = -constant
-        relation = _FLIP_REL[relation]
+        relation = FLIP_REL[relation]
     return LinearConstraint(tuple(ordered), relation, constant)
 
 

@@ -55,13 +55,3 @@ NUMERIC_KINDS = ("Nat", "Int", "Rat")
 def is_numeric(t: VType) -> bool:
     return isinstance(t, Scalar) and t.kind in NUMERIC_KINDS
 
-
-def is_formula(t: VType) -> bool:
-    return isinstance(t, Scalar) and t.kind in ("Bool", "Prop")
-
-
-def tensor_size(t: TensorT) -> int:
-    size = 1
-    for d in t.dims:
-        size *= d
-    return size

@@ -8,7 +8,6 @@ from .engine import (
     unroll_meta_network,
 )
 from .lp import LPConstraint, LPProblem, feasible
-from .oracle import constraint_holds, evaluate_networks, grid_oracle, query_box
 
 __all__ = [
     "DEFAULT_PHASE_BUDGET",
@@ -16,11 +15,7 @@ __all__ = [
     "LPProblem",
     "Skeleton",
     "check_query",
-    "constraint_holds",
-    "evaluate_networks",
     "feasible",
-    "grid_oracle",
     "propagate_bounds",
-    "query_box",
     "unroll_meta_network",
 ]

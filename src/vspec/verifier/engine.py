@@ -14,13 +14,12 @@ reproducible.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import VerifyError
 from ..networks import Affine, NetworkContext
-from ..queries import LinearQuery, MetaNetwork, QVar
+from ..queries import FLIP_REL, LinearQuery, MetaNetwork, QVar
 from ..verdicts import Sat, Unsat, Verdict
 from .lp import LPConstraint, LPProblem, feasible
 
@@ -126,7 +125,7 @@ def _input_box(query: LinearQuery, skeleton: Skeleton) -> dict[int, Interval]:
         value = c.constant / coeff
         rel = c.relation
         if coeff < 0:  # dividing by a negative coefficient flips the relation
-            rel = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}[rel]
+            rel = FLIP_REL[rel]
         lo, hi = bounds.get(vid, (None, None))
         if rel in ("<=", "<"):
             hi = value if hi is None else min(hi, value)
@@ -217,7 +216,6 @@ def check_query(
     *,
     phase_budget: int = DEFAULT_PHASE_BUDGET,
     use_bound_propagation: bool = True,
-    jobs: int = 1,
 ) -> Verdict:
     """Decide one linear query exactly.
 
@@ -243,28 +241,11 @@ def check_query(
             f"of {phase_budget}",
         )
 
-    def solve(assignment: tuple[str, ...]) -> list[Fraction] | None:
+    for assignment in itertools.product(("inactive", "active"), repeat=len(free_nodes)):
         constraints = list(base)
         for node, phase in zip(free_nodes, assignment):
             constraints.extend(_phase_constraints(node, phase))
-        return feasible(LPProblem(skeleton.num_vars, constraints))
-
-    assignments = itertools.product(("inactive", "active"), repeat=len(free_nodes))
-    if jobs > 1:
-        # Submit in bounded chunks, collect in submission order: the
-        # lexicographically least satisfiable assignment wins regardless of
-        # scheduling, keeping verdicts deterministic.
-        chunk_size = max(4 * jobs, 16)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            while True:
-                chunk = list(itertools.islice(assignments, chunk_size))
-                if not chunk:
-                    return Unsat()
-                for witness in pool.map(solve, chunk):
-                    if witness is not None:
-                        return _restrict(witness, skeleton)
-    for assignment in assignments:
-        witness = solve(assignment)
+        witness = feasible(LPProblem(skeleton.num_vars, constraints))
         if witness is not None:
             return _restrict(witness, skeleton)
     return Unsat()

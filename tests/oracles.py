@@ -3,16 +3,19 @@
 Everything here is deliberately written from scratch against the intended
 semantics, not by calling the code under test: a direct core-expression
 evaluator, a Fourier-Motzkin feasibility decider (exact, strict-aware), a
-layer-by-layer network interpreter, and a hand-rolled protobuf writer for
-ONNX model files.
+layer-by-layer network interpreter, a one-sided grid search over a query's
+input box, and a hand-rolled protobuf writer for ONNX model files.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from fractions import Fraction
 
 from vspec import core
+from vspec.queries import QVar
+from vspec.verdicts import Sat
 
 # ---------------------------------------------------------------------------
 # Direct expression evaluation
@@ -262,6 +265,91 @@ def run_network_by_hand(layers, xs: list[Fraction]) -> list[Fraction]:
         else:
             values = [max(Fraction(0), v) for v in values]
     return values
+
+
+# ---------------------------------------------------------------------------
+# One-sided grid search over a query's input box
+# ---------------------------------------------------------------------------
+
+
+class UnboundedInput(Exception):
+    """The grid oracle needs a finite box on every input."""
+
+    code = "UnboundedInput"
+
+
+def constraint_holds(c, values: dict) -> bool:
+    total = sum((k * values[v] for v, k in c.terms), start=Fraction(0))
+    return {
+        "<=": total <= c.constant,
+        "<": total < c.constant,
+        ">=": total >= c.constant,
+        ">": total > c.constant,
+        "=": total == c.constant,
+    }[c.relation]
+
+
+def query_box(query) -> list[tuple[Fraction, Fraction]]:
+    """Closed per-input bounds from the query's single-variable constraints;
+    raises UnboundedInput when any input is unbounded on either side."""
+    bounds: dict[int, tuple[Fraction | None, Fraction | None]] = {
+        i: (None, None) for i in range(query.meta.total_inputs)
+    }
+    for c in query.constraints:
+        if len(c.terms) != 1:
+            continue
+        (var, coeff), = c.terms
+        if var.kind != "x":
+            continue
+        value = c.constant / coeff
+        rel = c.relation
+        if coeff < 0:
+            rel = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}[rel]
+        lo, hi = bounds[var.index]
+        if rel in ("<=", "<"):
+            hi = value if hi is None else min(hi, value)
+        elif rel in (">=", ">"):
+            lo = value if lo is None else max(lo, value)
+        else:
+            lo, hi = value, value
+        bounds[var.index] = (lo, hi)
+    box = []
+    for i in range(query.meta.total_inputs):
+        lo, hi = bounds[i]
+        if lo is None or hi is None:
+            raise UnboundedInput(f"input x{i} has no finite box bounds in the query")
+        box.append((lo, hi))
+    return box
+
+
+def evaluate_networks(query, ctx, inputs: list[Fraction]) -> dict[QVar, Fraction]:
+    """Assignment for all relational variables given metanetwork inputs,
+    each application run by ``run_network_by_hand``."""
+    values: dict[QVar, Fraction] = {QVar("x", i): v for i, v in enumerate(inputs)}
+    in_off = query.meta.input_offsets
+    out_off = query.meta.output_offsets
+    for a, (name, m, n) in enumerate(query.meta.applications):
+        outs = run_network_by_hand(ctx[name].model.layers, inputs[in_off[a] : in_off[a] + m])
+        for t in range(n):
+            values[QVar("y", out_off[a] + t)] = outs[t]
+    return values
+
+
+def grid_oracle(query, ctx, resolution: int = 8) -> Sat | None:
+    """SAT with the first grid point satisfying every constraint, or None
+    (unknown): it never reports unsatisfiability."""
+    axes = []
+    for lo, hi in query_box(query):
+        if lo == hi:
+            axes.append([lo])
+        else:
+            step = (hi - lo) / resolution
+            axes.append([lo + step * k for k in range(resolution + 1)])
+    for point in itertools.product(*axes):
+        values = evaluate_networks(query, ctx, list(point))
+        if all(constraint_holds(c, values) for c in query.constraints):
+            return Sat(tuple(sorted(values.items())))
+    return None
 
 
 # ---------------------------------------------------------------------------

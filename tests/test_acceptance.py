@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from generators import close_over, disjunction_agrees, tractable_formula
+from oracles import constraint_holds, grid_oracle
 from vspec import cli, core
 from vspec.agda import emit_itp_module
 from vspec.networks import (
@@ -36,8 +37,7 @@ from vspec.surface import parse
 from vspec.typecheck import typecheck
 from vspec.types import RAT, FunT, TensorT
 from vspec.verdicts import Sat, Unsat
-from vspec.verifier import check_query, grid_oracle
-from vspec.verifier.oracle import constraint_holds
+from vspec.verifier import check_query
 
 GOLDEN = Path(__file__).parent / "golden" / "ControllerSpec.agda"
 

@@ -1,0 +1,55 @@
+"""The benchmark's tracer (``perfbench/tracing.py``) wraps vspec functions
+by module attribute; these tests keep a refactor from silently breaking
+``perfbench/run.py --trace 1``."""
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+from vspec import cli
+from vspec.verifier import engine
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    # Loaded by path under its own name: perfbench/ has an oracles.py of its
+    # own, so it must not go on sys.path next to tests/.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_sees_every_solver_layer(
+    tmp_path, monkeypatch, controller_spec, controller_net
+):
+    tracing = load_tracing()
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(controller_spec, "controller-spec.vcl")
+    shutil.copy(controller_net, "controller.vnet")
+    check_query, feasible = cli.check_query, engine.feasible
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(
+            [
+                "verify",
+                "--spec",
+                "controller-spec.vcl",
+                "--network",
+                "controller:controller.vnet",
+                "--proof-file",
+                "p.vclp",
+            ]
+        )
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    layers = ("cli", "surface", "lexer", "typecheck", "networks", "normalise", "queries",
+              "verifier.engine", "verifier.lp", "proofcache.write")  # fmt: skip
+    tracing.check_complete(tracer, layers, "controller")
+    assert tracer.counts["verifier.lp.calls"] > 0
+    assert cli.check_query is check_query
+    assert engine.feasible is feasible

@@ -148,6 +148,38 @@ def test_check_detects_mutated_network(workspace):
     assert run(["check", "--proof-file", "controller-spec.vclp"]) == 4
 
 
+def test_check_resolves_paths_against_the_proof_file_directory(workspace, monkeypatch):
+    (workspace / "sub").mkdir()
+    code = run(
+        [
+            "verify",
+            "--spec",
+            "controller-spec.vcl",
+            "--network",
+            "controller:controller.vnet",
+            "--proof-file",
+            "sub/p.vclp",
+        ]
+    )
+    assert code == 0
+    cache = read_proof_file(workspace / "sub" / "p.vclp")
+    assert cache.spec_path == "../controller-spec.vcl"
+    assert cache.networks[0][1] == "../controller.vnet"
+
+    monkeypatch.chdir(workspace / "sub")
+    assert run(["check", "--proof-file", "p.vclp"]) == 0
+    (workspace / "elsewhere").mkdir()
+    monkeypatch.chdir(workspace / "elsewhere")
+    proof_file = "../sub/p.vclp"
+    assert run(["check", "--proof-file", proof_file]) == 0
+
+    # A changed network is still found stale from there.
+    data = bytearray((workspace / "controller.vnet").read_bytes())
+    data[5] ^= 0x10
+    (workspace / "controller.vnet").write_bytes(bytes(data))
+    assert run(["check", "--proof-file", proof_file]) == 4
+
+
 def test_check_unknown_property_filter(workspace):
     run(
         [
@@ -368,23 +400,6 @@ def test_phase_budget_exceeded_has_guidance(workspace, capsys):
     err = capsys.readouterr().err
     assert "PhaseBudgetExceeded" in err
     assert "--phase-budget" in err
-
-
-def test_verify_with_jobs_flag(workspace):
-    code = run(
-        [
-            "verify",
-            "--spec",
-            "controller-spec.vcl",
-            "--network",
-            "controller:controller.vnet",
-            "--jobs",
-            "4",
-            "--proof-file",
-            "para.vclp",
-        ]
-    )
-    assert code == 0
 
 
 def test_console_entry_point_runs(workspace):
