@@ -3,7 +3,8 @@
 Exit codes form a total mapping from outcome categories:
 
     0  success (compile written / all requested properties Verified)
-    1  compilation or verification-setup error (diagnostics on stderr)
+    1  compilation or verification-setup error, including expressions nested
+       too deeply to compile (diagnostics on stderr)
     2  I/O error or malformed proof-cache file
     3  some property Falsified or NotChecked (witness printed)
     4  stale proof cache (a referenced file changed on disk)
@@ -116,6 +117,16 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return _error_exit_code(err)
+    except RecursionError:
+        # The parser and the passes over the term recurse once or twice per
+        # level of nesting, so a deep enough expression exhausts the stack.
+        err = VspecError(
+            "NestingTooDeep",
+            "expressions are nested too deeply to compile",
+            path=getattr(args, "spec", None),
+        )
+        print(err.diagnostic(), file=sys.stderr)
+        return EXIT_COMPILE_ERROR
 
 
 def _load(args: argparse.Namespace) -> CompiledSpec:

@@ -62,19 +62,20 @@ class ParseError(VspecError):
 class TypeCheckError(VspecError):
     """Raised by the type checker; ``code`` is one of TypeMismatch,
     IfConditionNotBool, PropInBoolPosition, UnknownIdentifier,
-    NetworkUsedAsValue, DuplicateDeclaration, UnsupportedQuantifierType."""
+    UnsupportedQuantifierType."""
 
 
 class NetworkError(VspecError):
     """Raised while loading or validating network files; ``code`` is one of
     UnsupportedFormat, MalformedNetworkFile, UnsupportedOperator,
     MalformedProtobuf, NonFloatTensor, NaNOrInfWeight, NetworkTypeMismatch,
-    UnsupportedNetworkType, MissingNetworkFile, PartialNetworkApplication."""
+    UnsupportedNetworkType, MissingNetworkFile, PartialNetworkApplication,
+    NetworkUsedAsValue, IoError."""
 
 
 class NormaliseError(VspecError):
-    """Raised during normalisation; ``code`` is IndexOutOfBounds or
-    DivisionByZero."""
+    """Raised during normalisation; ``code`` is one of IndexOutOfBounds,
+    DivisionByZero, NonLiteralIndex."""
 
 
 class QueryError(VspecError):
@@ -89,10 +90,9 @@ class BackendError(VspecError):
 
 
 class VerifyError(VspecError):
-    """Raised by the built-in verifier; ``code`` is PhaseBudgetExceeded or
-    UnboundedInput."""
+    """Raised by the built-in verifier; ``code`` is PhaseBudgetExceeded."""
 
 
 class CacheError(VspecError):
     """Raised by the proof cache; ``code`` is one of StaleCache,
-    UnknownProperty, MalformedProofFile."""
+    UnknownProperty, MalformedProofFile, IoError."""

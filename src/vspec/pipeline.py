@@ -18,7 +18,6 @@ class CompiledSpec:
     spec_path: str
     spec_digest: str
     program: TypedProgram  # pre-analysis: network declarations intact
-    analysed: TypedProgram  # network declarations removed, sites rewritten
     ctx: NetworkContext
     properties: list[tuple[str, core.Expr]]  # normalised Prop declarations
     plans: list[PropertyPlan]
@@ -59,7 +58,6 @@ def compile_spec(
         str(spec_path),
         hash_file(spec_path),
         program,
-        analysed,
         ctx,
         properties,
         plans,

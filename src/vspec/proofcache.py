@@ -93,7 +93,8 @@ def write_proof_file(cache: ProofCacheFile, path: str | Path) -> None:
     path = Path(path)
     text = render_proof_file(cache)
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".vclp.tmp")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".vclp.tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
         os.replace(tmp, path)

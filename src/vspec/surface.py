@@ -491,7 +491,8 @@ def parse(source: str, path: str | None = None) -> list[SurfaceDecl]:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printer (used for --emit output and parse/print round-trip tests)
+# Pretty-printer (used by the parse/print round-trip tests; ``--emit``
+# prints core terms with ``core.print_expr``)
 # ---------------------------------------------------------------------------
 
 _PREC = {

@@ -1,18 +1,20 @@
 """Type checker: surface declarations to a typed core program.
 
-Checking runs in three passes per definition:
+Checking runs in two passes per definition:
 
 1. unification-based inference over the surface AST (types of literals and
    unannotated quantifier binders are solved; unconstrained numeric types
-   default to Rat),
-2. core-AST construction with de Bruijn indices and exact literals,
-3. Bool/Prop instantiation resolution for comparison and logical builtins.
+   default to Rat), which also records the nodes that have a source of Prop
+   beneath them: a quantifier, a reference to a network, or a reference to
+   a definition whose body has such a source,
+2. core-AST construction with de Bruijn indices and exact literals, which
+   also gives each comparison and logical builtin its Bool/Prop level.
 
-For unification, Bool and Prop are collapsed into one formula type; the
-distinction is restored in pass 3, where an expression containing a
-quantifier or a network application forces the Prop instantiation, an
-``if`` condition must resolve to Bool, and a declaration with a declared
-Bool (co)domain must not be forced to Prop.
+For unification, Bool and Prop are collapsed into one formula type.  Pass 2
+restores the distinction: a formula takes the level of its position;
+quantifier bodies and formula operands of applications are Prop; ``if``
+conditions are Bool and must have no source of Prop beneath them, and so
+must the body of a declaration with a declared Bool (co)domain.
 """
 
 from __future__ import annotations
@@ -112,8 +114,8 @@ def _type_str(t: UType) -> str:
 class _Checker:
     def __init__(self, path: str | None):
         self.path = path
-        self.lit_types: dict[int, UType] = {}
         self.binder_types: dict[int, list[UType]] = {}
+        self.prop_defs: set[str] = set()  # definitions whose body forces Prop
 
     def error(self, code: str, message: str, pos: SourcePos | None) -> TypeCheckError:
         return TypeCheckError(code, message, path=self.path, pos=pos)
@@ -234,8 +236,26 @@ def _check_fundef(
     body_type = inf.infer(decl.body)
     checker.unify(body_type, _canon(cod), decl.pos)
 
-    body_core = inf.build(decl.body)
-    body_core = _resolve_levels(body_core, cod, program, checker, decl)
+    forced = id(decl.body) in inf.forces_prop
+
+    while isinstance(cod, FunT):  # a body that is a formula-valued function
+        cod = cod.cod
+    body_core = inf.build(decl.body, "bool" if cod == BOOL else "prop")
+    # Level errors come after the errors that building the term reports.
+    if forced and cod == BOOL:
+        raise checker.error(
+            "PropInBoolPosition",
+            f"{decl.name!r} is declared Bool but its body can only be Prop",
+            decl.pos,
+        )
+    if inf.prop_condition:
+        raise checker.error(
+            "IfConditionNotBool",
+            f"the condition of 'if' must have type Bool in {decl.name!r}",
+            decl.pos,
+        )
+    if forced:
+        checker.prop_defs.add(decl.name)
     for p, t in reversed(list(zip(decl.params, param_types))):
         body_core = core.Lam(p, t, body_core)
     return TypedDecl(
@@ -244,7 +264,7 @@ def _check_fundef(
 
 
 # ---------------------------------------------------------------------------
-# Pass 1+2: inference and core construction
+# Pass 1: inference; pass 2: core construction
 # ---------------------------------------------------------------------------
 
 _CMP_TAG = {"<=": "le", "<": "lt", ">=": "ge", ">": "gt", "==": "eq"}
@@ -263,6 +283,9 @@ class _Infer:
         self.program = program
         self.env = env  # innermost binder last
         self.types: dict[int, UType] = {}  # id(surface node) -> inferred type
+        self.prop_sources = 0  # sources of Prop met so far
+        self.forces_prop: set[int] = set()  # id(surface node) with one beneath
+        self.prop_condition = False  # an if condition has one beneath
 
     def fail(self, code: str, message: str, pos: SourcePos) -> TypeCheckError:
         return self.checker.error(code, message, pos)
@@ -271,6 +294,8 @@ class _Infer:
         for bname, btype in reversed(self.env):
             if bname == name:
                 return btype
+        if name in self.program.networks or name in self.checker.prop_defs:
+            self.prop_sources += 1  # a network, or a definition that forces Prop
         if name in self.program.def_types:
             return _canon(self.program.def_types[name])
         if name in self.program.networks:
@@ -280,8 +305,11 @@ class _Infer:
     # -- pass 1 ---------------------------------------------------------
 
     def infer(self, e: surface.SExpr) -> UType:
+        before = self.prop_sources
         t = self._infer(e)
         self.types[id(e)] = t
+        if self.prop_sources != before:
+            self.forces_prop.add(id(e))
         return t
 
     def _infer(self, e: surface.SExpr) -> UType:
@@ -346,6 +374,7 @@ class _Infer:
             chk.unify(self.infer(e.els), then, e.pos)
             return then
         if isinstance(e, surface.SQuant):
+            self.prop_sources += 1
             binder_types: list[UType] = []
             for _, btype in e.binders:
                 if btype is None:
@@ -383,7 +412,13 @@ class _Infer:
             return RAT  # unconstrained numeric defaults to Rat
         return t  # type: ignore[return-value]
 
-    def build(self, e: surface.SExpr) -> core.Expr:
+    def build(self, e: surface.SExpr, level: str) -> core.Expr:
+        """Construct the core term of ``e`` and set its Bool/Prop levels.
+
+        ``level`` ("bool" or "prop") is the level a formula takes at this
+        position.  Operands of applications, arithmetic, comparisons and
+        indexing are at "prop"; of these, only a formula argument of a
+        function has a level to take."""
         if isinstance(e, surface.SVar):
             for i, (bname, _) in enumerate(reversed(self.env)):
                 if bname == e.name:
@@ -399,25 +434,35 @@ class _Infer:
                 return core.NatLit(int(e.value))
             return core.RatLit(Fraction(e.value))
         if isinstance(e, surface.STensorLit):
-            return core.TensorLit(tuple(self.build(x) for x in e.items))
+            return core.TensorLit(tuple(self.build(x, "prop") for x in e.items))
         if isinstance(e, surface.SApp):
-            expr: core.Expr = self.build(e.fn)
+            expr: core.Expr = self.build(e.fn, "prop")
             for arg in e.args:
-                expr = core.App(expr, self.build(arg))
+                expr = core.App(expr, self.build(arg, "prop"))
             return expr
         if isinstance(e, surface.SBinOp):
-            op = _ARITH_TAG.get(e.op) or _LOGIC_TAG[e.op]
-            return core.Builtin(op, (self.build(e.lhs), self.build(e.rhs)))
+            if e.op in _ARITH_TAG:
+                args = (self.build(e.lhs, "prop"), self.build(e.rhs, "prop"))
+                return core.Builtin(_ARITH_TAG[e.op], args)
+            args = (self.build(e.lhs, level), self.build(e.rhs, level))
+            return core.Builtin(_LOGIC_TAG[e.op], args, level)
         if isinstance(e, surface.SCmp):
-            return core.Builtin(_CMP_TAG[e.op], (self.build(e.lhs), self.build(e.rhs)))
+            args = (self.build(e.lhs, "prop"), self.build(e.rhs, "prop"))
+            return core.Builtin(_CMP_TAG[e.op], args, level)
         if isinstance(e, surface.SNot):
-            return core.Builtin("not", (self.build(e.arg),))
+            return core.Builtin("not", (self.build(e.arg, level),), level)
         if isinstance(e, surface.SNeg):
-            return core.Builtin("neg", (self.build(e.arg),))
+            return core.Builtin("neg", (self.build(e.arg, "prop"),))
         if isinstance(e, surface.SIf):
-            return core.Builtin(
-                "if", (self.build(e.cond), self.build(e.then), self.build(e.els))
+            if id(e.cond) in self.forces_prop:
+                self.prop_condition = True
+            args = (
+                self.build(e.cond, "bool"),
+                self.build(e.then, level),
+                self.build(e.els, level),
             )
+            is_formula = self.final_type(e) in (BOOL, PROP)
+            return core.Builtin("if", args, level if is_formula else None)
         if isinstance(e, surface.SQuant):
             binder_types = self.checker.binder_types[id(e)]
             final: list[VType] = []
@@ -433,122 +478,11 @@ class _Infer:
                     )
                 final.append(r)  # type: ignore[arg-type]
                 self.env.append((name, t))
-            body = self.build(e.body)
+            body = self.build(e.body, "prop")
             del self.env[-len(e.binders) :]
             for (name, _), t in reversed(list(zip(e.binders, final))):
                 body = core.Quant(e.kind, name, t, body)
             return body
         if isinstance(e, surface.SIndex):
-            return core.Index(self.build(e.tensor), self.build(e.index))
+            return core.Index(self.build(e.tensor, "prop"), self.build(e.index, "prop"))
         raise AssertionError(e)
-
-
-# ---------------------------------------------------------------------------
-# Pass 3: Bool/Prop instantiation resolution
-# ---------------------------------------------------------------------------
-
-
-def _is_formula_expr(e: core.Expr, program: TypedProgram) -> bool:
-    """Does this core expression denote a Bool/Prop value?"""
-    if isinstance(e, core.Builtin):
-        return e.op in core.CMP_OPS or e.op in ("and", "or", "implies", "not") or (
-            e.op == "if" and _is_formula_expr(e.args[1], program)
-        )
-    if isinstance(e, core.Quant):
-        return True
-    if isinstance(e, core.BoolLit):
-        return True
-    if isinstance(e, core.TopRef):
-        t = program.def_types.get(e.name)
-        return t in (BOOL, PROP)
-    if isinstance(e, core.App):
-        head = e
-        while isinstance(head, core.App):
-            head = head.fn
-        if isinstance(head, core.TopRef):
-            t = program.def_types.get(head.name) or program.networks.get(head.name)
-            while isinstance(t, FunT):
-                t = t.cod
-            return t in (BOOL, PROP)
-    return False
-
-
-def _forces_prop(e: core.Expr, program: TypedProgram) -> bool:
-    """A quantifier or a network application anywhere forces Prop."""
-    for sub in core.subterms(e):
-        if isinstance(sub, core.Quant):
-            return True
-        if isinstance(sub, core.NetworkApp):
-            return True
-        head = sub
-        while isinstance(head, core.App):
-            head = head.fn
-        if isinstance(head, core.TopRef) and head.name in program.networks:
-            return True
-        if isinstance(head, core.TopRef) and head.name in program.definitions:
-            # Definitions are checked in order, so referenced bodies exist.
-            if _forces_prop(program.definitions[head.name], program):
-                return True
-    return False
-
-
-def _resolve_levels(
-    e: core.Expr,
-    declared: VType,
-    program: TypedProgram,
-    checker: _Checker,
-    decl: surface.FunDef,
-) -> core.Expr:
-    """Assign Bool/Prop instantiation tags to comparison and logical builtins."""
-    cod = declared
-    while isinstance(cod, FunT):
-        cod = cod.cod
-
-    def formula(e: core.Expr, want_prop: bool, in_if_condition: bool) -> core.Expr:
-        forced = _forces_prop(e, program)
-        if forced and in_if_condition:
-            raise checker.error(
-                "IfConditionNotBool",
-                f"the condition of 'if' must have type Bool in {decl.name!r}",
-                decl.pos,
-            )
-        is_prop = want_prop or forced
-        if isinstance(e, core.Builtin) and e.op in core.CMP_OPS:
-            args = tuple(numeric(a) for a in e.args)
-            return core.Builtin(e.op, args, "prop" if is_prop else "bool")
-        if isinstance(e, core.Builtin) and e.op in ("and", "or", "implies", "not"):
-            args = tuple(formula(a, is_prop, in_if_condition) for a in e.args)
-            return core.Builtin(e.op, args, "prop" if is_prop else "bool")
-        if isinstance(e, core.Builtin) and e.op == "if":
-            cond = formula(e.args[0], False, True)
-            then = formula(e.args[1], is_prop, in_if_condition)
-            els = formula(e.args[2], is_prop, in_if_condition)
-            return core.Builtin("if", (cond, then, els), "prop" if is_prop else "bool")
-        if isinstance(e, core.Quant):
-            return core.Quant(
-                e.kind, e.binder, e.binder_type, formula(e.body, True, False)
-            )
-        # Atoms: references and applications of formula-valued definitions.
-        return core.map_children(e, lambda c: visit(c))
-
-    def numeric(e: core.Expr) -> core.Expr:
-        if isinstance(e, core.Builtin) and e.op == "if":
-            cond = formula(e.args[0], False, True)
-            return core.Builtin("if", (cond, numeric(e.args[1]), numeric(e.args[2])))
-        return core.map_children(e, lambda c: visit(c))
-
-    def visit(e: core.Expr) -> core.Expr:
-        if _is_formula_expr(e, program):
-            return formula(e, True, False)
-        return numeric(e)
-
-    if cod in (BOOL, PROP):
-        want_prop = cod == PROP
-        if not want_prop and _forces_prop(e, program):
-            raise checker.error(
-                "PropInBoolPosition",
-                f"{decl.name!r} is declared Bool but its body can only be Prop",
-                decl.pos,
-            )
-        return formula(e, want_prop, False)
-    return numeric(e)

@@ -180,6 +180,50 @@ def test_check_resolves_paths_against_the_proof_file_directory(workspace, monkey
     assert run(["check", "--proof-file", proof_file]) == 4
 
 
+def test_verify_creates_the_proof_file_directory(workspace):
+    verify = ["verify", "--spec", "controller-spec.vcl"]
+    verify += ["--network", "controller:controller.vnet"]
+    assert run(verify + ["--proof-file", "sub/deeper/p.vclp"]) == 0
+    assert run(["check", "--proof-file", "sub/deeper/p.vclp"]) == 0
+
+
+def test_proof_file_under_a_regular_file_is_an_io_error(workspace, capsys):
+    (workspace / "sub").write_text("not a directory")
+    code = run(
+        [
+            "verify",
+            "--spec",
+            "controller-spec.vcl",
+            "--network",
+            "controller:controller.vnet",
+            "--proof-file",
+            "sub/p.vclp",
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[IoError]" in err
+    assert ".tmp" not in err
+
+
+def test_deep_nesting_is_a_coded_diagnostic_not_a_traceback(workspace):
+    import subprocess
+    import sys
+
+    atoms = " and ".join(f"x >= {k}" for k in range(5000))
+    spec = f"chain : Prop\nchain = forall (x : Rat) . {atoms} => x >= 0\n"
+    (workspace / "deep.vcl").write_text(spec)
+    result = subprocess.run(
+        [sys.executable, "-m", "vspec", "compile", "--spec", "deep.vcl", "--emit", "queries"],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "deep.vcl: error: " in result.stderr
+    assert "[NestingTooDeep]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_check_unknown_property_filter(workspace):
     run(
         [

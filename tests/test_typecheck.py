@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,98 @@ def test_every_quant_is_prop_and_every_if_condition_bool():
 
     for body in program.definitions.values():
         walk(body)
+
+
+NET = "network f : Rat -> Rat\n\n"
+POS = "pos : Prop\npos = forall x . x >= 0\n\n"
+SMALL = "small : Rat -> Bool\nsmall v = v <= 1 and v >= 0\n\n"
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        (POS + "g : Rat -> Rat\ng v = if pos then v else 0", "IfConditionNotBool"),
+        (POS + "b : Bool\nb = pos", "PropInBoolPosition"),
+        (NET + "g : Rat -> Rat\ng v = if f v >= 0 then v else 0", "IfConditionNotBool"),
+        (
+            NET + "h : Rat -> Rat\nh v = f v + 1\n\nb : Rat -> Bool\nb v = h v >= 0",
+            "PropInBoolPosition",
+        ),
+        (NET + "b : Rat -> Bool\nb f = f >= 0", {"b": [("ge", "bool")]}),
+        (
+            SMALL
+            + "p : Prop\np = forall x . small x => x <= 1\n\n"
+            + "g : Rat -> Rat\ng v = if small v then v else 0",
+            {
+                "small": [("and", "bool"), ("le", "bool"), ("ge", "bool")],
+                "p": [("implies", "prop"), ("le", "prop")],
+                "g": [("if", None)],
+            },
+        ),
+    ],
+    ids=[
+        "prop-definition-in-if-condition",
+        "prop-definition-as-bool-body",
+        "network-in-if-condition",
+        "network-through-numeric-helper-in-bool-definition",
+        "binder-shadowing-a-network-stays-bool",
+        "bool-helper-keeps-its-levels",
+    ],
+)
+def test_levels_through_definitions(source, expected):
+    if isinstance(expected, str):
+        with pytest.raises(TypeCheckError) as err:
+            check(source)
+        assert err.value.code == expected
+        return
+    program = check(source)
+    for name, want in expected.items():
+        got = [
+            (sub.op, sub.level)
+            for sub in core.subterms(program.definitions[name])
+            if isinstance(sub, core.Builtin)
+        ]
+        assert got == want, name
+
+
+def test_if_of_bool_variables_in_an_operand_is_tagged_prop():
+    # An operand of an application takes the Prop level when its inferred
+    # type is a formula, so this `if` of two Bool parameters is tagged
+    # "prop"; no backend reads the level of an `if` node.
+    program = check(
+        "g : Bool -> Rat\ng c = 0\n\nh : Bool -> Bool -> Rat\nh a b = g (if a then b else a)"
+    )
+    app = program.definitions["h"].body.body
+    assert isinstance(app, core.App)
+    assert app.arg == core.Builtin(
+        "if", (core.Var(1), core.Var(0), core.Var(1)), "prop"
+    )
+
+
+def _typecheck_calls(conjuncts):
+    """Python function calls made while type-checking an n-conjunct chain."""
+    atoms = " and ".join(f"x ! {k % 2} <= {k}" for k in range(conjuncts))
+    decls = parse(
+        "type InputVector = Tensor Rat [2]\n\nnetwork net : InputVector -> Rat\n\n"
+        f"chain : Prop\nchain = forall (x : InputVector) . {atoms} => net x <= 0\n"
+    )
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        typecheck(decls)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_typechecking_scales_linearly_with_the_chain_length():
+    # Deterministic: counts calls, not time.  Doubling the chain must at
+    # most double the work, give or take the fixed cost of the header.
+    small, large = _typecheck_calls(150), _typecheck_calls(300)
+    assert large / small <= 2.2, (small, large)
