@@ -94,8 +94,7 @@ def emit_itp_module(
     text = "\n".join(chunks)
     if not text.endswith("\n"):
         text += "\n"
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return ItpModule(module_name, text, digest, proof_file, property_names)
+    return ItpModule(module_name, text, hash_module_text(text), proof_file, property_names)
 
 
 def hash_module_text(text: str) -> str:

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import marabou, proofcache
 from .agda import emit_itp_module, hash_module_text, module_name_for
 from .core import print_expr
-from .errors import CacheError, VspecError
+from .errors import BackendError, CacheError, VspecError
 from .pipeline import CompiledSpec, compile_spec, parse_network_bindings
 from .proofcache import PropertyRecord, ProofCacheFile, path_for_proof_file
 from .rational import render_ratio
@@ -184,9 +184,14 @@ def cmd_compile(args: argparse.Namespace) -> int:
     proof_file = args.proof_file or _default_proof_file(args.spec)
     module_name = module_name_for(Path(args.spec).stem)
     module = emit_itp_module(compiled.program, proof_file, module_name)
-    out.mkdir(parents=True, exist_ok=True)
     module_path = out / f"{module_name}.agda"
-    module_path.write_text(module.text, encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        module_path.write_text(module.text, encoding="utf-8")
+    except OSError as exc:
+        raise BackendError(
+            "IoError", f"cannot write {module_path}: {exc}", path=str(module_path)
+        ) from None
     print(f"wrote {module_path}")
     if Path(proof_file).exists():
         cache = proofcache.read_proof_file(proof_file)

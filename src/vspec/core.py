@@ -6,11 +6,10 @@ alpha-invariant.  Binder names are kept purely for printing.  References to
 top-level definitions stay name-based (``TopRef``) until the normaliser
 inlines them.
 
-``InputVar`` / ``OutputVar`` are the relational network variables (x_i /
-y_j); they only appear after query compilation replaces network
-applications with equations.  ``AppRef`` is the query compiler's reference
-to a shared network application introduced by common-sub-expression
-elimination.
+Network applications stay ``NetworkApp`` nodes throughout: the query
+compiler numbers them and maps their inputs and outputs to its own
+relational variables (``queries.QVar``), so the core language has no
+relational nodes.
 """
 
 from __future__ import annotations
@@ -117,13 +116,6 @@ class Quant(Expr):
 
 
 @dataclass(frozen=True)
-class Let(Expr):
-    binder: str
-    bound: Expr
-    body: Expr
-
-
-@dataclass(frozen=True)
 class NetworkApp(Expr):
     """Application of a declared network to its (tensor) argument."""
 
@@ -135,27 +127,6 @@ class NetworkApp(Expr):
 class Index(Expr):
     tensor: Expr
     index: Expr
-
-
-@dataclass(frozen=True)
-class InputVar(Expr):
-    """Relational network input variable x<index>."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class OutputVar(Expr):
-    """Relational network output variable y<index>."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class AppRef(Expr):
-    """Reference to the n-th shared network application of a query."""
-
-    index: int
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +143,6 @@ def children(e: Expr) -> tuple[Expr, ...]:
         return (e.fn, e.arg)
     if isinstance(e, (Lam, Quant)):
         return (e.body,)
-    if isinstance(e, Let):
-        return (e.bound, e.body)
     if isinstance(e, NetworkApp):
         return (e.arg,)
     if isinstance(e, Index):
@@ -208,8 +177,6 @@ def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
         return Lam(e.binder, e.binder_type, f(e.body))
     if isinstance(e, Quant):
         return Quant(e.kind, e.binder, e.binder_type, f(e.body))
-    if isinstance(e, Let):
-        return Let(e.binder, f(e.bound), f(e.body))
     if isinstance(e, NetworkApp):
         return NetworkApp(e.network, f(e.arg))
     if isinstance(e, Index):
@@ -228,26 +195,7 @@ def shift(e: Expr, by: int, cutoff: int = 0) -> Expr:
         if isinstance(e, Lam):
             return Lam(e.binder, e.binder_type, body)
         return Quant(e.kind, e.binder, e.binder_type, body)
-    if isinstance(e, Let):
-        return Let(e.binder, shift(e.bound, by, cutoff), shift(e.body, by, cutoff + 1))
     return map_children(e, lambda c: shift(c, by, cutoff))
-
-
-def substitute_var(e: Expr, target: int, replacement: Expr) -> Expr:
-    """Replace Var(target) by ``replacement`` and lower indices above it.
-
-    ``replacement`` must be closed with respect to local binders (it is
-    always an InputVar/OutputVar during user-variable elimination).
-    """
-    if isinstance(e, Var):
-        if e.index == target:
-            return replacement
-        if e.index > target:
-            return Var(e.index - 1)
-        return e
-    if isinstance(e, (Lam, Quant, Let)):
-        raise AssertionError("substitute_var is only used on binder-free atoms")
-    return map_children(e, lambda c: substitute_var(c, target, replacement))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +240,6 @@ def print_expr(e: Expr, names: list[str] | None = None, prec: int = 0) -> str:
             return str(e.value)
         if isinstance(e, BoolLit):
             return "True" if e.value else "False"
-        if isinstance(e, InputVar):
-            return f"x{e.index}"
-        if isinstance(e, OutputVar):
-            return f"y{e.index}"
-        if isinstance(e, AppRef):
-            return f"_app{e.index}"
         if isinstance(e, TensorLit):
             return "[" + ", ".join(go(x, 0) for x in e.items) + "]"
         if isinstance(e, NetworkApp):
@@ -318,12 +260,6 @@ def print_expr(e: Expr, names: list[str] | None = None, prec: int = 0) -> str:
             else:
                 text = f"{e.kind} ({e.binder} : {e.binder_type}) . {body}"
             return _paren(text, 0, prec)
-        if isinstance(e, Let):
-            bound = go(e.bound, 0)
-            names.append(e.binder)
-            body = go(e.body, 0)
-            names.pop()
-            return _paren(f"let {e.binder} = {bound} in {body}", 0, prec)
         if isinstance(e, Builtin):
             return builtin_text(e, prec)
         raise AssertionError(e)

@@ -80,7 +80,8 @@ class NormaliseError(VspecError):
 
 class QueryError(VspecError):
     """Raised during query compilation; ``code`` is one of MixedQuantifiers,
-    IfConditionContainsNetwork, UnresolvableUserVariable, NonLinearAtom."""
+    IfConditionContainsNetwork, UnresolvableUserVariable, NonLinearAtom,
+    IndexOutOfBounds."""
 
 
 class BackendError(VspecError):

@@ -71,7 +71,7 @@ def emit_query(q: LinearQuery, path: str | Path) -> MarabouQueryFile:
     try:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     except OSError as exc:
-        raise BackendError("IoError", f"cannot write {path}: {exc}") from None
+        raise BackendError("IoError", f"cannot write {path}: {exc}", path=str(path)) from None
     return MarabouQueryFile(path, lines, strict)
 
 
@@ -85,7 +85,7 @@ def write_manifest(directory: str | Path, meta: MetaNetwork, ctx: NetworkContext
     try:
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     except OSError as exc:
-        raise BackendError("IoError", f"cannot write {path}: {exc}") from None
+        raise BackendError("IoError", f"cannot write {path}: {exc}", path=str(path)) from None
     return path
 
 
@@ -94,7 +94,12 @@ def emit_property_queries(
 ) -> list[MarabouQueryFile]:
     """Emit ``query<k>.txt`` files (k from 1) plus the manifest."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise BackendError(
+            "IoError", f"cannot create {directory}: {exc}", path=str(directory)
+        ) from None
     files = [
         emit_query(q, directory / f"query{k}.txt")
         for k, q in enumerate(plan.queries, start=1)
@@ -145,7 +150,7 @@ def parse_query_file(path: str | Path) -> list[LinearConstraint]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise BackendError("IoError", f"cannot read {path}: {exc}") from None
+        raise BackendError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
     return [parse_constraint(line) for line in text.splitlines() if line.strip()]
 
 
@@ -153,7 +158,7 @@ def parse_manifest(path: str | Path) -> list[tuple[str, str, str]]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise BackendError("IoError", f"cannot read {path}: {exc}") from None
+        raise BackendError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
     entries = []
     for line in text.splitlines():
         if not line.strip():

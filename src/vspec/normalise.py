@@ -123,9 +123,6 @@ class _Normaliser:
             if isinstance(fn, VFun):
                 return fn.apply(arg)
             raise AssertionError("application of a non-function survived type checking")
-        if isinstance(e, core.Let):
-            bound = self.eval(e.bound, env)
-            return self.eval(e.body, env + [bound])
         if isinstance(e, core.Quant):
             return self.eval_quant(e, env)
         if isinstance(e, core.NetworkApp):
@@ -134,8 +131,6 @@ class _Normaliser:
             return self.eval_index(self.eval(e.tensor, env), self.eval(e.index, env))
         if isinstance(e, core.Builtin):
             return self.eval_builtin(e, env)
-        if isinstance(e, (core.InputVar, core.OutputVar, core.AppRef)):
-            return VNeut(e)
         raise AssertionError(e)
 
     def def_value(self, name: str) -> Value:
@@ -317,8 +312,6 @@ def _quote_neutral(head: object, depth: int) -> core.Expr:
         return core.NetworkApp(head.network, _quote(head.arg, depth))
     if isinstance(head, NIndex):
         return core.Index(_quote(head.target, depth), _quote(head.index, depth))
-    if isinstance(head, (core.InputVar, core.OutputVar, core.AppRef)):
-        return head
     raise AssertionError(head)
 
 

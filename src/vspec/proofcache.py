@@ -99,7 +99,7 @@ def write_proof_file(cache: ProofCacheFile, path: str | Path) -> None:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
-        raise CacheError("IoError", f"cannot write {path}: {exc}") from None
+        raise CacheError("IoError", f"cannot write {path}: {exc}", path=str(path)) from None
 
 
 def _parse_digest(token: str, path: str) -> str:
@@ -134,7 +134,9 @@ def read_proof_file(path: str | Path) -> ProofCacheFile:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise CacheError("MalformedProofFile", f"cannot read {path}: {exc}") from None
+        raise CacheError(
+            "MalformedProofFile", f"cannot read {path}: {exc}", path=str(path)
+        ) from None
 
     spec_path = spec_digest = None
     networks: list[tuple[str, str, str]] = []

@@ -4,27 +4,32 @@ conjunctive linear queries over relational network variables.
 Pipeline per property::
 
     analyse_quantifiers  -- all-universal properties are negated
-    nnf                  -- negation pushed to atoms, no `not` nodes remain
-    eliminate_if         -- numeric ifs lifted, formula ifs become implications
-    to_dnf               -- implications to ors, distribution, one disjunct
-                            per verifier query, existentials at each head
-    cse                  -- duplicate network applications shared
-    build_meta_network   -- sequential x/y variable numbering in
-                            first-occurrence application order
-    relationalise        -- applications replaced by input equations plus
-                            output-variable substitution
-    eliminate_user_vars  -- quantified variables replaced by their equated
-                            relational variable; atoms flattened to
-                            LinearConstraints (constant on the right)
+    nnf                  -- negation pushed to atoms and implications
+                            rewritten as disjunctions: no `not` or `=>`
+                            nodes remain
+    eliminate_if         -- numeric ifs lifted, ``if c then A else B``
+                            becomes ``(c and A) or (not c and B)``
+    to_dnf               -- distribution, one disjunct per verifier query,
+                            existentials at each head
+    compile_disjunct     -- one disjunct to LinearConstraints over its
+                            metanetwork, in three steps:
+        1. number the network applications (structurally equal ones
+           share a number) and equate each argument element with its
+           input variable ``x_i``;
+        2. resolve each quantified variable, innermost first, through its
+           first direct ``v == x_i`` / ``v == y_j`` equation;
+        3. flatten the equations and the remaining atoms to
+           LinearConstraints (constant on the right).
 
 Disjuncts whose constraints fold to a constant contradiction are dropped:
 they contribute nothing to the disjunction.  A quantified variable without
-a direct ``v == x_i`` / ``v == y_j`` equation is an error; rearranging
-indirect equations like ``x0 == v + 2`` is deliberately not attempted.
+a direct equation is an error; rearranging indirect equations like
+``x0 == v + 2`` is deliberately not attempted.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,19 +55,6 @@ class Disjunct:
     source order; Var(0) in an atom is the innermost binder."""
 
     binders: list[Binder]
-    atoms: list[core.Expr]
-
-
-@dataclass(frozen=True)
-class NetworkUse:
-    network: str
-    arg: core.Expr  # TensorLit; may reference earlier uses via AppRef
-
-
-@dataclass
-class CseQuery:
-    binders: list[Binder]
-    uses: list[NetworkUse]
     atoms: list[core.Expr]
 
 
@@ -203,8 +195,9 @@ _NEG_CMP = {"le": "gt", "lt": "ge", "ge": "lt", "gt": "le"}
 
 
 def nnf(e: core.Expr, negate: bool) -> core.Expr:
-    """Push negation to atoms; the result contains no `not` nodes.  With
-    ``negate=True`` this computes the negation of ``e``."""
+    """Push negation to atoms; the result contains no `not` and no
+    `implies` nodes.  With ``negate=True`` this computes the negation of
+    ``e``."""
     if isinstance(e, core.Quant):
         kind = e.kind
         if negate:
@@ -225,7 +218,7 @@ def nnf(e: core.Expr, negate: bool) -> core.Expr:
             lhs, rhs = e.args
             if negate:
                 return core.Builtin("and", (nnf(lhs, False), nnf(rhs, True)), lvl)
-            return core.Builtin("implies", (nnf(lhs, False), nnf(rhs, False)), lvl)
+            return core.Builtin("or", (nnf(lhs, True), nnf(rhs, False)), lvl)
         if e.op == "if":
             cond, then, els = e.args
             # Negation selects within branches; the condition is only cleaned.
@@ -291,8 +284,8 @@ def _rebuild_with_children(e: core.Expr, kids: list[core.Expr]) -> core.Expr:
 
 def eliminate_if(e: core.Expr) -> core.Expr:
     """Remove every `if`: non-formula ifs are lifted first, then
-    ``if a then b else c`` becomes ``(a => b) and (not a => c)`` with the
-    negated condition immediately pushed to atoms."""
+    ``if a then b else c`` becomes ``(a and b) or (not a and c)`` with the
+    condition and its negation pushed to atoms."""
     e = _lift_numeric_ifs(e)
 
     def eliminate(e: core.Expr) -> core.Expr:
@@ -306,10 +299,10 @@ def eliminate_if(e: core.Expr) -> core.Expr:
                 )
             lvl = e.level  # type: ignore[attr-defined]
             return core.Builtin(
-                "and",
+                "or",
                 (
-                    core.Builtin("implies", (nnf(cond, False), then), lvl),
-                    core.Builtin("implies", (nnf(cond, True), els), lvl),
+                    core.Builtin("and", (nnf(cond, False), then), lvl),
+                    core.Builtin("and", (nnf(cond, True), els), lvl),
                 ),
                 lvl,
             )
@@ -324,7 +317,7 @@ def eliminate_if(e: core.Expr) -> core.Expr:
 
 
 def to_dnf(e: core.Expr) -> list[Disjunct]:
-    """Split a negation-free, if-free, existential-only formula into
+    """Split an NNF, if-free, existential-only formula into
     prenex-existential conjunctions, in left-to-right source order."""
     if isinstance(e, core.Quant):
         if e.kind != "exists":
@@ -335,9 +328,6 @@ def to_dnf(e: core.Expr) -> list[Disjunct]:
         return out
     if isinstance(e, core.Builtin) and e.op == "or":
         return to_dnf(e.args[0]) + to_dnf(e.args[1])
-    if isinstance(e, core.Builtin) and e.op == "implies":
-        lhs, rhs = e.args
-        return to_dnf(core.Builtin("or", (nnf(lhs, True), rhs), e.level))
     if isinstance(e, core.Builtin) and e.op == "and":
         out = []
         for da in to_dnf(e.args[0]):
@@ -354,233 +344,190 @@ def to_dnf(e: core.Expr) -> list[Disjunct]:
     raise AssertionError(f"unexpected node in DNF conversion: {e!r}")
 
 
-def drop_unused_binders(d: Disjunct) -> Disjunct:
-    """An existential binder that occurs in no atom quantifies nothing and
-    is dropped (the domain is nonempty, so this preserves satisfiability)."""
-    n = len(d.binders)
-    used: set[int] = set()
-    for atom in d.atoms:
-        for sub in core.subterms(atom):
-            if isinstance(sub, core.Var):
-                used.add(sub.index)
-    keep = [i for i in range(n) if i in used]  # de Bruijn indices to keep
-    if len(keep) == n:
-        return d
-    remap = {old: new for new, old in enumerate(sorted(keep))}
-
-    def rename(e: core.Expr) -> core.Expr:
-        if isinstance(e, core.Var):
-            return core.Var(remap[e.index])
-        return core.map_children(e, rename)
-
-    binders = [b for j, b in enumerate(d.binders) if (n - 1 - j) in used]
-    return Disjunct(binders, [rename(a) for a in d.atoms])
-
-
 # ---------------------------------------------------------------------------
-# Common-sub-expression elimination over network applications
+# One disjunct to linear constraints
 # ---------------------------------------------------------------------------
-
-
-def cse_network_applications(d: Disjunct) -> CseQuery:
-    """Bind each syntactically distinct (network, argument) application once.
-
-    Sharing is decided by structural equality of de-Bruijn terms, which is
-    alpha-invariant by construction.  Binding order is first occurrence in a
-    left-to-right traversal, with an application's argument processed before
-    the application itself so nested uses are bound first.
-    """
-    uses: list[NetworkUse] = []
-    table: dict[core.Expr, int] = {}
-
-    def replace(e: core.Expr) -> core.Expr:
-        e = core.map_children(e, replace)
-        if isinstance(e, core.NetworkApp):
-            if e not in table:
-                table[e] = len(uses)
-                uses.append(NetworkUse(e.network, e.arg))
-            return core.AppRef(table[e])
-        return e
-
-    atoms = [replace(a) for a in d.atoms]
-    return CseQuery(list(d.binders), uses, atoms)
-
-
-def build_meta_network(uses: list[NetworkUse], ctx: NetworkContext) -> MetaNetwork:
-    apps = []
-    for use in uses:
-        info = ctx[use.network]
-        apps.append((use.network, info.input_size, info.output_size))
-    return MetaNetwork(tuple(apps))
-
-
-# ---------------------------------------------------------------------------
-# Relational form
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class RelationalQuery:
-    binders: list[Binder]
-    atoms: list[core.Expr]
-    meta: MetaNetwork
-
-
-def relationalise(q: CseQuery, meta: MetaNetwork) -> RelationalQuery:
-    """Replace each shared application by input-variable equations and by
-    the tensor of its output variables, then fold the introduced indexing."""
-    out_off = meta.output_offsets
-    in_off = meta.input_offsets
-
-    def output_tensor(j: int) -> core.Expr:
-        _, _, n = meta.applications[j]
-        return core.TensorLit(tuple(core.OutputVar(out_off[j] + t) for t in range(n)))
-
-    def subst(e: core.Expr) -> core.Expr:
-        if isinstance(e, core.AppRef):
-            return output_tensor(e.index)
-        return core.map_children(e, subst)
-
-    equations: list[core.Expr] = []
-    for j, use in enumerate(q.uses):
-        arg = _fold_indexing(subst(use.arg))
-        if not isinstance(arg, core.TensorLit):
-            raise QueryError(
-                "NonLinearAtom",
-                f"network {use.network!r} is applied to a non-literal tensor",
-            )
-        for t, elem in enumerate(arg.items):
-            equations.append(
-                core.Builtin("eq", (elem, core.InputVar(in_off[j] + t)), "prop")
-            )
-
-    atoms = equations + [_fold_indexing(subst(a)) for a in q.atoms]
-    return RelationalQuery(list(q.binders), atoms, meta)
-
-
-def _fold_indexing(e: core.Expr) -> core.Expr:
-    e = core.map_children(e, _fold_indexing)
-    if (
-        isinstance(e, core.Index)
-        and isinstance(e.tensor, core.TensorLit)
-        and isinstance(e.index, core.NatLit)
-    ):
-        return e.tensor.items[e.index.value]
-    return e
-
-
-# ---------------------------------------------------------------------------
-# User-variable elimination and flattening
-# ---------------------------------------------------------------------------
-
-
-def eliminate_user_vars(rel: RelationalQuery) -> LinearQuery | None:
-    """Drop each quantified variable via its direct relational equation and
-    flatten the remaining atoms to LinearConstraints.
-
-    Returns None when a constant atom folds to False (the disjunct is
-    unsatisfiable and contributes nothing to the disjunction).
-    """
-    binders = list(rel.binders)
-    atoms = list(rel.atoms)
-    while binders:
-        found: tuple[int, core.Expr] | None = None
-        for i, atom in enumerate(atoms):
-            if isinstance(atom, core.Builtin) and atom.op == "eq":
-                lhs, rhs = atom.args
-                if lhs == core.Var(0) and isinstance(rhs, (core.InputVar, core.OutputVar)):
-                    found = (i, rhs)
-                    break
-                if rhs == core.Var(0) and isinstance(lhs, (core.InputVar, core.OutputVar)):
-                    found = (i, lhs)
-                    break
-        if found is None:
-            raise QueryError(
-                "UnresolvableUserVariable",
-                f"quantified variable {binders[-1].name!r} is not directly "
-                "equated to a network input or output variable",
-            )
-        i, replacement = found
-        del atoms[i]
-        atoms = [core.substitute_var(a, 0, replacement) for a in atoms]
-        binders.pop()
-
-    constraints: list[LinearConstraint] = []
-    for atom in atoms:
-        c = _flatten_atom(atom)
-        if c is True:
-            continue
-        if c is False:
-            return None
-        constraints.append(c)
-    return LinearQuery(constraints, rel.meta)
-
 
 _REL = {"le": "<=", "lt": "<", "ge": ">=", "gt": ">", "eq": "="}
+_HOLDS = {"le": operator.le, "lt": operator.lt, "ge": operator.ge, "gt": operator.gt,
+          "eq": operator.eq}  # fmt: skip
+
+# One equation or atom: (comparison tag, lhs, rhs).  A side is a core term,
+# or the input variable on the right of an argument equation.
+Row = tuple[str, core.Expr | QVar, core.Expr | QVar]
 
 
-def _flatten_atom(atom: core.Expr) -> LinearConstraint | bool:
-    if not (isinstance(atom, core.Builtin) and atom.op in core.CMP_OPS):
-        raise AssertionError(f"non-comparison atom survived DNF: {atom!r}")
-    lt, lc = _linearise(atom.args[0])
-    rt, rc = _linearise(atom.args[1])
-    terms: dict[QVar, Fraction] = dict(lt)
-    for v, coeff in rt.items():
-        terms[v] = terms.get(v, Fraction(0)) - coeff
-    terms = {v: c for v, c in terms.items() if c != 0}
-    constant = rc - lc
-    if not terms:
-        zero = Fraction(0)
-        return {
-            "le": zero <= constant,
-            "lt": zero < constant,
-            "ge": zero >= constant,
-            "gt": zero > constant,
-            "eq": zero == constant,
-        }[atom.op]
-    return canonical_constraint(terms, _REL[atom.op], constant)
+def compile_disjunct(d: Disjunct, ctx: NetworkContext) -> LinearQuery | None:
+    """Compile one disjunct to linear constraints over its metanetwork.
+
+    1. Applications are numbered in first-occurrence order (atoms left to
+       right, an application's argument before the application itself);
+       structurally equal applications share a number, which de Bruijn
+       terms make alpha-invariant.  Element t of application j's argument
+       is equated with x(in_off_j + t), and these equations come before
+       the atoms.
+    2. Each quantified variable that occurs in an atom is resolved,
+       innermost first, through the first remaining ``eq`` row with the
+       variable on one side and a relational variable on the other: an
+       input variable, ``app ! k``, or a variable resolved before.  That
+       row is removed.  A variable that occurs in no atom quantifies
+       nothing and is skipped.
+    3. The remaining rows are flattened in order.
+
+    Returns None when a row folds to a constant contradiction (the disjunct
+    is unsatisfiable and contributes nothing to the disjunction).
+    """
+    first_output: dict[core.NetworkApp, int] = {}
+    applications: list[tuple[str, int, int]] = []
+    rows: list[Row] = []
+    used: set[int] = set()
+    inputs = outputs = 0
+
+    def number(e: core.Expr) -> None:
+        nonlocal inputs, outputs
+        if isinstance(e, core.Var):
+            used.add(e.index)
+            return
+        if isinstance(e, core.NetworkApp) and e in first_output:
+            return
+        for child in core.children(e):
+            number(child)
+        output = _output_index(e)
+        if output is not None:
+            app, k = output
+            size = ctx[app.network].output_size
+            if k >= size:
+                raise QueryError(
+                    "IndexOutOfBounds",
+                    f"index {k} out of bounds for the outputs of network "
+                    f"{app.network!r} (output count {size})",
+                )
+        if isinstance(e, core.NetworkApp):
+            if isinstance(e.arg, core.TensorLit):
+                items = e.arg.items
+            elif isinstance(e.arg, core.NetworkApp):
+                width = ctx[e.arg.network].output_size
+                items = tuple(core.Index(e.arg, core.NatLit(t)) for t in range(width))
+            else:
+                raise QueryError(
+                    "NonLinearAtom",
+                    f"network {e.network!r} is applied to a non-literal tensor",
+                )
+            rows.extend(("eq", item, QVar("x", inputs + t)) for t, item in enumerate(items))
+            info = ctx[e.network]
+            applications.append((e.network, info.input_size, info.output_size))
+            first_output[e] = outputs
+            inputs += info.input_size
+            outputs += info.output_size
+
+    for atom in d.atoms:
+        number(atom)
+    rows.extend((atom.op, *atom.args) for atom in d.atoms)  # type: ignore[attr-defined]
+
+    resolved: dict[int, QVar] = {}
+
+    def relational(side: core.Expr | QVar) -> QVar | None:
+        if isinstance(side, QVar):
+            return side
+        if isinstance(side, core.Var):
+            return resolved.get(side.index)
+        output = _output_index(side)
+        if output is not None:
+            return QVar("y", first_output[output[0]] + output[1])
+        return None
+
+    n = len(d.binders)
+    for k in range(n):
+        if k not in used:
+            continue
+        binder = core.Var(k)
+        for i, (op, lhs, rhs) in enumerate(rows):
+            if op != "eq":
+                continue
+            var = relational(rhs) if lhs == binder else relational(lhs) if rhs == binder else None
+            if var is not None:
+                break
+        else:
+            raise QueryError(
+                "UnresolvableUserVariable",
+                f"quantified variable {d.binders[n - 1 - k].name!r} is not directly "
+                "equated to a network input or output variable",
+            )
+        resolved[k] = var
+        del rows[i]
+
+    names = [b.name for b in d.binders]
+
+    def linearise(e: core.Expr | QVar) -> tuple[dict[QVar, Fraction], Fraction]:
+        if isinstance(e, core.RatLit):
+            return {}, e.value
+        if isinstance(e, core.NatLit):
+            return {}, Fraction(e.value)
+        var = relational(e)
+        if var is not None:
+            return {var: Fraction(1)}, Fraction(0)
+        if isinstance(e, core.Builtin):
+            if e.op == "neg":
+                t, c = linearise(e.args[0])
+                return {v: -k for v, k in t.items()}, -c
+            if e.op in ("add", "sub"):
+                lt, lc = linearise(e.args[0])
+                rt, rc = linearise(e.args[1])
+                sign = 1 if e.op == "add" else -1
+                return _add_terms(lt, rt, sign), lc + sign * rc
+            if e.op == "mul":
+                lt, lc = linearise(e.args[0])
+                rt, rc = linearise(e.args[1])
+                if lt and rt:
+                    raise QueryError("NonLinearAtom", "product of two variables")
+                if lt:
+                    return {v: k * rc for v, k in lt.items()}, lc * rc
+                return {v: k * lc for v, k in rt.items()}, lc * rc
+            if e.op == "div":
+                lt, lc = linearise(e.args[0])
+                rt, rc = linearise(e.args[1])
+                if rt:
+                    raise QueryError("NonLinearAtom", "division by a variable")
+                if rc == 0:
+                    raise QueryError("NonLinearAtom", "division by zero in atom")
+                return {v: k / rc for v, k in lt.items()}, lc / rc
+        raise QueryError(
+            "NonLinearAtom",
+            "atom contains a non-linear or non-numeric term: "
+            + core.print_expr(e, names),  # type: ignore[arg-type]
+        )
+
+    constraints: list[LinearConstraint] = []
+    for op, lhs, rhs in rows:
+        lt, lc = linearise(lhs)
+        rt, rc = linearise(rhs)
+        terms = _add_terms(lt, rt, -1)
+        constant = rc - lc
+        if any(terms.values()):
+            constraints.append(canonical_constraint(terms, _REL[op], constant))
+        elif not _HOLDS[op](Fraction(0), constant):
+            return None
+    return LinearQuery(constraints, MetaNetwork(tuple(applications)))
 
 
-def _linearise(e: core.Expr) -> tuple[dict[QVar, Fraction], Fraction]:
-    if isinstance(e, core.RatLit):
-        return {}, e.value
-    if isinstance(e, core.NatLit):
-        return {}, Fraction(e.value)
-    if isinstance(e, core.InputVar):
-        return {QVar("x", e.index): Fraction(1)}, Fraction(0)
-    if isinstance(e, core.OutputVar):
-        return {QVar("y", e.index): Fraction(1)}, Fraction(0)
-    if isinstance(e, core.Builtin):
-        if e.op == "neg":
-            t, c = _linearise(e.args[0])
-            return {v: -k for v, k in t.items()}, -c
-        if e.op in ("add", "sub"):
-            lt, lc = _linearise(e.args[0])
-            rt, rc = _linearise(e.args[1])
-            sign = 1 if e.op == "add" else -1
-            terms = dict(lt)
-            for v, k in rt.items():
-                terms[v] = terms.get(v, Fraction(0)) + sign * k
-            return terms, lc + sign * rc
-        if e.op == "mul":
-            lt, lc = _linearise(e.args[0])
-            rt, rc = _linearise(e.args[1])
-            if lt and rt:
-                raise QueryError("NonLinearAtom", "product of two variables")
-            if lt:
-                return {v: k * rc for v, k in lt.items()}, lc * rc
-            return {v: k * lc for v, k in rt.items()}, lc * rc
-        if e.op == "div":
-            lt, lc = _linearise(e.args[0])
-            rt, rc = _linearise(e.args[1])
-            if rt:
-                raise QueryError("NonLinearAtom", "division by a variable")
-            if rc == 0:
-                raise QueryError("NonLinearAtom", "division by zero in atom")
-            return {v: k / rc for v, k in lt.items()}, lc / rc
-    raise QueryError(
-        "NonLinearAtom", f"atom contains a non-linear or non-numeric term: {e!r}"
-    )
+def _add_terms(
+    lt: dict[QVar, Fraction], rt: dict[QVar, Fraction], sign: int
+) -> dict[QVar, Fraction]:
+    terms = dict(lt)
+    for v, k in rt.items():
+        terms[v] = terms.get(v, Fraction(0)) + sign * k
+    return terms
+
+
+def _output_index(e: core.Expr | QVar) -> tuple[core.NetworkApp, int] | None:
+    """``(app, k)`` when ``e`` is ``app ! k`` with a literal ``k``."""
+    if (
+        isinstance(e, core.Index)
+        and isinstance(e.tensor, core.NetworkApp)
+        and isinstance(e.index, core.NatLit)
+    ):
+        return e.tensor, e.index.value
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +541,7 @@ def compile_property(
     """Run the full query pipeline for one normalised Prop declaration."""
     polarity = analyse_quantifiers(prop)
     negated = polarity == "AllForall"
-    work = nnf(prop, negate=negated)
-    work = eliminate_if(work)
-    disjuncts = [drop_unused_binders(d) for d in to_dnf(work)]
-    queries: list[LinearQuery] = []
-    for d in disjuncts:
-        cq = cse_network_applications(d)
-        meta = build_meta_network(cq.uses, ctx)
-        rel = relationalise(cq, meta)
-        lq = eliminate_user_vars(rel)
-        if lq is not None:
-            queries.append(lq)
+    disjuncts = to_dnf(eliminate_if(nnf(prop, negate=negated)))
+    compiled = (compile_disjunct(d, ctx) for d in disjuncts)
+    queries = [q for q in compiled if q is not None]
     return PropertyPlan(name, polarity, negated, queries, disjunct_count=len(disjuncts))

@@ -60,9 +60,6 @@ class TypedProgram:
     definitions: dict[str, core.Expr] = field(default_factory=dict)
     def_types: dict[str, VType] = field(default_factory=dict)
 
-    def properties(self) -> list[TypedDecl]:
-        return [d for d in self.decls if d.kind == "def" and d.vtype == PROP]
-
 
 # ---------------------------------------------------------------------------
 # Unification

@@ -215,7 +215,6 @@ def check_query(
     ctx: NetworkContext,
     *,
     phase_budget: int = DEFAULT_PHASE_BUDGET,
-    use_bound_propagation: bool = True,
 ) -> Verdict:
     """Decide one linear query exactly.
 
@@ -225,9 +224,7 @@ def check_query(
     yields SAT with its witness restricted to the relational variables.
     """
     skeleton = unroll_meta_network(query.meta, ctx)
-    fixed: dict[int, str] = {}
-    if use_bound_propagation:
-        _, fixed = propagate_bounds(skeleton, query)
+    _, fixed = propagate_bounds(skeleton, query)
 
     base = skeleton.equalities + _query_constraints(query, skeleton)
     for node_id, phase in fixed.items():

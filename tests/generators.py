@@ -129,17 +129,11 @@ def strip_quantifiers(expr: core.Expr) -> tuple[core.Expr, int]:
 
 def dnf_size_estimate(expr: core.Expr) -> int:
     """Number of disjuncts to_dnf would produce (without building them)."""
-    from vspec.queries import nnf
-
     if isinstance(expr, core.Quant):
         return dnf_size_estimate(expr.body)
     if isinstance(expr, core.Builtin):
         if expr.op == "or":
             return dnf_size_estimate(expr.args[0]) + dnf_size_estimate(expr.args[1])
-        if expr.op == "implies":
-            return dnf_size_estimate(nnf(expr.args[0], True)) + dnf_size_estimate(
-                expr.args[1]
-            )
         if expr.op == "and":
             return dnf_size_estimate(expr.args[0]) * dnf_size_estimate(expr.args[1])
     if isinstance(expr, core.BoolLit):

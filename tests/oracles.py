@@ -42,8 +42,6 @@ def eval_core(e: core.Expr, env: list):
         tensor = eval_core(e.tensor, env)
         index = eval_core(e.index, env)
         return tensor[int(index)]
-    if isinstance(e, core.Let):
-        return eval_core(e.body, env + [eval_core(e.bound, env)])
     if isinstance(e, core.Builtin):
         op = e.op
         if op == "if":

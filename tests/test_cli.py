@@ -202,8 +202,47 @@ def test_proof_file_under_a_regular_file_is_an_io_error(workspace, capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
+    assert err.startswith("sub/p.vclp: error: ")
     assert "[IoError]" in err
     assert ".tmp" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compile", "--target", "marabou"],
+        ["compile", "--target", "agda"],
+        ["verify", "--solver", "emit-only"],
+    ],
+)
+def test_output_under_a_regular_file_is_an_io_error(workspace, capsys, command):
+    (workspace / "afile").write_text("not a directory")
+    net = ["--network", "controller:controller.vnet"]
+    code = run(command + ["--spec", "controller-spec.vcl", *net, "--output", "afile/out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("afile/out/")
+    assert "[IoError]" in err
+    assert "Traceback" not in err
+
+
+def test_unreadable_proof_file_names_its_path(workspace, capsys):
+    assert run(["check", "--proof-file", "nope.vclp"]) == 2
+    assert capsys.readouterr().err.startswith("nope.vclp: error: cannot read nope.vclp")
+
+
+def test_out_of_range_output_index_is_a_coded_diagnostic(workspace, capsys):
+    (workspace / "one.vnet").write_text("vnet 1\ninput 1\naffine 1 1\n1\n0\n")
+    (workspace / "index.vcl").write_text(
+        "network f : Tensor Rat [1] -> Tensor Rat [1]\n\n"
+        "p : Prop\np = forall x . -1 <= x <= 1 => f [x] ! 3 <= 2\n"
+    )
+    code = run(["compile", "--spec", "index.vcl", "--network", "f:one.vnet", "--emit", "queries"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "network 'f'" in err and "output count 1" in err
+    assert "[IndexOutOfBounds]" in err
+    assert "Traceback" not in err
 
 
 def test_deep_nesting_is_a_coded_diagnostic_not_a_traceback(workspace):

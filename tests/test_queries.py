@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -7,26 +8,25 @@ from generators import close_over, random_assignment, random_formula
 from oracles import eval_core
 from vspec import core
 from vspec.errors import QueryError
-from vspec.networks import analyze_network_types
+from vspec.networks import NetworkInfo, NetworkModel, analyze_network_types
 from vspec.normalise import prune_non_prop
 from vspec.queries import (
+    Binder,
     Disjunct,
     LinearConstraint,
+    LinearQuery,
     MetaNetwork,
     QVar,
     analyse_quantifiers,
+    compile_disjunct,
     compile_property,
-    cse_network_applications,
-    drop_unused_binders,
     eliminate_if,
-    eliminate_user_vars,
     nnf,
-    relationalise,
     to_dnf,
 )
 from vspec.surface import parse
 from vspec.typecheck import typecheck
-from vspec.types import RAT
+from vspec.types import RAT, FunT, TensorT
 
 
 def compile_props(source, bindings):
@@ -127,6 +127,21 @@ def test_nnf_output_has_no_not_nodes():
             )
 
 
+def test_nnf_output_has_no_implications():
+    rng = random.Random(9)
+    for _ in range(100):
+        formula = random_formula(rng, 3, 4)
+        for negate in (False, True):
+            result = nnf(formula, negate)
+            assert not any(
+                isinstance(s, core.Builtin) and s.op == "implies"
+                for s in core.subterms(result)
+            )
+    a, b = cmp("le", X, lit(1)), cmp("eq", X, lit(2))
+    implication = core.Builtin("implies", (a, b), "prop")
+    assert nnf(implication, False) == core.Builtin("or", (cmp("gt", X, lit(1)), b), "prop")
+
+
 def test_nnf_semantics():
     rng = random.Random(6)
     for _ in range(60):
@@ -157,25 +172,25 @@ def test_spec_example_numeric_if_lifting():
     )
     result = eliminate_if(prop)
     body = result.body
-    assert body.op == "and"
+    assert body.op == "or"
     left, right = body.args
-    assert left.op == "implies"
+    assert left.op == "and"
     assert left.args[0] == a
     assert left.args[1] == cmp("ge", X, lit(8))
-    assert right.op == "implies"
+    assert right.op == "and"
     assert right.args[0] == core.Builtin("gt", (core.Var(0), lit(0)), "bool")
     assert right.args[1] == cmp("ge", core.Builtin("add", (X, lit(2))), lit(8))
 
 
-def test_formula_level_if_becomes_implication_pair():
+def test_formula_level_if_becomes_a_disjunction():
     a = core.Builtin("le", (lit(0), lit(1)), "bool")
     b = cmp("le", X, lit(1))
     c = cmp("ge", X, lit(1))
     result = eliminate_if(core.Builtin("if", (a, b, c), "prop"))
-    assert result.op == "and"
-    assert result.args[0] == core.Builtin("implies", (a, b), "prop")
+    assert result.op == "or"
+    assert result.args[0] == core.Builtin("and", (a, b), "prop")
     assert result.args[1] == core.Builtin(
-        "implies", (core.Builtin("gt", (lit(0), lit(1)), "bool"), c), "prop"
+        "and", (core.Builtin("gt", (lit(0), lit(1)), "bool"), c), "prop"
     )
 
 
@@ -278,86 +293,108 @@ def test_nested_exists_under_and_is_prenexed():
     assert d.atoms[1] == cmp("le", core.Var(0), core.Var(1))
 
 
-def test_unused_binders_are_dropped():
-    # exists v w . v <= 1 with w unused.
-    from vspec.queries import Binder
-
-    d = Disjunct([Binder("v", RAT), Binder("w", RAT)], [cmp("le", core.Var(1), lit(1))])
-    dropped = drop_unused_binders(d)
-    assert [b.name for b in dropped.binders] == ["v"]
-    assert dropped.atoms == [cmp("le", core.Var(0), lit(1))]
-
-
-# -- CSE ---------------------------------------------------------------------------
+def ctx_of(**sizes):
+    """A network context giving each named network (inputs, outputs)."""
+    return {
+        name: NetworkInfo(
+            NetworkModel(name, m, n, ()), FunT(TensorT(RAT, (m,)), TensorT(RAT, (n,))), "", ""
+        )
+        for name, (m, n) in sizes.items()
+    }
 
 
 def napp(name, *args):
     return core.NetworkApp(name, core.TensorLit(tuple(args)))
 
 
+def out(app, k=0):
+    return core.Index(app, core.NatLit(k))
+
+
+def binders(*names):
+    return [Binder(name, RAT) for name in names]
+
+
+def lc(terms, relation, constant):
+    return LinearConstraint(
+        tuple((QVar(v[0], int(v[1:])), Fraction(k)) for v, k in terms), relation, Fraction(constant)
+    )
+
+
+def test_unused_binders_are_dropped():
+    # exists v w . f v <= 1 with w unused: w quantifies nothing and needs no
+    # equation; the same w used in an atom must be resolved.
+    ctx = ctx_of(f=(1, 1))
+    d = Disjunct(binders("v", "w"), [cmp("le", out(napp("f", core.Var(1))), lit(1))])
+    lq = compile_disjunct(d, ctx)
+    assert lq == LinearQuery([lc([("y0", 1)], "<=", 1)], MetaNetwork((("f", 1, 1),)))
+    d.atoms.append(cmp("le", core.Var(0), lit(1)))
+    with pytest.raises(QueryError, match="'w'") as err:
+        compile_disjunct(d, ctx)
+    assert err.value.code == "UnresolvableUserVariable"
+
+
+# -- shared applications ---------------------------------------------------------------
+
+
 def test_duplicate_applications_share_one_binding():
-    f_a = core.Index(napp("f", core.Var(0)), core.NatLit(0))
-    d = Disjunct(
-        [__import__("vspec.queries", fromlist=["Binder"]).Binder("a", RAT)],
-        [cmp("le", f_a, lit(0)), cmp("ge", f_a, lit(-1))],
-    )
-    before = sum(
-        isinstance(s, core.NetworkApp) for a in d.atoms for s in core.subterms(a)
-    )
-    cq = cse_network_applications(d)
-    after = sum(
-        isinstance(s, core.NetworkApp)
-        for use in cq.uses
-        for s in core.subterms(use.arg)
-    ) + len(cq.uses)
-    assert before == 2
-    assert after == 1
-    assert len(cq.uses) == 1
-    assert all(
-        not isinstance(s, core.NetworkApp) for a in cq.atoms for s in core.subterms(a)
-    )
+    f_a = out(napp("f", core.Var(0)))
+    d = Disjunct(binders("a"), [cmp("le", f_a, lit(0)), cmp("ge", f_a, lit(-1))])
+    lq = compile_disjunct(d, ctx_of(f=(1, 1)))
+    assert lq.meta.applications == (("f", 1, 1),)
+    assert lq.constraints == [lc([("y0", 1)], "<=", 0), lc([("y0", 1)], ">=", -1)]
 
 
 def test_distinct_arguments_get_two_bindings_in_order():
-    from vspec.queries import Binder
-
-    f_x1 = core.Index(napp("f", core.Var(1)), core.NatLit(0))
-    f_x2 = core.Index(napp("f", core.Var(0)), core.NatLit(0))
-    d = Disjunct([Binder("x1", RAT), Binder("x2", RAT)], [cmp("le", f_x1, f_x2)])
-    cq = cse_network_applications(d)
-    assert len(cq.uses) == 2
-    assert cq.uses[0].arg == core.TensorLit((core.Var(1),))
-    assert cq.uses[1].arg == core.TensorLit((core.Var(0),))
+    f_x1 = out(napp("f", core.Var(1)))
+    f_x2 = out(napp("f", core.Var(0)))
+    d = Disjunct(
+        binders("x1", "x2"), [cmp("le", f_x1, f_x2), cmp("le", core.Var(1), lit(5))]
+    )
+    lq = compile_disjunct(d, ctx_of(f=(1, 1)))
+    assert lq.meta.applications == (("f", 1, 1), ("f", 1, 1))
+    # x1 is the argument of the first application, x2 of the second.
+    assert lq.constraints == [lc([("y0", 1), ("y1", -1)], "<=", 0), lc([("x0", 1)], "<=", 5)]
 
 
 def test_nested_application_binds_inner_first():
-    from vspec.queries import Binder
-
-    inner = core.Index(napp("g", core.Var(0)), core.NatLit(0))
-    outer = core.Index(napp("f", inner), core.NatLit(0))
-    d = Disjunct([Binder("v", RAT)], [cmp("le", outer, lit(0))])
-    cq = cse_network_applications(d)
-    assert [u.network for u in cq.uses] == ["g", "f"]
-    assert cq.uses[1].arg == core.TensorLit((core.Index(core.AppRef(0), core.NatLit(0)),))
+    inner = out(napp("g", core.Var(0)))
+    outer = out(napp("f", inner))
+    d = Disjunct(binders("v"), [cmp("le", outer, lit(0))])
+    lq = compile_disjunct(d, ctx_of(f=(1, 1), g=(1, 1)))
+    assert lq.meta.applications == (("g", 1, 1), ("f", 1, 1))
+    # f's argument element is g's output: y0 == x1.
+    assert lq.constraints == [lc([("y0", 1), ("x1", -1)], "=", 0), lc([("y1", 1)], "<=", 0)]
 
 
 def test_no_applications_unchanged():
-    from vspec.queries import Binder
+    # Without applications there is no equation and no metanetwork: the
+    # atoms are flattened as they are.
+    d = Disjunct([], [cmp("le", lit(0), lit(1)), cmp("lt", lit(2), lit(3))])
+    assert compile_disjunct(d, {}) == LinearQuery([], MetaNetwork(()))
+    d = Disjunct([], [cmp("gt", lit(0), lit(1))])
+    assert compile_disjunct(d, {}) is None
+    # ... and a quantified variable has nothing to be equated with.
+    with pytest.raises(QueryError) as err:
+        compile_disjunct(Disjunct(binders("v"), [cmp("le", X, lit(0))]), {})
+    assert err.value.code == "UnresolvableUserVariable"
 
-    d = Disjunct([Binder("v", RAT)], [cmp("le", X, lit(0))])
-    cq = cse_network_applications(d)
-    assert cq.uses == []
-    assert cq.atoms == d.atoms
+
+def test_no_uses_unchanged():
+    # A quantified variable that no atom uses needs no equation: it is
+    # skipped, and the atoms are flattened as they are.
+    d = Disjunct(binders("u", "v"), [cmp("le", lit(0), lit(1))])
+    assert compile_disjunct(d, {}) == LinearQuery([], MetaNetwork(()))
+    d = Disjunct(binders("u", "v"), [cmp("eq", lit(1), lit(2))])
+    assert compile_disjunct(d, {}) is None
 
 
-def _eval_with_network(e, env, model, use_values):
+def _eval_with_network(e, env, model):
     from vspec.networks import evaluate
 
     def go(e):
         if isinstance(e, core.NetworkApp):
             return tuple(evaluate(model, list(go(e.arg))))
-        if isinstance(e, core.AppRef):
-            return use_values[e.index]
         if isinstance(e, core.Var):
             return env[len(env) - 1 - e.index]
         if isinstance(e, core.RatLit):
@@ -389,12 +426,23 @@ def _eval_with_network(e, env, model, use_values):
     return go(e)
 
 
+def _holds(c: LinearConstraint, values) -> bool:
+    total = sum(k * values[v] for v, k in c.terms)
+    return {
+        "<=": total <= c.constant,
+        "<": total < c.constant,
+        ">=": total >= c.constant,
+        ">": total > c.constant,
+        "=": total == c.constant,
+    }[c.relation]
+
+
 def test_cse_is_sound_under_network_evaluation():
-    # Evaluating a disjunct before and after sharing, on random inputs with
-    # a random small network, yields identical truth values; sharing never
-    # increases the application count.
-    from vspec.networks import Affine, NetworkModel, Relu
-    from vspec.queries import Binder
+    # On random inputs with a random small network, the compiled
+    # constraints hold under the network's own input/output values exactly
+    # when the disjunct's atoms hold; sharing leaves two of the four
+    # applications.
+    from vspec.networks import Affine, Relu
 
     rng = random.Random(21)
     for _ in range(40):
@@ -407,7 +455,7 @@ def test_cse_is_sound_under_network_evaluation():
         )
 
         def app(arg):
-            return core.Index(napp("f", arg), core.NatLit(0))
+            return out(napp("f", arg))
 
         arg_a = core.Var(0)
         arg_b = core.Builtin("add", (core.Var(0), lit(1)))
@@ -416,35 +464,129 @@ def test_cse_is_sound_under_network_evaluation():
             cmp("ge", core.Builtin("add", (app(arg_a), app(arg_b))), lit(0)),
             cmp("lt", app(arg_b), core.Builtin("mul", (lit(2), core.Var(0)))),
         ]
-        d = Disjunct([Binder("v", RAT)], atoms)
-        cq = cse_network_applications(d)
+        d = Disjunct(binders("v"), atoms)
+        lq = compile_disjunct(d, ctx_of(f=(1, 1)))
 
         count_before = sum(
             isinstance(s, core.NetworkApp) for a in d.atoms for s in core.subterms(a)
         )
-        count_after = len(cq.uses) + sum(
-            isinstance(s, core.NetworkApp)
-            for chunk in (cq.atoms, [u.arg for u in cq.uses])
-            for a in chunk
-            for s in core.subterms(a)
-        )
-        assert count_after <= count_before
-        assert count_after == 2  # f v and f (v + 1), shared
+        assert count_before == 4
+        assert len(lq.meta.applications) == 2  # f v and f (v + 1), shared
 
         for _ in range(25):
-            env = [Fraction(rng.randint(-6, 6), rng.choice((1, 2)))]
-            use_values = []
-            for use in cq.uses:
-                use_values.append(
-                    _eval_with_network(
-                        core.NetworkApp(use.network, use.arg), env, model, use_values
-                    )
-                )
-            before = all(_eval_with_network(a, env, model, None) for a in d.atoms)
-            after = all(
-                _eval_with_network(a, env, model, use_values) for a in cq.atoms
-            )
+            v = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
+            values = {QVar("x", 0): v, QVar("x", 1): v + 1}
+            values[QVar("y", 0)] = _eval_with_network(app(arg_a), [v], model)
+            values[QVar("y", 1)] = _eval_with_network(app(arg_b), [v], model)
+            before = all(_eval_with_network(a, [v], model) for a in d.atoms)
+            after = all(_holds(c, values) for c in lq.constraints)
             assert before == after
+
+
+# -- relational form ----------------------------------------------------------------------
+
+
+def test_box_rule_by_hand():
+    # y = f [a, b]: a == x0 and b == x1 come first, then y ! 0 >= 0 as y0 >= 0.
+    ctx = ctx_of(f=(2, 1))
+    d = Disjunct([], [cmp("ge", out(napp("f", lit(1), lit(2))), lit(0))])
+    assert compile_disjunct(d, ctx).constraints == [
+        lc([("x0", 1)], "=", 1),
+        lc([("x1", 1)], "=", 2),
+        lc([("y0", 1)], ">=", 0),
+    ]
+    # The equations of quantified arguments resolve a and b and are removed.
+    f_ab = out(napp("f", core.Var(1), core.Var(0)))
+    d = Disjunct(binders("a", "b"), [cmp("ge", f_ab, lit(0)), cmp("le", core.Var(1), core.Var(0))])
+    assert compile_disjunct(d, ctx).constraints == [
+        lc([("y0", 1)], ">=", 0),
+        lc([("x0", 1), ("x1", -1)], "<=", 0),
+    ]
+
+
+def test_chained_resolution_through_resolved_variables():
+    # exists u v . u == v and v == f 1 and u >= 0: v resolves to y0 first,
+    # then u through v.
+    d = Disjunct(
+        binders("u", "v"),
+        [
+            cmp("eq", core.Var(1), core.Var(0)),
+            cmp("eq", core.Var(0), out(napp("f", lit(1)))),
+            cmp("ge", core.Var(1), lit(0)),
+        ],
+    )
+    lq = compile_disjunct(d, ctx_of(f=(1, 1)))
+    assert lq.constraints == [lc([("x0", 1)], "=", 1), lc([("y0", 1)], ">=", 0)]
+
+
+def test_error_precedence():
+    # A non-literal argument is reported before an unresolvable variable,
+    # which is reported before the atom errors, which come in atom order.
+    ctx = ctx_of(f=(1, 1), g=(1, 1))
+    v, w = core.Var(1), core.Var(0)
+    product = cmp("le", core.Builtin("mul", (v, v)), lit(0))
+    division = cmp("le", core.Builtin("div", (lit(1), v)), lit(0))
+    resolve_v = cmp("ge", out(napp("f", v)), lit(0))
+    non_literal = cmp("le", out(core.NetworkApp("g", w)), lit(0))
+    w_unresolved = cmp("le", w, lit(0))
+    w_resolved = cmp("eq", w, out(napp("f", v)))
+    cases = [
+        ([resolve_v, product, w_unresolved, non_literal], "non-literal"),
+        ([resolve_v, division, product, w_unresolved], "'w'"),
+        ([resolve_v, division, product, w_resolved], "division by a variable"),
+        ([resolve_v, product, division, w_resolved], "product of two variables"),
+    ]
+    for atoms, message in cases:
+        with pytest.raises(QueryError, match=message):
+            compile_disjunct(Disjunct(binders("v", "w"), atoms), ctx)
+
+
+# -- user-variable elimination ---------------------------------------------------------
+
+
+def test_direct_equations_are_substituted():
+    d = Disjunct(
+        binders("p0", "p1"),
+        [
+            cmp("le", core.Var(1), lit("3.25")),
+            cmp("lt", out(napp("f", core.Var(1), core.Var(0))), core.Var(0)),
+        ],
+    )
+    lq = compile_disjunct(d, ctx_of(f=(2, 1)))
+    assert lq is not None
+    assert lq.constraints[0] == LinearConstraint(
+        ((QVar("x", 0), Fraction(1)),), "<=", Fraction(13, 4)
+    )
+    assert lq.constraints[1] == LinearConstraint(
+        ((QVar("y", 0), Fraction(1)), (QVar("x", 1), Fraction(-1))), "<", Fraction(0)
+    )
+
+
+def test_nonlinear_atom():
+    fv = out(napp("f", X))
+    d = Disjunct(binders("v"), [cmp("le", fv, core.Builtin("mul", (X, X)))])
+    with pytest.raises(QueryError) as err:
+        compile_disjunct(d, ctx_of(f=(1, 1)))
+    assert err.value.code == "NonLinearAtom"
+
+
+def test_constant_false_atom_drops_disjunct():
+    fv = out(napp("f", X))
+    d = Disjunct(binders("v"), [cmp("ge", fv, lit(0)), cmp("lt", X, X)])  # v < v
+    assert compile_disjunct(d, ctx_of(f=(1, 1))) is None
+    # The disjunct is dropped as soon as the contradiction is reached: a
+    # non-linear atom after it is never flattened.
+    d.atoms.append(cmp("le", fv, core.Builtin("mul", (X, X))))
+    assert compile_disjunct(d, ctx_of(f=(1, 1))) is None
+
+
+def test_constant_true_atom_is_dropped():
+    fv = out(napp("f", X))
+    d = Disjunct(binders("v"), [cmp("le", lit(1), lit(2)), cmp("le", fv, fv)])
+    lq = compile_disjunct(d, ctx_of(f=(1, 1)))
+    assert lq is not None
+    assert lq.constraints == []
+    assert lq.meta.applications == (("f", 1, 1),)
 
 
 # -- metanetwork --------------------------------------------------------------------
@@ -475,107 +617,6 @@ def test_empty_meta_network():
     assert meta.total_outputs == 0
 
 
-# -- relationalisation ---------------------------------------------------------------
-
-
-def test_box_rule_by_hand():
-    # let y = f [a, b] in y ! 0 >= 0   becomes
-    # a == x0 and b == x1 and y0 >= 0
-    from vspec.queries import Binder, CseQuery, NetworkUse
-
-    cq = CseQuery(
-        [Binder("a", RAT), Binder("b", RAT)],
-        [NetworkUse("f", core.TensorLit((core.Var(1), core.Var(0))))],
-        [cmp("ge", core.Index(core.AppRef(0), core.NatLit(0)), lit(0))],
-    )
-    meta = MetaNetwork((("f", 2, 1),))
-    rel = relationalise(cq, meta)
-    assert rel.atoms[0] == core.Builtin("eq", (core.Var(1), core.InputVar(0)), "prop")
-    assert rel.atoms[1] == core.Builtin("eq", (core.Var(0), core.InputVar(1)), "prop")
-    assert rel.atoms[2] == cmp("ge", core.OutputVar(0), lit(0))
-
-
-def test_no_uses_unchanged():
-    from vspec.queries import Binder, CseQuery
-
-    cq = CseQuery([Binder("v", RAT)], [], [cmp("le", X, lit(0))])
-    rel = relationalise(cq, MetaNetwork(()))
-    assert rel.atoms == cq.atoms
-
-
-# -- user-variable elimination ---------------------------------------------------------
-
-
-def test_direct_equations_are_substituted():
-    from vspec.queries import Binder, RelationalQuery
-
-    meta = MetaNetwork((("f", 2, 1),))
-    rel = RelationalQuery(
-        [Binder("p0", RAT), Binder("p1", RAT)],
-        [
-            core.Builtin("eq", (core.Var(1), core.InputVar(0)), "prop"),
-            core.Builtin("eq", (core.Var(0), core.InputVar(1)), "prop"),
-            cmp("le", core.Var(1), lit("3.25")),
-            cmp("lt", core.OutputVar(0), core.Var(0)),
-        ],
-        meta,
-    )
-    lq = eliminate_user_vars(rel)
-    assert lq is not None
-    assert lq.constraints[0] == LinearConstraint(
-        ((QVar("x", 0), Fraction(1)),), "<=", Fraction(13, 4)
-    )
-    assert lq.constraints[1] == LinearConstraint(
-        ((QVar("y", 0), Fraction(1)), (QVar("x", 1), Fraction(-1))), "<", Fraction(0)
-    )
-
-
-def test_nonlinear_atom():
-    from vspec.queries import Binder, RelationalQuery
-
-    rel = RelationalQuery(
-        [Binder("v", RAT)],
-        [
-            core.Builtin("eq", (core.Var(0), core.InputVar(0)), "prop"),
-            cmp("le", core.OutputVar(0), core.Builtin("mul", (core.Var(0), core.Var(0)))),
-        ],
-        MetaNetwork((("f", 1, 1),)),
-    )
-    with pytest.raises(QueryError) as err:
-        eliminate_user_vars(rel)
-    assert err.value.code == "NonLinearAtom"
-
-
-def test_constant_false_atom_drops_disjunct():
-    from vspec.queries import Binder, RelationalQuery
-
-    rel = RelationalQuery(
-        [Binder("v", RAT)],
-        [
-            core.Builtin("eq", (core.Var(0), core.InputVar(0)), "prop"),
-            cmp("lt", core.Var(0), core.Var(0)),  # v < v is constant false
-        ],
-        MetaNetwork((("f", 1, 1),)),
-    )
-    assert eliminate_user_vars(rel) is None
-
-
-def test_constant_true_atom_is_dropped():
-    from vspec.queries import Binder, RelationalQuery
-
-    rel = RelationalQuery(
-        [Binder("v", RAT)],
-        [
-            core.Builtin("eq", (core.Var(0), core.InputVar(0)), "prop"),
-            cmp("le", lit(1), lit(2)),
-        ],
-        MetaNetwork((("f", 1, 1),)),
-    )
-    lq = eliminate_user_vars(rel)
-    assert lq is not None
-    assert lq.constraints == []
-
-
 # -- full pipeline ----------------------------------------------------------------------
 
 
@@ -593,6 +634,43 @@ def test_unresolvable_user_variable_full_pipeline(tmp_path):
     with pytest.raises(QueryError) as err:
         compile_property(name, prop, ctx)
     assert err.value.code == "UnresolvableUserVariable"
+
+
+def _rendered_queries(body, tmp_path):
+    from vspec.marabou import render_constraint
+
+    source = f"network f : Rat -> Rat\n\np : Prop\np = {body}\n"
+    analysed, ctx = analyze_network_types(typecheck(parse(source)), {"f": one_input_net(tmp_path)})
+    [(name, prop)] = prune_non_prop(analysed)
+    plan = compile_property(name, prop, ctx)
+    return [
+        ([render_constraint(c) for c in query.constraints], query.meta.applications)
+        for query in plan.queries
+    ]
+
+
+def test_formula_level_if_compiles_to_one_query_per_branch(tmp_path):
+    # (c => A) and (not c => B) used to give a `c and not c` disjunct that
+    # holds no network, so x could not be resolved.
+    body = "forall x . -1 <= x <= 1 => f x <= (if x >= 0 then 10 else 5)"
+    f = (("f", 1, 1),)
+    assert _rendered_queries(body, tmp_path) == [
+        (["x0 >= -1", "x0 <= 1", "x0 >= 0", "y0 > 10"], f),
+        (["x0 >= -1", "x0 <= 1", "x0 < 0", "y0 > 5"], f),
+    ]
+
+
+def test_if_in_an_antecedent_keeps_its_queries(tmp_path):
+    # An implication that survives NNF negates its antecedent, so the `if`
+    # there splits into one disjunct per branch, as it did before
+    # implications were removed in NNF.
+    body = "exists x . x == f 0 and ((if x >= 0 then x <= 1 else x >= -1) => f x <= 2)"
+    f = (("f", 1, 1),)
+    assert _rendered_queries(body, tmp_path) == [
+        (["x0 = 0", "y0 >= 0", "y0 > 1"], f),
+        (["x0 = 0", "y0 < 0", "y0 < -1"], f),
+        (["x0 = 0", "y0 -1x1 = 0", "y1 <= 2"], f + f),
+    ]
 
 
 def test_running_example_compiles_to_two_queries(controller_spec, controller_net):
@@ -669,3 +747,135 @@ def test_compiled_evaluator_agrees_with_direct_oracle():
         for _ in range(20):
             env = random_assignment(rng, n_vars)
             assert fn(env) == eval_core(formula, env)
+
+
+# -- pinned compiler output ---------------------------------------------------------------
+
+# sha256 of repr() of the plans of test_pinned_query_output; see its docstring.
+PINNED_QUERY_DIGEST = "265defdc88f977b7e178bd8f1ef178ecda12fc8d567fd305028a36be35e038e2"
+
+
+def pinned_property(rng: random.Random, index: int) -> str:
+    """A seeded property over ``f : Rat -> Rat`` and ``g : Tensor Rat [2] ->
+    Tensor Rat [2]``: shared and nested applications, tensor binders, unused
+    binders, user ``exists`` variables with direct equations (some chained
+    through another variable), ``or``, ``not``, ``==`` (negated under
+    ``forall``), constant-false atoms and products."""
+    kind = "exists" if index % 4 == 3 else "forall"
+    tensor = index % 5 == 2
+    scalars = ["t ! 0", "t ! 1"] if tensor else [f"v{k}" for k in range(rng.randint(1, 3))]
+
+    def leaf():
+        return str(rng.randint(-4, 4)) if rng.random() < 0.3 else rng.choice(scalars)
+
+    def app(depth):
+        r = rng.random()
+        if tensor and r < 0.3:
+            return f"g t ! {rng.randrange(2)}"
+        arg = num(depth - 1) if depth > 0 and rng.random() < 0.1 else rng.choice(scalars)
+        if r < 0.65:
+            return f"f ({arg})"
+        return f"g [{arg}, {leaf()}] ! {rng.randrange(2)}"
+
+    def num(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.35:
+            return app(depth) if rng.random() < 0.5 else leaf()
+        if r < 0.55:
+            return f"({num(depth - 1)} + {num(depth - 1)})"
+        if r < 0.7:
+            return f"({num(depth - 1)} - {num(depth - 1)})"
+        if r < 0.85:
+            return f"{rng.randint(-3, 3)} * {num(depth - 1)}"
+        if r < 0.87:
+            return f"({num(depth - 1)} * {num(depth - 1)})"
+        return app(depth)
+
+    def atom():
+        if rng.random() < 0.08:
+            s = rng.choice(scalars)
+            return f"{s} < {s}"
+        op = rng.choice(["<=", "<", ">=", ">", "==", "<=", ">="])
+        return f"{num(2)} {op} {num(2)}"
+
+    def formula(depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.4:
+            return atom()
+        if r < 0.65:
+            return f"({formula(depth - 1)} or {formula(depth - 1)})"
+        if r < 0.85:
+            return f"({formula(depth - 1)} and {formula(depth - 1)})"
+        return f"not ({formula(depth - 1)})"
+
+    binders = "(t : Tensor Rat [2])" if tensor else " ".join(scalars)
+    if kind == "forall":
+        box = " and ".join(f"-2 <= {s} <= 2" for s in scalars)
+        body = f"{box} and {formula(1)} => {formula(2)}"
+    else:
+        eqs = [
+            f"{s} == {app(0)}" if rng.random() < 0.5 else f"{app(0)} == {s}"
+            for s in scalars
+            if rng.random() < 0.8
+        ]
+        if len(scalars) > 1 and rng.random() < 0.5:
+            a, b = rng.sample(scalars, 2)
+            eqs.insert(rng.randrange(len(eqs) + 1), f"{a} == {b}")
+        body = " and ".join(eqs + [formula(2)])
+    if index % 6 == 1 and not tensor:
+        binders += " u"
+    if index % 37 == 5:
+        return f"forall {binders} . exists w . {body} and w == f w"
+    return f"{kind} {binders} . {body}"
+
+
+def test_pinned_query_output(tmp_path):
+    """The query compiler's output on a seeded corpus is pinned to a digest.
+
+    320 properties from ``pinned_property`` go through the whole front end;
+    each contributes its polarity, disjunct count, and the ``repr`` of every
+    query's constraints and metanetwork, or its error code.  Two hand-built
+    core terms add the codes no source program reaches: an ``if`` condition
+    that applies a network, and a network applied to a non-literal tensor.
+    The digest was recorded by running this corpus on the five-stage query
+    compiler that ``compile_disjunct`` replaced (dd404e2), before
+    ``queries.py`` changed, so it gates "same plans": numbering, equation
+    order, binder resolution and flattening that differ anywhere show up
+    as a different digest.
+    """
+    one = tmp_path / "one.vnet"
+    one.write_text("vnet 1\ninput 1\naffine 1 1\n2\n-1\n")
+    two = tmp_path / "two.vnet"
+    two.write_text("vnet 1\ninput 2\naffine 2 2\n1 -1\n3 1\n0 1\n")
+    header = "network f : Rat -> Rat\n\nnetwork g : Tensor Rat [2] -> Tensor Rat [2]\n\n"
+    bindings = {"f": str(one), "g": str(two)}
+    rng = random.Random(20261018)
+    props = []
+    for index in range(320):
+        source = header + f"p : Prop\np = {pinned_property(rng, index)}\n"
+        analysed, ctx = analyze_network_types(typecheck(parse(source)), bindings)
+        props += prune_non_prop(analysed)
+    g_v = core.Index(core.NetworkApp("g", core.TensorLit((X, X))), core.NatLit(0))
+    branches = (cmp("le", X, lit(1)), cmp("ge", X, lit(1)))
+    props.append(("if", q("forall", core.Builtin("if", (cmp("ge", g_v, lit(0)), *branches), "prop"))))
+    g_of_scalar = core.Index(core.NetworkApp("g", X), core.NatLit(0))
+    props.append(("arg", q("exists", cmp("le", g_of_scalar, X))))
+    rendered = []
+    codes = []
+    for name, prop in props:
+        try:
+            plan = compile_property(name, prop, ctx)
+        except QueryError as err:
+            rendered.append(err.code)
+            codes.append(err.code)
+            continue
+        rendered.append(
+            (plan.polarity, plan.disjunct_count, [(q.constraints, q.meta) for q in plan.queries])
+        )
+    assert set(codes) == {
+        "MixedQuantifiers", "IfConditionContainsNetwork", "UnresolvableUserVariable",
+        "NonLinearAtom",
+    }  # fmt: skip
+    assert 200 <= len(rendered) - len(codes) <= 260
+    digest = hashlib.sha256(repr(rendered).encode()).hexdigest()
+    assert digest == PINNED_QUERY_DIGEST
