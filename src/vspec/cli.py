@@ -274,6 +274,13 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise CacheError(
                 "IoError", f"cannot read {args.module}: {exc}", path=args.module
             ) from None
+        except UnicodeDecodeError:
+            # The recorded module was written as UTF-8, so this one changed.
+            raise CacheError(
+                "StaleCache",
+                f"prover module {args.module!r} changed (not valid UTF-8)",
+                path=args.module,
+            ) from None
         if cache.itp_module_digest is None:
             raise CacheError(
                 "StaleCache",

@@ -99,6 +99,11 @@ _OPERATORS: list[tuple[str, TokenKind]] = [
 ]
 
 
+# Numeric literals are ASCII: ``str.isdigit`` also accepts superscripts and
+# other scripts' digits, which ``int`` rejects or reads as ASCII ones.
+_DIGITS = frozenset("0123456789")
+
+
 @dataclass(frozen=True)
 class Token:
     kind: TokenKind
@@ -141,13 +146,13 @@ def tokenize(source: str, path: str | None = None) -> list[Token]:
             i = end
             continue
         pos = SourcePos(line, col)
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
                 text = source[i:j]
                 tokens.append(Token(TokenKind.DECIMAL, text, pos, parse_decimal(text)))

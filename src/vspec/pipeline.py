@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import core, surface
-from .errors import VspecError
+from .errors import LexError, VspecError
 from .networks import NetworkContext, analyze_network_types, hash_file
 from .normalise import prune_non_prop
 from .queries import PropertyPlan, compile_property
@@ -30,6 +30,8 @@ def load_program(spec_path: str | Path) -> TypedProgram:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise VspecError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise LexError(f"file is not valid UTF-8: {exc}", path=str(path)) from None
     decls = surface.parse(source, str(path))
     return typecheck(decls, str(path))
 
@@ -39,21 +41,29 @@ def compile_spec(
     network_files: dict[str, str],
     property_filter: list[str] | None = None,
 ) -> CompiledSpec:
-    """Run frontend, network analysis, normalisation and query compilation."""
-    program = load_program(spec_path)
-    analysed, ctx = analyze_network_types(program, network_files)
-    properties = prune_non_prop(analysed)
-    if property_filter:
-        known = {name for name, _ in properties}
-        for wanted in property_filter:
-            if wanted not in known:
-                raise VspecError(
-                    "UnknownProperty",
-                    f"property {wanted!r} is not declared in the specification",
-                    path=str(spec_path),
-                )
-        properties = [(n, e) for n, e in properties if n in set(property_filter)]
-    plans = [compile_property(name, expr, ctx) for name, expr in properties]
+    """Run frontend, network analysis, normalisation and query compilation.
+
+    An error that names no file (a query, normalisation or network-use
+    error) is reported against the spec; a network file's own errors keep
+    that file's path."""
+    try:
+        program = load_program(spec_path)
+        analysed, ctx = analyze_network_types(program, network_files)
+        properties = prune_non_prop(analysed)
+        if property_filter:
+            known = {name for name, _ in properties}
+            for wanted in property_filter:
+                if wanted not in known:
+                    raise VspecError(
+                        "UnknownProperty",
+                        f"property {wanted!r} is not declared in the specification",
+                    )
+            properties = [(n, e) for n, e in properties if n in set(property_filter)]
+        plans = [compile_property(name, expr, ctx) for name, expr in properties]
+    except VspecError as err:
+        if err.path is None:
+            err.path = str(spec_path)
+        raise
     return CompiledSpec(
         str(spec_path),
         hash_file(spec_path),

@@ -114,7 +114,7 @@ def _parse_witness(parts: list[str], path: str) -> tuple[tuple[QVar, Fraction], 
     pairs = []
     for item in parts:
         name, _, value = item.partition("=")
-        if not value or name[0] not in ("x", "y"):
+        if not value or name[:1] not in ("x", "y"):
             raise CacheError(
                 "MalformedProofFile", f"bad witness entry {item!r}", path=path
             )
@@ -122,7 +122,7 @@ def _parse_witness(parts: list[str], path: str) -> tuple[tuple[QVar, Fraction], 
             var = QVar(name[0], int(name[1:]))
             num, _, den = value.partition("/")
             pairs.append((var, Fraction(int(num), int(den or "1"))))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise CacheError(
                 "MalformedProofFile", f"bad witness entry {item!r}", path=path
             ) from None
@@ -133,7 +133,7 @@ def read_proof_file(path: str | Path) -> ProofCacheFile:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(
             "MalformedProofFile", f"cannot read {path}: {exc}", path=str(path)
         ) from None

@@ -4,13 +4,13 @@ conjunctive linear queries over relational network variables.
 Pipeline per property::
 
     analyse_quantifiers  -- all-universal properties are negated
-    nnf                  -- negation pushed to atoms and implications
-                            rewritten as disjunctions: no `not` or `=>`
-                            nodes remain
-    eliminate_if         -- numeric ifs lifted, ``if c then A else B``
-                            becomes ``(c and A) or (not c and B)``
-    to_dnf               -- distribution, one disjunct per verifier query,
-                            existentials at each head
+    to_dnf               -- one pass from the (negated) property to its
+                            disjuncts, one per verifier query: negation
+                            pushed to the atoms, ``A => B`` read as
+                            ``not A or B``, ``if c then A else B`` as
+                            ``(c and A) or (not c and B)``, numeric ifs
+                            lifted out of each atom, ``and`` distributed
+                            and the existentials prenexed
     compile_disjunct     -- one disjunct to LinearConstraints over its
                             metanetwork, in three steps:
         1. number the network applications (structurally equal ones
@@ -20,6 +20,9 @@ Pipeline per property::
            first direct ``v == x_i`` / ``v == y_j`` equation;
         3. flatten the equations and the remaining atoms to
            LinearConstraints (constant on the right).
+
+``not c`` is the negation of the source condition, so ``not (x == 1)``
+negated is the one atom ``x == 1``.
 
 Disjuncts whose constraints fold to a constant contradiction are dropped:
 they contribute nothing to the disjunction.  A quantified variable without
@@ -188,66 +191,73 @@ def analyse_quantifiers(prop: core.Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Negation normal form
+# Disjunctive normal form
 # ---------------------------------------------------------------------------
 
 _NEG_CMP = {"le": "gt", "lt": "ge", "ge": "lt", "gt": "le"}
-
-
-def nnf(e: core.Expr, negate: bool) -> core.Expr:
-    """Push negation to atoms; the result contains no `not` and no
-    `implies` nodes.  With ``negate=True`` this computes the negation of
-    ``e``."""
-    if isinstance(e, core.Quant):
-        kind = e.kind
-        if negate:
-            kind = "exists" if kind == "forall" else "forall"
-        return core.Quant(kind, e.binder, e.binder_type, nnf(e.body, negate))
-    if isinstance(e, core.BoolLit):
-        return core.BoolLit(e.value != negate)
-    if isinstance(e, core.Builtin):
-        lvl = e.level
-        if e.op == "not":
-            return nnf(e.args[0], not negate)
-        if e.op == "and" or e.op == "or":
-            op = e.op
-            if negate:
-                op = "or" if op == "and" else "and"
-            return core.Builtin(op, tuple(nnf(a, negate) for a in e.args), lvl)
-        if e.op == "implies":
-            lhs, rhs = e.args
-            if negate:
-                return core.Builtin("and", (nnf(lhs, False), nnf(rhs, True)), lvl)
-            return core.Builtin("or", (nnf(lhs, True), nnf(rhs, False)), lvl)
-        if e.op == "if":
-            cond, then, els = e.args
-            # Negation selects within branches; the condition is only cleaned.
-            return core.Builtin(
-                "if", (nnf(cond, False), nnf(then, negate), nnf(els, negate)), lvl
-            )
-        if e.op in core.CMP_OPS:
-            if not negate:
-                return e
-            if e.op == "eq":
-                return core.Builtin(
-                    "or",
-                    (
-                        core.Builtin("lt", e.args, lvl),
-                        core.Builtin("gt", e.args, lvl),
-                    ),
-                    lvl,
-                )
-            return core.Builtin(_NEG_CMP[e.op], e.args, lvl)
-    if negate:
-        raise AssertionError(f"cannot negate non-formula node {e!r}")
-    return e
-
-
-# ---------------------------------------------------------------------------
-# If elimination
-# ---------------------------------------------------------------------------
-
 _NUMERIC_CONTEXTS = core.ARITH_OPS + core.CMP_OPS
+
+
+def to_dnf(e: core.Expr, negate: bool) -> list[Disjunct]:
+    """Split ``e`` (its negation when ``negate``) into prenex-existential
+    conjunctions of comparison atoms, in left-to-right source order.
+
+    Negation is pushed to the atoms (``not (a == b)`` becomes ``a < b or
+    a > b``), ``A => B`` is ``not A or B``, and ``if c then A else B`` is
+    ``(c and A) or (not c and B)``, where ``not c`` negates the source
+    condition.  Numeric ``if``s are lifted out of each atom after it is
+    negated.  A negated universal becomes an existential; a universal left
+    after negation is an error the quantifier analysis rules out."""
+    if isinstance(e, core.Quant):
+        if (e.kind == "exists") == negate:
+            raise AssertionError("universal quantifier reached DNF conversion")
+        binder = Binder(e.binder, e.binder_type)
+        return [Disjunct([binder] + d.binders, d.atoms) for d in to_dnf(e.body, negate)]
+    if isinstance(e, core.BoolLit):
+        return [Disjunct([], [])] if e.value != negate else []
+    op = e.op if isinstance(e, core.Builtin) else None
+    if op == "not":
+        return to_dnf(e.args[0], not negate)
+    if op in ("and", "or", "implies"):
+        lhs = to_dnf(e.args[0], negate != (op == "implies"))
+        rhs = to_dnf(e.args[1], negate)
+        return _conjoin(lhs, rhs) if (op == "and") != negate else lhs + rhs
+    if op == "if":
+        cond, then, els = e.args
+        if core.contains_network(cond):
+            raise QueryError(
+                "IfConditionContainsNetwork",
+                "an 'if' condition may not depend on a network application",
+            )
+        first = _conjoin(to_dnf(cond, False), to_dnf(then, negate))
+        return first + _conjoin(to_dnf(cond, True), to_dnf(els, negate))
+    if op not in core.CMP_OPS:
+        raise AssertionError(f"unexpected node in DNF conversion: {e!r}")
+    if not negate:
+        atoms = [e]
+    elif op == "eq":
+        atoms = [core.Builtin("lt", e.args, e.level), core.Builtin("gt", e.args, e.level)]
+    else:
+        atoms = [core.Builtin(_NEG_CMP[op], e.args, e.level)]
+    out = []
+    for atom in atoms:
+        lifted = _lift_numeric_ifs(atom)
+        out += to_dnf(lifted, False) if _is_if(lifted) else [Disjunct([], [lifted])]
+    return out
+
+
+def _conjoin(left: list[Disjunct], right: list[Disjunct]) -> list[Disjunct]:
+    """Distribute ``and``: every left disjunct with every right one.  The
+    right side's binders go inside the left side's, so atoms are shifted
+    only past the binders of the other side."""
+    out = []
+    for da in left:
+        for db in right:
+            k1, k2 = len(da.binders), len(db.binders)
+            atoms_a = [core.shift(a, k2, 0) for a in da.atoms] if k2 else da.atoms
+            atoms_b = [core.shift(b, k1, k2) for b in db.atoms] if k1 else db.atoms
+            out.append(Disjunct(da.binders + db.binders, atoms_a + atoms_b))
+    return out
 
 
 def _is_if(e: core.Expr) -> bool:
@@ -280,68 +290,6 @@ def _lift_numeric_ifs(e: core.Expr) -> core.Expr:
 def _rebuild_with_children(e: core.Expr, kids: list[core.Expr]) -> core.Expr:
     it = iter(kids)
     return core.map_children(e, lambda _c: next(it))
-
-
-def eliminate_if(e: core.Expr) -> core.Expr:
-    """Remove every `if`: non-formula ifs are lifted first, then
-    ``if a then b else c`` becomes ``(a and b) or (not a and c)`` with the
-    condition and its negation pushed to atoms."""
-    e = _lift_numeric_ifs(e)
-
-    def eliminate(e: core.Expr) -> core.Expr:
-        e = core.map_children(e, eliminate)
-        if _is_if(e):
-            cond, then, els = e.args  # type: ignore[attr-defined]
-            if core.contains_network(cond):
-                raise QueryError(
-                    "IfConditionContainsNetwork",
-                    "an 'if' condition may not depend on a network application",
-                )
-            lvl = e.level  # type: ignore[attr-defined]
-            return core.Builtin(
-                "or",
-                (
-                    core.Builtin("and", (nnf(cond, False), then), lvl),
-                    core.Builtin("and", (nnf(cond, True), els), lvl),
-                ),
-                lvl,
-            )
-        return e
-
-    return eliminate(e)
-
-
-# ---------------------------------------------------------------------------
-# Disjunctive normal form
-# ---------------------------------------------------------------------------
-
-
-def to_dnf(e: core.Expr) -> list[Disjunct]:
-    """Split an NNF, if-free, existential-only formula into
-    prenex-existential conjunctions, in left-to-right source order."""
-    if isinstance(e, core.Quant):
-        if e.kind != "exists":
-            raise AssertionError("universal quantifier reached DNF conversion")
-        out = []
-        for d in to_dnf(e.body):
-            out.append(Disjunct([Binder(e.binder, e.binder_type)] + d.binders, d.atoms))
-        return out
-    if isinstance(e, core.Builtin) and e.op == "or":
-        return to_dnf(e.args[0]) + to_dnf(e.args[1])
-    if isinstance(e, core.Builtin) and e.op == "and":
-        out = []
-        for da in to_dnf(e.args[0]):
-            for db in to_dnf(e.args[1]):
-                k1, k2 = len(da.binders), len(db.binders)
-                atoms_a = [core.shift(a, k2, 0) for a in da.atoms]
-                atoms_b = [core.shift(b, k1, k2) for b in db.atoms]
-                out.append(Disjunct(da.binders + db.binders, atoms_a + atoms_b))
-        return out
-    if isinstance(e, core.BoolLit):
-        return [Disjunct([], [])] if e.value else []
-    if isinstance(e, core.Builtin) and e.op in core.CMP_OPS:
-        return [Disjunct([], [e])]
-    raise AssertionError(f"unexpected node in DNF conversion: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +489,7 @@ def compile_property(
     """Run the full query pipeline for one normalised Prop declaration."""
     polarity = analyse_quantifiers(prop)
     negated = polarity == "AllForall"
-    disjuncts = to_dnf(eliminate_if(nnf(prop, negate=negated)))
+    disjuncts = to_dnf(prop, negated)
     compiled = (compile_disjunct(d, ctx) for d in disjuncts)
     queries = [q for q in compiled if q is not None]
     return PropertyPlan(name, polarity, negated, queries, disjunct_count=len(disjuncts))

@@ -68,7 +68,11 @@ def random_cmp_op(rng: random.Random) -> str:
     return rng.choice(("le", "lt", "ge", "gt", "le", "lt", "ge", "gt", "eq"))
 
 
-def random_formula(rng: random.Random, n_vars: int, depth: int) -> core.Expr:
+def random_formula(
+    rng: random.Random, n_vars: int, depth: int, nested_conditions: bool = False
+) -> core.Expr:
+    """A Prop-level formula.  ``if`` conditions are single comparisons, or
+    with ``nested_conditions`` the richer ones of ``random_condition``."""
     if depth <= 0 or rng.random() < 0.25:
         return core.Builtin(
             random_cmp_op(rng),
@@ -83,27 +87,52 @@ def random_formula(rng: random.Random, n_vars: int, depth: int) -> core.Expr:
     elif choice < 0.65:
         op = "implies"
     elif choice < 0.8:
-        return core.Builtin("not", (random_formula(rng, n_vars, depth - 1),), "prop")
+        inner = random_formula(rng, n_vars, depth - 1, nested_conditions)
+        return core.Builtin("not", (inner,), "prop")
     else:
-        cond = core.Builtin(
-            rng.choice(CMP),
-            (random_numeric(rng, n_vars, 1), random_numeric(rng, n_vars, 1)),
-            "bool",
-        )
+        if nested_conditions:
+            cond = random_condition(rng, n_vars, 2)
+        else:
+            cond = core.Builtin(
+                rng.choice(CMP),
+                (random_numeric(rng, n_vars, 1), random_numeric(rng, n_vars, 1)),
+                "bool",
+            )
         return core.Builtin(
             "if",
             (
                 cond,
-                random_formula(rng, n_vars, depth - 1),
-                random_formula(rng, n_vars, depth - 1),
+                random_formula(rng, n_vars, depth - 1, nested_conditions),
+                random_formula(rng, n_vars, depth - 1, nested_conditions),
             ),
             "prop",
         )
     return core.Builtin(
         op,
-        (random_formula(rng, n_vars, depth - 1), random_formula(rng, n_vars, depth - 1)),
+        (
+            random_formula(rng, n_vars, depth - 1, nested_conditions),
+            random_formula(rng, n_vars, depth - 1, nested_conditions),
+        ),
         "prop",
     )
+
+
+def random_condition(rng: random.Random, n_vars: int, depth: int) -> core.Expr:
+    """A Bool-level ``if`` condition: comparisons (``==`` often) under
+    ``not``, ``=>``, ``and``, ``or`` and nested ``if``s."""
+    r = rng.random()
+    if depth <= 0 or r < 0.3:
+        op = "eq" if rng.random() < 0.4 else rng.choice(CMP)
+        args = (random_numeric(rng, n_vars, 1), random_numeric(rng, n_vars, 0))
+        return core.Builtin(op, args, "bool")
+    if r < 0.5:
+        return core.Builtin("not", (random_condition(rng, n_vars, depth - 1),), "bool")
+    if r < 0.8:
+        op = rng.choice(("and", "or", "implies"))
+        args = (random_condition(rng, n_vars, depth - 1), random_condition(rng, n_vars, depth - 1))
+        return core.Builtin(op, args, "bool")
+    args = tuple(random_condition(rng, n_vars, depth - 1) for _ in range(3))
+    return core.Builtin("if", args, "bool")
 
 
 def random_assignment(rng: random.Random, n_vars: int) -> list[Fraction]:
@@ -127,36 +156,42 @@ def strip_quantifiers(expr: core.Expr) -> tuple[core.Expr, int]:
     return expr, count
 
 
-def dnf_size_estimate(expr: core.Expr) -> int:
-    """Number of disjuncts to_dnf would produce (without building them)."""
+def dnf_size(expr: core.Expr, negate: bool) -> int:
+    """Number of disjuncts ``to_dnf(expr, negate)`` builds (without building
+    them)."""
+    from vspec.queries import _lift_numeric_ifs
+
     if isinstance(expr, core.Quant):
-        return dnf_size_estimate(expr.body)
-    if isinstance(expr, core.Builtin):
-        if expr.op == "or":
-            return dnf_size_estimate(expr.args[0]) + dnf_size_estimate(expr.args[1])
-        if expr.op == "and":
-            return dnf_size_estimate(expr.args[0]) * dnf_size_estimate(expr.args[1])
+        return dnf_size(expr.body, negate)
     if isinstance(expr, core.BoolLit):
-        return 1 if expr.value else 0
-    return 1
+        return int(expr.value != negate)
+    op, args = expr.op, expr.args
+    if op == "not":
+        return dnf_size(args[0], not negate)
+    if op in ("and", "or", "implies"):
+        lhs = dnf_size(args[0], negate != (op == "implies"))
+        rhs = dnf_size(args[1], negate)
+        return lhs * rhs if (op == "and") != negate else lhs + rhs
+    if op == "if":
+        cond, then, els = args
+        first = dnf_size(cond, False) * dnf_size(then, negate)
+        return first + dnf_size(cond, True) * dnf_size(els, negate)
+    lifted = _lift_numeric_ifs(expr)
+    if lifted.op == "if":
+        return dnf_size(lifted, negate)
+    return 2 if negate and op == "eq" else 1
 
 
 def tractable_formula(
     rng: random.Random, n_vars: int, depth: int, cap: int, negate: bool
-) -> tuple[core.Expr, core.Expr]:
+) -> core.Expr:
     """Random formula whose (possibly negated) DNF stays under ``cap``
     disjuncts; resamples on pathological blowup (documented 2^n worst case).
-
-    Returns (matrix, prepared) where prepared is the NNF'd, if-free form
-    ready for DNF conversion.
     """
-    from vspec.queries import eliminate_if, nnf
-
     while True:
         matrix = random_formula(rng, n_vars, depth)
-        prepared = eliminate_if(nnf(matrix, negate))
-        if dnf_size_estimate(prepared) <= cap:
-            return matrix, prepared
+        if dnf_size(matrix, negate) <= cap:
+            return matrix
 
 
 def disjunction_agrees(

@@ -313,10 +313,8 @@ def test_c5_semantic_preservation_suite():
         mismatches = 0
         for _ in range(500):
             n_vars = rng.randint(1, 4)
-            matrix, prepared = tractable_formula(
-                rng, n_vars, rng.randint(1, 5), cap=800, negate=True
-            )
-            disjuncts = to_dnf(close_over(prepared, n_vars, "exists"))
+            matrix = tractable_formula(rng, n_vars, rng.randint(1, 5), cap=800, negate=True)
+            disjuncts = to_dnf(close_over(matrix, n_vars), True)
             if not disjunction_agrees(disjuncts, matrix, rng, n_vars, 200, negate=True):
                 mismatches += 1
         assert mismatches == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -507,3 +508,63 @@ def test_console_entry_point_runs(workspace):
     )
     assert result.returncode == 0, result.stderr
     assert "safe: Verified" in result.stdout
+
+
+_F = "network f : Rat -> Rat\n\np : Prop\n"
+_SPEC_SHA = "sha256:" + hashlib.sha256(b"p : Prop\np = 1 <= 2\n").hexdigest()
+_VCLP = f"vclp 1\nspec s.vcl {_SPEC_SHA}\n"
+_WITNESSED = _VCLP + "property p Falsified queries=1 verifier=builtin time=t\n"
+_COMPILE = ["compile", "--spec", "s.vcl", "--network", "f:one.vnet", "--emit", "queries"]
+_CHECK = ["check", "--proof-file", "p.vclp"]
+
+# (files written, command line, exit code, offending file, diagnostic code)
+_BAD_INPUTS = {
+    "unresolvable": ({"s.vcl": _F + "p = exists v . f (v + 2) <= 0"}, _COMPILE, 1, "s.vcl",
+                     "UnresolvableUserVariable"),
+    "mixed": ({"s.vcl": _F + "p = forall x . exists y . f x <= y"}, _COMPILE, 1, "s.vcl",
+              "MixedQuantifiers"),
+    "non-linear": ({"s.vcl": _F + "p = forall x . x * x <= f x"}, _COMPILE, 1, "s.vcl",
+                   "NonLinearAtom"),
+    "division": ({"s.vcl": _F + "p = forall x . f x <= 1 / 0"}, _COMPILE, 1, "s.vcl",
+                 "DivisionByZero"),
+    "index": ({"s.vcl": _F + "p = forall x . f x <= [1, 2] ! 3"}, _COMPILE, 1, "s.vcl",
+              "IndexOutOfBounds"),
+    "network-value": ({"s.vcl": _F + "p = forall x . (if x >= 0 then f else f) x <= 1"},
+                      _COMPILE, 1, "s.vcl", "NetworkUsedAsValue"),
+    "unbound-network": ({"s.vcl": _F + "p = forall x . f x <= 1"}, _COMPILE[:3], 1, "s.vcl",
+                        "MissingNetworkFile"),
+    "superscript": ({"s.vcl": "p : Prop\np = 1 <= ²\n"}, _COMPILE, 1, "s.vcl", "LexError"),
+    "arabic-digit": ({"s.vcl": "p : Prop\np = ١ <= 1\n"}, _COMPILE, 1, "s.vcl", "LexError"),
+    "spec-not-utf8": ({"s.vcl": b"p : Prop\np = 1 <= 2 -- \xff\n"}, _COMPILE, 1, "s.vcl",
+                      "LexError"),
+    "proof-not-utf8": ({"p.vclp": b"vclp 1\n\xff\n"}, _CHECK, 2, "p.vclp",
+                       "MalformedProofFile"),
+    "module-not-utf8": (
+        {"p.vclp": _VCLP + "itp-module sha256:00\n", "m.agda": b"module M where\n\xff\n"},
+        _CHECK + ["--module", "m.agda"], 4, "m.agda", "StaleCache",
+    ),
+    "witness-no-name": ({"p.vclp": _WITNESSED + "witness p =1\n"}, _CHECK, 2, "p.vclp",
+                        "MalformedProofFile"),
+    "witness-zero-denominator": ({"p.vclp": _WITNESSED + "witness p x0=1/0\n"}, _CHECK, 2,
+                                 "p.vclp", "MalformedProofFile"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("row", sorted(_BAD_INPUTS))
+def test_bad_inputs_give_a_coded_diagnostic_not_a_traceback(tmp_path, row):
+    import subprocess
+    import sys
+
+    files, argv, exit_code, offender, code = _BAD_INPUTS[row]
+    (tmp_path / "one.vnet").write_text("vnet 1\ninput 1\naffine 1 1\n1\n0\n")
+    (tmp_path / "s.vcl").write_text("p : Prop\np = 1 <= 2\n")
+    for name, content in files.items():
+        data = content if isinstance(content, bytes) else content.encode("utf-8")
+        (tmp_path / name).write_bytes(data)
+    result = subprocess.run(
+        [sys.executable, "-m", "vspec", *argv], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert result.returncode == exit_code, result.stderr
+    assert result.stderr.startswith(f"{offender}:"), result.stderr
+    assert result.stderr.rstrip().endswith(f"[{code}]"), result.stderr
+    assert "Traceback" not in result.stderr

@@ -75,3 +75,16 @@ def test_positions_track_lines():
 def test_decimal_requires_digits_both_sides():
     # "3." is a Nat followed by a dot, not a decimal literal.
     assert kinds("3.") == [TokenKind.NAT, TokenKind.DOT]
+
+
+def test_numeric_literals_are_ascii_digits_only():
+    # A superscript or another script's digit is no literal, not even
+    # after an ASCII digit; identifiers keep accepting them.
+    for source, column in (("1 <= ²", 6), ("١ <= 1", 1), ("12² <= 1", 3), ("1.²", 3)):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert (err.value.pos.line, err.value.pos.column) == (1, column), source
+    assert [(t.kind, t.text) for t in tokenize("x² x١")[:-1]] == [
+        (TokenKind.IDENT, "x²"),
+        (TokenKind.IDENT, "x١"),
+    ]

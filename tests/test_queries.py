@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,6 @@ from vspec.queries import (
     analyse_quantifiers,
     compile_disjunct,
     compile_property,
-    eliminate_if,
-    nnf,
     to_dnf,
 )
 from vspec.surface import parse
@@ -73,13 +72,11 @@ def test_mixed_quantifiers_error():
 
 
 def test_negated_exists_counts_as_forall():
-    # not (exists x . P) is a universal property: pushing the negation
-    # manually gives forall x . not P.
-    negated = core.Builtin("not", (q("exists", cmp("le", X, lit(1))),), "prop")
+    # not (exists x . P) is a universal property: its negation is exists x . P.
+    atom = cmp("le", X, lit(1))
+    negated = core.Builtin("not", (q("exists", atom),), "prop")
     assert analyse_quantifiers(negated) == "AllForall"
-    pushed = nnf(negated, False)
-    assert isinstance(pushed, core.Quant) and pushed.kind == "forall"
-    assert analyse_quantifiers(pushed) == "AllForall"
+    assert repr(to_dnf(negated, True)) == repr([Disjunct(binders("v"), [atom])])
 
 
 def test_implication_antecedent_flips_polarity():
@@ -94,25 +91,37 @@ def test_implication_antecedent_flips_polarity():
 # -- negation normal form --------------------------------------------------------
 
 
+def atoms_of(disjuncts):
+    return [d.atoms for d in disjuncts]
+
+
 def test_negate_forall_implication():
     prop = q("forall", core.Builtin("implies", (cmp("le", X, lit(1)), cmp("le", X, lit(2))), "prop"))
-    negated = nnf(prop, True)
-    assert isinstance(negated, core.Quant) and negated.kind == "exists"
-    body = negated.body
-    assert body.op == "and"
-    assert body.args[0] == cmp("le", X, lit(1))
-    assert body.args[1] == cmp("gt", X, lit(2))
+    [d] = to_dnf(prop, True)
+    assert [b.name for b in d.binders] == ["v"]
+    assert d.atoms == [cmp("le", X, lit(1)), cmp("gt", X, lit(2))]
 
 
 def test_negate_strict_comparison():
-    assert nnf(cmp("lt", X, lit("1.25")), True) == cmp("ge", X, lit("1.25"))
+    assert atoms_of(to_dnf(cmp("lt", X, lit("1.25")), True)) == [[cmp("ge", X, lit("1.25"))]]
 
 
 def test_negate_equality_splits():
-    negated = nnf(cmp("eq", X, lit(0)), True)
-    assert negated.op == "or"
-    assert negated.args[0].op == "lt"
-    assert negated.args[1].op == "gt"
+    assert atoms_of(to_dnf(cmp("eq", X, lit(0)), True)) == [
+        [cmp("lt", X, lit(0))],
+        [cmp("gt", X, lit(0))],
+    ]
+
+
+def _only_comparisons(disjuncts):
+    """Every atom is a comparison whose operands hold no formula node."""
+    for d in disjuncts:
+        for atom in d.atoms:
+            assert isinstance(atom, core.Builtin) and atom.op in core.CMP_OPS
+            for sub in core.subterms(atom):
+                assert not isinstance(sub, core.Quant)
+                if sub is not atom and isinstance(sub, core.Builtin):
+                    assert sub.op not in core.LOGIC_OPS + core.CMP_OPS
 
 
 def test_nnf_output_has_no_not_nodes():
@@ -120,39 +129,50 @@ def test_nnf_output_has_no_not_nodes():
     for _ in range(100):
         formula = random_formula(rng, 3, 4)
         for negate in (False, True):
-            result = nnf(formula, negate)
-            assert not any(
-                isinstance(s, core.Builtin) and s.op == "not"
-                for s in core.subterms(result)
-            )
+            _only_comparisons(to_dnf(formula, negate))
 
 
 def test_nnf_output_has_no_implications():
     rng = random.Random(9)
     for _ in range(100):
-        formula = random_formula(rng, 3, 4)
+        formula = random_formula(rng, 3, 4, nested_conditions=True)
         for negate in (False, True):
-            result = nnf(formula, negate)
-            assert not any(
-                isinstance(s, core.Builtin) and s.op == "implies"
-                for s in core.subterms(result)
-            )
+            _only_comparisons(to_dnf(formula, negate))
     a, b = cmp("le", X, lit(1)), cmp("eq", X, lit(2))
     implication = core.Builtin("implies", (a, b), "prop")
-    assert nnf(implication, False) == core.Builtin("or", (cmp("gt", X, lit(1)), b), "prop")
+    assert atoms_of(to_dnf(implication, False)) == [[cmp("gt", X, lit(1))], [b]]
+    assert atoms_of(to_dnf(implication, True)) == [[a, cmp("lt", X, lit(2))], [a, cmp("gt", X, lit(2))]]
 
 
 def test_nnf_semantics():
+    from generators import disjunction_agrees
+
     rng = random.Random(6)
     for _ in range(60):
         formula = random_formula(rng, 3, 3)
-        pos = nnf(formula, False)
-        neg = nnf(formula, True)
-        for _ in range(40):
-            env = random_assignment(rng, 3)
-            value = eval_core(formula, env)
-            assert eval_core(pos, env) == value
-            assert eval_core(neg, env) == (not value)
+        for negate in (False, True):
+            disjuncts = to_dnf(formula, negate)
+            assert disjunction_agrees(disjuncts, formula, rng, 3, 40, negate=negate)
+
+
+def test_to_dnf_truth_tables_with_rich_if_conditions():
+    # If conditions hold `not`, `=>`, `==` under negation and nested `if`s;
+    # to_dnf negates the source condition, so both polarities must still
+    # agree with the formula on every sampled assignment.
+    from generators import disjunction_agrees, dnf_size
+
+    rng = random.Random(17)
+    checked = 0
+    while checked < 150:
+        n_vars = rng.randint(1, 3)
+        formula = random_formula(rng, n_vars, 3, nested_conditions=True)
+        if max(dnf_size(formula, False), dnf_size(formula, True)) > 400:
+            continue
+        checked += 1
+        for negate in (False, True):
+            disjuncts = to_dnf(formula, negate)
+            assert len(disjuncts) == dnf_size(formula, negate)
+            assert disjunction_agrees(disjuncts, formula, rng, n_vars, 40, negate=negate)
 
 
 # -- if elimination ---------------------------------------------------------------
@@ -170,33 +190,32 @@ def test_spec_example_numeric_if_lifting():
         ),
         "x",
     )
-    result = eliminate_if(prop)
-    body = result.body
-    assert body.op == "or"
-    left, right = body.args
-    assert left.op == "and"
-    assert left.args[0] == a
-    assert left.args[1] == cmp("ge", X, lit(8))
-    assert right.op == "and"
-    assert right.args[0] == core.Builtin("gt", (core.Var(0), lit(0)), "bool")
-    assert right.args[1] == cmp("ge", core.Builtin("add", (X, lit(2))), lit(8))
+    left, right = to_dnf(prop, False)
+    assert [b.name for b in left.binders] == [b.name for b in right.binders] == ["x"]
+    assert left.atoms == [a, cmp("ge", X, lit(8))]
+    assert right.atoms == [
+        core.Builtin("gt", (core.Var(0), lit(0)), "bool"),
+        cmp("ge", core.Builtin("add", (X, lit(2))), lit(8)),
+    ]
 
 
 def test_formula_level_if_becomes_a_disjunction():
     a = core.Builtin("le", (lit(0), lit(1)), "bool")
     b = cmp("le", X, lit(1))
     c = cmp("ge", X, lit(1))
-    result = eliminate_if(core.Builtin("if", (a, b, c), "prop"))
-    assert result.op == "or"
-    assert result.args[0] == core.Builtin("and", (a, b), "prop")
-    assert result.args[1] == core.Builtin(
-        "and", (core.Builtin("gt", (lit(0), lit(1)), "bool"), c), "prop"
-    )
+    result = to_dnf(core.Builtin("if", (a, b, c), "prop"), False)
+    assert atoms_of(result) == [[a, b], [core.Builtin("gt", (lit(0), lit(1)), "bool"), c]]
+    # Negation selects within the branches; the condition keeps its sign.
+    result = to_dnf(core.Builtin("if", (a, b, c), "prop"), True)
+    assert atoms_of(result) == [
+        [a, cmp("gt", X, lit(1))],
+        [core.Builtin("gt", (lit(0), lit(1)), "bool"), cmp("lt", X, lit(1))],
+    ]
 
 
 def test_if_free_input_unchanged():
-    prop = q("exists", cmp("le", X, lit(1)))
-    assert eliminate_if(prop) == prop
+    atom = cmp("le", X, lit(1))
+    assert repr(to_dnf(q("exists", atom), False)) == repr([Disjunct(binders("v"), [atom])])
 
 
 def test_if_condition_with_network_is_rejected():
@@ -205,23 +224,27 @@ def test_if_condition_with_network_is_rejected():
         (core.Index(core.NetworkApp("f", core.TensorLit((X,))), core.NatLit(0)), lit(0)),
         "bool",
     )
-    prop = q("exists", core.Builtin("if", (cond, cmp("le", X, lit(1)), cmp("ge", X, lit(1))), "prop"))
+    body = core.Builtin("if", (cond, cmp("le", X, lit(1)), cmp("ge", X, lit(1))), "prop")
+    for kind, negate in (("exists", False), ("forall", True)):
+        with pytest.raises(QueryError) as err:
+            to_dnf(q(kind, body), negate)
+        assert err.value.code == "IfConditionContainsNetwork"
+    # A numeric `if` lifted out of an atom is checked too.
+    numeric = core.Builtin("if", (cond, X, lit(0)))
     with pytest.raises(QueryError) as err:
-        eliminate_if(prop)
+        to_dnf(q("exists", cmp("le", numeric, lit(1))), False)
     assert err.value.code == "IfConditionContainsNetwork"
 
 
 def test_eliminate_if_semantics():
+    from generators import disjunction_agrees
+
     rng = random.Random(7)
     for _ in range(60):
-        formula = nnf(random_formula(rng, 3, 4), False)
-        result = eliminate_if(formula)
-        assert not any(
-            isinstance(s, core.Builtin) and s.op == "if" for s in core.subterms(result)
-        )
-        for _ in range(40):
-            env = random_assignment(rng, 3)
-            assert eval_core(formula, env) == eval_core(result, env)
+        formula = random_formula(rng, 3, 4)
+        disjuncts = to_dnf(formula, False)
+        _only_comparisons(disjuncts)
+        assert disjunction_agrees(disjuncts, formula, rng, 3, 40, negate=False)
 
 
 # -- DNF ---------------------------------------------------------------------------
@@ -232,7 +255,7 @@ def test_distribution_example():
     b = cmp("ge", X, lit(10))
     c = cmp("eq", X, lit(5))
     prop = q("exists", core.Builtin("and", (core.Builtin("or", (a, b), "prop"), c), "prop"))
-    disjuncts = to_dnf(prop)
+    disjuncts = to_dnf(prop, False)
     assert len(disjuncts) == 2
     assert disjuncts[0].atoms == [a, c]
     assert disjuncts[1].atoms == [b, c]
@@ -242,7 +265,7 @@ def test_single_conjunction_single_query():
     a = cmp("le", X, lit(0))
     b = cmp("ge", X, lit(-1))
     prop = q("exists", core.Builtin("and", (a, b), "prop"))
-    disjuncts = to_dnf(prop)
+    disjuncts = to_dnf(prop, False)
     assert len(disjuncts) == 1
     assert disjuncts[0].atoms == [a, b]
 
@@ -251,8 +274,7 @@ def test_dnf_invariants_on_running_example(controller_spec, controller_net):
     [(name, prop, ctx)] = compile_props(
         controller_spec.read_text(), {"controller": str(controller_net)}
     )
-    work = eliminate_if(nnf(prop, True))
-    disjuncts = to_dnf(work)
+    disjuncts = to_dnf(prop, True)
     assert len(disjuncts) == 2
     for d in disjuncts:
         assert [b.name for b in d.binders] == ["x_0", "x_1"]
@@ -275,8 +297,8 @@ def test_dnf_semantics_against_truth_tables():
     rng = random.Random(8)
     for _ in range(60):
         n_vars = rng.randint(1, 3)
-        formula = eliminate_if(nnf(random_formula(rng, n_vars, 3), False))
-        disjuncts = to_dnf(close_over(formula, n_vars, kind="exists"))
+        formula = random_formula(rng, n_vars, 3)
+        disjuncts = to_dnf(close_over(formula, n_vars, kind="exists"), False)
         assert all(len(d.binders) == n_vars for d in disjuncts)
         assert disjunction_agrees(disjuncts, formula, rng, n_vars, 40, negate=False)
 
@@ -284,13 +306,20 @@ def test_dnf_semantics_against_truth_tables():
 def test_nested_exists_under_and_is_prenexed():
     inner = q("exists", cmp("le", core.Var(0), core.Var(1)), "w")
     prop = q("exists", core.Builtin("and", (cmp("ge", X, lit(0)), inner), "prop"), "v")
-    disjuncts = to_dnf(prop)
+    disjuncts = to_dnf(prop, False)
     assert len(disjuncts) == 1
     d = disjuncts[0]
     assert [b.name for b in d.binders] == ["v", "w"]
     # First atom referenced v (outer); after prenexing it is Var(1).
     assert d.atoms[0] == cmp("ge", core.Var(1), lit(0))
     assert d.atoms[1] == cmp("le", core.Var(0), core.Var(1))
+    # Under negation the universal on the right becomes an existential too.
+    inner = q("forall", cmp("le", core.Var(0), core.Var(1)), "w")
+    prop = q("forall", core.Builtin("and", (cmp("ge", X, lit(0)), inner), "prop"), "v")
+    assert atoms_of(to_dnf(prop, True)) == [
+        [cmp("lt", core.Var(0), lit(0))],
+        [cmp("gt", core.Var(0), core.Var(1))],
+    ]
 
 
 def ctx_of(**sizes):
@@ -673,6 +702,56 @@ def test_if_in_an_antecedent_keeps_its_queries(tmp_path):
     ]
 
 
+def test_negated_if_condition_compiles_to_an_equation(tmp_path):
+    # Under the negation of the property the else branch needs `not c`,
+    # which is `x == 1` for c = `not (x == 1)`: one equation, where the
+    # negation of c's normal form gave `x >= 1 and x <= 1`.
+    body = "forall x . -1 <= x <= 2 => (if not (x == 1) then f x >= 0 else f x <= 5)"
+    f = (("f", 1, 1),)
+    assert _rendered_queries(body, tmp_path) == [
+        (["x0 >= -1", "x0 <= 2", "x0 < 1", "y0 < 0"], f),
+        (["x0 >= -1", "x0 <= 2", "x0 > 1", "y0 < 0"], f),
+        (["x0 >= -1", "x0 <= 2", "x0 = 1", "y0 > 5"], f),
+    ]
+
+
+def _front_end_calls(conjuncts, net_path):
+    """Python function calls made from source text to the query plan of an
+    n-conjunct chain: parse, type-check, network analysis, pruning and
+    query compilation."""
+    atoms = " and ".join(f"x ! {k % 2} <= {k}" for k in range(conjuncts))
+    source = (
+        "type InputVector = Tensor Rat [2]\n\nnetwork net : InputVector -> Rat\n\n"
+        f"chain : Prop\nchain = forall (x : InputVector) . {atoms} => net x <= 0\n"
+    )
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        analysed, ctx = analyze_network_types(typecheck(parse(source)), {"net": net_path})
+        plans = [compile_property(name, prop, ctx) for name, prop in prune_non_prop(analysed)]
+    finally:
+        sys.setprofile(None)
+    [plan] = plans
+    assert len(plan.queries) == 1 and len(plan.queries[0].constraints) == conjuncts + 1
+    return calls
+
+
+def test_front_end_scales_linearly_with_the_chain_length(tmp_path):
+    # Deterministic: counts calls, not time.  Doubling the chain must at
+    # most double the work of the whole front end, give or take the fixed
+    # cost of the header and the network file.
+    net = tmp_path / "net.vnet"
+    net.write_text("vnet 1\ninput 2\naffine 1 2\n1 1\n0\n")
+    small, large = _front_end_calls(150, str(net)), _front_end_calls(300, str(net))
+    assert large / small <= 2.2, (small, large)
+
+
 def test_running_example_compiles_to_two_queries(controller_spec, controller_net):
     [(name, prop, ctx)] = compile_props(
         controller_spec.read_text(), {"controller": str(controller_net)}
@@ -731,8 +810,8 @@ def test_semantic_preservation_of_negated_pipeline():
     rng = random.Random(11)
     for _ in range(60):
         n_vars = rng.randint(1, 4)
-        matrix, prepared = tractable_formula(rng, n_vars, 4, cap=1500, negate=True)
-        disjuncts = to_dnf(close_over(prepared, n_vars, kind="exists"))
+        matrix = tractable_formula(rng, n_vars, 4, cap=1500, negate=True)
+        disjuncts = to_dnf(close_over(matrix, n_vars), True)
         assert disjunction_agrees(disjuncts, matrix, rng, n_vars, 40, negate=True)
 
 
