@@ -25,6 +25,7 @@ from .errors import BackendError, CacheError, VspecError
 from .pipeline import CompiledSpec, compile_spec, parse_network_bindings
 from .proofcache import PropertyRecord, ProofCacheFile, path_for_proof_file
 from .rational import render_ratio
+from .typecheck import MAX_NESTING
 from .verdicts import NOT_CHECKED, PropertyStatus
 from .verifier import DEFAULT_PHASE_BUDGET, check_query
 
@@ -35,6 +36,12 @@ EXIT_COMPILE_ERROR = 1
 EXIT_IO_ERROR = 2
 EXIT_FALSIFIED = 3
 EXIT_STALE = 4
+
+# Frames the interpreter may stack while a command runs.  At the nesting
+# budget the passes over a term take about 3 frames a level and the parser
+# about 12 per level of parentheses.  A much higher limit would let
+# recursion through generators overflow the C stack before Python stops it.
+RECURSION_LIMIT = 20 * MAX_NESTING
 
 
 def _error_exit_code(err: VspecError) -> int:
@@ -103,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:
         if args.command == "compile":
             return cmd_compile(args)
@@ -118,8 +127,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         return _error_exit_code(err)
     except RecursionError:
-        # The parser and the passes over the term recurse once or twice per
-        # level of nesting, so a deep enough expression exhausts the stack.
+        # The type checker enforces the nesting budget, but the parser runs
+        # before it, and inlining definitions can build a deeper term.
         err = VspecError(
             "NestingTooDeep",
             "expressions are nested too deeply to compile",
@@ -127,6 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(err.diagnostic(), file=sys.stderr)
         return EXIT_COMPILE_ERROR
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _load(args: argparse.Namespace) -> CompiledSpec:
@@ -254,7 +265,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    records = proofcache.check_all(args.proof_file)
+    cache = proofcache.check_all(args.proof_file)
+    records = cache.properties
     if args.property:
         known = {rec.name for rec in records}
         for wanted in args.property:
@@ -267,7 +279,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         records = [rec for rec in records if rec.name in set(args.property)]
 
     if args.module is not None:
-        cache = proofcache.read_proof_file(args.proof_file)
         try:
             text = Path(args.module).read_text(encoding="utf-8")
         except OSError as exc:

@@ -14,6 +14,7 @@ relational nodes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -23,7 +24,10 @@ from .types import VType
 
 # Builtin operation tags.
 ARITH_OPS = ("add", "sub", "mul", "div", "neg")
-CMP_OPS = ("le", "lt", "ge", "gt", "eq")
+# Each comparison tag with the relation it names.
+CMP_HOLDS = {"le": operator.le, "lt": operator.lt, "ge": operator.ge, "gt": operator.gt,
+             "eq": operator.eq}  # fmt: skip
+CMP_OPS = tuple(CMP_HOLDS)
 LOGIC_OPS = ("and", "or", "implies", "not", "if")
 
 OP_SYMBOL = {
@@ -152,9 +156,11 @@ def children(e: Expr) -> tuple[Expr, ...]:
 
 def subterms(e: Expr) -> Iterator[Expr]:
     """Pre-order traversal of e and all its subterms."""
-    yield e
-    for c in children(e):
-        yield from subterms(c)
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(children(e)))
 
 
 def contains(e: Expr, pred: Callable[[Expr], bool]) -> bool:

@@ -62,7 +62,13 @@ class ParseError(VspecError):
 class TypeCheckError(VspecError):
     """Raised by the type checker; ``code`` is one of TypeMismatch,
     IfConditionNotBool, PropInBoolPosition, UnknownIdentifier,
-    UnsupportedQuantifierType."""
+    UnsupportedQuantifierType, NestingTooDeep.
+
+    NestingTooDeep marks an expression nested deeper than the budget
+    ``typecheck.MAX_NESTING``, at the position where inference passed it.
+    The CLI gives the same code, with no position, to a ``RecursionError``
+    in any pass: the parser on deeply parenthesised input, or a term that
+    inlining definitions made deeper than the budget."""
 
 
 class NetworkError(VspecError):

@@ -7,12 +7,23 @@ indexing resolves, and quantifiers over tensor types expand into one scalar
 quantifier per element.  The fresh names for expanded binders follow the
 fixed scheme ``x_<i1>_..._<ik>`` so printed output is stable.
 
+Values are core nodes: ``RatLit``, ``NatLit`` and ``BoolLit`` literals,
+``TensorLit``s of values, and stuck ``Builtin``, ``NetworkApp`` and
+``Index`` nodes over values.  Two classes are the evaluator's own: a
+``_Level``, the variable of a binder that quoting has opened, counted from
+the outside; and a ``_Binder``, a function or quantifier whose body is
+evaluated only when it is applied or quoted, so errors are found in the
+order quoting meets them.  Quoting turns levels back into de Bruijn
+indices and opens binders.
+
 Network applications and quantified scalar variables are the only stuck
 terms; everything else reduces.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -22,297 +33,172 @@ from .errors import NormaliseError
 from .typecheck import TypedProgram
 from .types import PROP, TensorT, VType
 
-# ---------------------------------------------------------------------------
-# Semantic values
-# ---------------------------------------------------------------------------
-
 
 @dataclass(frozen=True)
-class VRat:
-    value: Fraction
+class _Level(core.Expr):
+    """A variable bound outside the term being quoted; 0 = outermost."""
 
-
-@dataclass(frozen=True)
-class VNat:
-    value: int
-
-
-@dataclass(frozen=True)
-class VBool:
-    value: bool
-
-
-@dataclass(frozen=True)
-class VTensor:
-    items: tuple
-
-
-@dataclass(frozen=True)
-class VFun:
-    binder: str
-    binder_type: VType
-    apply: Callable
-
-
-@dataclass(frozen=True)
-class NVar:
     level: int
 
 
 @dataclass(frozen=True)
-class NQuant:
-    kind: str
+class _Binder(core.Expr):
+    """A function (``kind`` "lam") or a quantifier, with its body suspended:
+    ``instantiate`` maps the bound variable's value to the body's value."""
+
+    kind: str  # "lam" | "forall" | "exists"
     binder: str
     binder_type: VType
-    instantiate: Callable  # Value -> Value
+    instantiate: Callable[[core.Expr], core.Expr]
 
 
-@dataclass(frozen=True)
-class NBuiltin:
-    op: str
-    args: tuple
-    level: str | None
-
-
-@dataclass(frozen=True)
-class NNetApp:
-    network: str
-    arg: object
-
-
-@dataclass(frozen=True)
-class NIndex:
-    target: object
-    index: object
-
-
-@dataclass(frozen=True)
-class VNeut:
-    head: object
-
-
-Value = object
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv, "neg": operator.neg}  # fmt: skip
+_TRUE, _FALSE = core.BoolLit(True), core.BoolLit(False)
 
 
 class _Normaliser:
     def __init__(self, defs: dict[str, core.Expr]):
         self.defs = defs
-        self._def_values: dict[str, Value] = {}
+        self._def_values: dict[str, core.Expr] = {}
 
-    # -- evaluation -------------------------------------------------------
-
-    def eval(self, e: core.Expr, env: list[Value]) -> Value:
+    def eval(self, e: core.Expr, env: list[core.Expr]) -> core.Expr:
         if isinstance(e, core.Var):
             return env[len(env) - 1 - e.index]
+        if isinstance(e, core.Builtin):
+            return _fold(e, tuple(self.eval(a, env) for a in e.args))
         if isinstance(e, core.TopRef):
             return self.def_value(e.name)
-        if isinstance(e, core.RatLit):
-            return VRat(e.value)
-        if isinstance(e, core.NatLit):
-            return VNat(e.value)
-        if isinstance(e, core.BoolLit):
-            return VBool(e.value)
         if isinstance(e, core.TensorLit):
-            return VTensor(tuple(self.eval(x, env) for x in e.items))
+            return core.TensorLit(tuple(self.eval(x, env) for x in e.items))
         if isinstance(e, core.Lam):
-            saved = list(env)
-            return VFun(e.binder, e.binder_type, lambda v: self.eval(e.body, saved + [v]))
+            return _Binder("lam", e.binder, e.binder_type, lambda v: self.eval(e.body, env + [v]))
         if isinstance(e, core.App):
             fn = self.eval(e.fn, env)
             arg = self.eval(e.arg, env)
-            if isinstance(fn, VFun):
-                return fn.apply(arg)
+            if isinstance(fn, _Binder):
+                return fn.instantiate(arg)
             raise AssertionError("application of a non-function survived type checking")
         if isinstance(e, core.Quant):
             return self.eval_quant(e, env)
         if isinstance(e, core.NetworkApp):
-            return VNeut(NNetApp(e.network, self.eval(e.arg, env)))
+            return core.NetworkApp(e.network, self.eval(e.arg, env))
         if isinstance(e, core.Index):
-            return self.eval_index(self.eval(e.tensor, env), self.eval(e.index, env))
-        if isinstance(e, core.Builtin):
-            return self.eval_builtin(e, env)
-        raise AssertionError(e)
+            return _index(self.eval(e.tensor, env), self.eval(e.index, env))
+        return e  # a literal
 
-    def def_value(self, name: str) -> Value:
+    def def_value(self, name: str) -> core.Expr:
         if name not in self._def_values:
             if name not in self.defs:
                 raise AssertionError(f"unknown definition {name!r} in normalisation")
             self._def_values[name] = self.eval(self.defs[name], [])
         return self._def_values[name]
 
-    def eval_quant(self, e: core.Quant, env: list[Value]) -> Value:
-        saved = list(env)
-        if isinstance(e.binder_type, TensorT):
-            elem, dims = e.binder_type.elem, e.binder_type.dims
-            total = 1
-            for d in dims:
-                total *= d
+    def eval_quant(self, e: core.Quant, env: list[core.Expr]) -> core.Expr:
+        if not isinstance(e.binder_type, TensorT):
+            return _Binder(e.kind, e.binder, e.binder_type, lambda v: self.eval(e.body, env + [v]))
+        # One scalar quantifier per element, in row-major order; the body
+        # sees the tensor of their variables.
+        dims, elem = e.binder_type.dims, e.binder_type.elem
+        names = [
+            e.binder + "".join(f"_{i}" for i in position)
+            for position in itertools.product(*map(range, dims))
+        ]
 
-            def nest(flat: list[Value], dims: tuple[int, ...]) -> Value:
-                if len(dims) == 1:
-                    return VTensor(tuple(flat))
-                step = len(flat) // dims[0]
-                return VTensor(
-                    tuple(nest(flat[i * step : (i + 1) * step], dims[1:]) for i in range(dims[0]))
-                )
+        def collect(acc: list[core.Expr]) -> core.Expr:
+            if len(acc) < len(names):
+                return _Binder(e.kind, names[len(acc)], elem, lambda v: collect(acc + [v]))
+            items = acc
+            for d in reversed(dims[1:]):
+                items = [core.TensorLit(tuple(items[i : i + d])) for i in range(0, len(items), d)]
+            return self.eval(e.body, env + [core.TensorLit(tuple(items))])
 
-            def scalar_name(flat_index: int) -> str:
-                parts: list[int] = []
-                rest = flat_index
-                for d in reversed(dims):
-                    parts.append(rest % d)
-                    rest //= d
-                return e.binder + "".join(f"_{i}" for i in reversed(parts))
+        return collect([])
 
-            def collect(acc: list[Value]) -> Value:
-                if len(acc) == total:
-                    return self.eval(e.body, saved + [nest(acc, dims)])
-                return VNeut(
-                    NQuant(
-                        e.kind,
-                        scalar_name(len(acc)),
-                        elem,
-                        lambda v, acc=acc: collect(acc + [v]),
-                    )
-                )
 
-            return collect([])
-        return VNeut(
-            NQuant(
-                e.kind,
-                e.binder,
-                e.binder_type,
-                lambda v: self.eval(e.body, saved + [v]),
-            )
+def _index(tensor: core.Expr, index: core.Expr) -> core.Expr:
+    if not isinstance(tensor, core.TensorLit):
+        return core.Index(tensor, index)
+    if not isinstance(index, core.NatLit):
+        raise NormaliseError("NonLiteralIndex", "tensor index must reduce to a literal")
+    if index.value >= len(tensor.items):
+        raise NormaliseError(
+            "IndexOutOfBounds",
+            f"index {index.value} out of bounds for dimension {len(tensor.items)}",
         )
-
-    def eval_index(self, tensor: Value, index: Value) -> Value:
-        if isinstance(tensor, VTensor):
-            if isinstance(index, VNat):
-                if index.value >= len(tensor.items):
-                    raise NormaliseError(
-                        "IndexOutOfBounds",
-                        f"index {index.value} out of bounds for dimension {len(tensor.items)}",
-                    )
-                return tensor.items[index.value]
-            raise NormaliseError(
-                "NonLiteralIndex", "tensor index must reduce to a literal"
-            )
-        if isinstance(tensor, VNeut):
-            return VNeut(NIndex(tensor, index))
-        raise AssertionError("indexed a non-tensor value")
-
-    def eval_builtin(self, e: core.Builtin, env: list[Value]) -> Value:
-        args = tuple(self.eval(a, env) for a in e.args)
-        folded = _fold(e.op, args)
-        if folded is not None:
-            return folded
-        return VNeut(NBuiltin(e.op, args, e.level))
+    return tensor.items[index.value]
 
 
-def _num(v: Value) -> Fraction | None:
-    if isinstance(v, VRat):
+def _num(v: core.Expr) -> Fraction | None:
+    if isinstance(v, core.RatLit):
         return v.value
-    if isinstance(v, VNat):
+    if isinstance(v, core.NatLit):
         return Fraction(v.value)
     return None
 
 
-def _fold(op: str, args: tuple) -> Value | None:
-    if op in core.ARITH_OPS:
+def _fold(e: core.Builtin, args: tuple[core.Expr, ...]) -> core.Expr:
+    """``e`` over its arguments' values ``args``: a literal or one of the
+    arguments when the operation is decided, else the stuck ``Builtin``."""
+    op = e.op
+    if op in _ARITH:
         nums = [_num(a) for a in args]
-        if op == "div":
-            if nums[1] == 0:
-                raise NormaliseError("DivisionByZero", "division by zero")
-            if None not in nums:
-                return VRat(nums[0] / nums[1])
-            return None
-        if None in nums:
-            return None
-        if op == "neg":
-            result = -nums[0]
-        else:
-            lhs, rhs = nums
-            result = {"add": lhs + rhs, "sub": lhs - rhs, "mul": lhs * rhs}[op]
-        if all(isinstance(a, VNat) for a in args) and result.denominator == 1 and result >= 0:
-            return VNat(int(result))
-        return VRat(result)
-    if op in core.CMP_OPS:
-        nums = [_num(a) for a in args]
-        if None in nums:
-            return None
-        lhs, rhs = nums
-        table = {
-            "le": lhs <= rhs,
-            "lt": lhs < rhs,
-            "ge": lhs >= rhs,
-            "gt": lhs > rhs,
-            "eq": lhs == rhs,
-        }
-        return VBool(table[op])
-    if op == "not":
-        if isinstance(args[0], VBool):
-            return VBool(not args[0].value)
-        return None
-    if op == "and":
-        lhs, rhs = args
-        if isinstance(lhs, VBool):
-            return rhs if lhs.value else VBool(False)
-        if isinstance(rhs, VBool) and rhs.value:
-            return lhs
-        return None
-    if op == "or":
-        lhs, rhs = args
-        if isinstance(lhs, VBool):
-            return VBool(True) if lhs.value else rhs
-        if isinstance(rhs, VBool) and not rhs.value:
-            return lhs
-        return None
-    if op == "implies":
-        lhs, rhs = args
-        if isinstance(lhs, VBool):
-            return rhs if lhs.value else VBool(True)
-        if isinstance(rhs, VBool) and rhs.value:
-            return VBool(True)
-        return None
-    if op == "if":
+        if op == "div" and nums[1] == 0:
+            raise NormaliseError("DivisionByZero", "division by zero")
+        if None not in nums:
+            result = _ARITH[op](*nums)
+            if result >= 0 and all(isinstance(a, core.NatLit) for a in args):
+                return core.NatLit(int(result))
+            return core.RatLit(result)
+    elif op in core.CMP_HOLDS:
+        lhs, rhs = _num(args[0]), _num(args[1])
+        if lhs is not None and rhs is not None:
+            return core.BoolLit(core.CMP_HOLDS[op](lhs, rhs))
+    elif op == "not":
+        if isinstance(args[0], core.BoolLit):
+            return core.BoolLit(not args[0].value)
+    elif op == "if":
         cond, then, els = args
-        if isinstance(cond, VBool):
+        if isinstance(cond, core.BoolLit):
             return then if cond.value else els
-        return None
-    return None
+    elif op == "and":
+        lhs, rhs = args
+        if isinstance(lhs, core.BoolLit):
+            return rhs if lhs.value else lhs
+        if rhs == _TRUE:
+            return lhs
+    elif op == "or":
+        lhs, rhs = args
+        if isinstance(lhs, core.BoolLit):
+            return lhs if lhs.value else rhs
+        if rhs == _FALSE:
+            return lhs
+    elif op == "implies":
+        lhs, rhs = args
+        if isinstance(lhs, core.BoolLit):
+            return rhs if lhs.value else _TRUE
+        if rhs == _TRUE:
+            return rhs
+    return core.Builtin(op, args, e.level)
 
 
-def _quote(v: Value, depth: int) -> core.Expr:
-    if isinstance(v, VRat):
-        return core.RatLit(v.value)
-    if isinstance(v, VNat):
-        return core.NatLit(v.value)
-    if isinstance(v, VBool):
-        return core.BoolLit(v.value)
-    if isinstance(v, VTensor):
+def _quote(v: core.Expr, depth: int) -> core.Expr:
+    if isinstance(v, core.Builtin):
+        return core.Builtin(v.op, tuple(_quote(a, depth) for a in v.args), v.level)
+    if isinstance(v, _Level):
+        return core.Var(depth - 1 - v.level)
+    if isinstance(v, _Binder):
+        body = _quote(v.instantiate(_Level(depth)), depth + 1)
+        if v.kind == "lam":
+            return core.Lam(v.binder, v.binder_type, body)
+        return core.Quant(v.kind, v.binder, v.binder_type, body)
+    if isinstance(v, core.TensorLit):
         return core.TensorLit(tuple(_quote(x, depth) for x in v.items))
-    if isinstance(v, VFun):
-        body = v.apply(VNeut(NVar(depth)))
-        return core.Lam(v.binder, v.binder_type, _quote(body, depth + 1))
-    if isinstance(v, VNeut):
-        return _quote_neutral(v.head, depth)
-    raise AssertionError(v)
-
-
-def _quote_neutral(head: object, depth: int) -> core.Expr:
-    if isinstance(head, NVar):
-        return core.Var(depth - 1 - head.level)
-    if isinstance(head, NQuant):
-        body = head.instantiate(VNeut(NVar(depth)))
-        return core.Quant(head.kind, head.binder, head.binder_type, _quote(body, depth + 1))
-    if isinstance(head, NBuiltin):
-        return core.Builtin(head.op, tuple(_quote(a, depth) for a in head.args), head.level)
-    if isinstance(head, NNetApp):
-        return core.NetworkApp(head.network, _quote(head.arg, depth))
-    if isinstance(head, NIndex):
-        return core.Index(_quote(head.target, depth), _quote(head.index, depth))
-    raise AssertionError(head)
+    if isinstance(v, core.NetworkApp):
+        return core.NetworkApp(v.network, _quote(v.arg, depth))
+    if isinstance(v, core.Index):
+        return core.Index(_quote(v.tensor, depth), _quote(v.index, depth))
+    return v  # a literal
 
 
 def normalise(expr: core.Expr, defs: dict[str, core.Expr] | None = None) -> core.Expr:

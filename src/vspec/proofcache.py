@@ -240,21 +240,8 @@ def verify_digests(cache: ProofCacheFile, proof_path: str | Path) -> None:
         check(f"network {name!r}", file_path, digest)
 
 
-def check_property(proof_path: str | Path, property_name: str) -> PropertyStatus:
-    """Return the stored status after digest checks; never runs verification."""
+def check_all(proof_path: str | Path) -> ProofCacheFile:
+    """Read the proof cache and check its digests; never runs verification."""
     cache = read_proof_file(proof_path)
     verify_digests(cache, proof_path)
-    for rec in cache.properties:
-        if rec.name == property_name:
-            return rec.status
-    raise CacheError(
-        "UnknownProperty",
-        f"property {property_name!r} is not recorded in the proof cache",
-        path=str(proof_path),
-    )
-
-
-def check_all(proof_path: str | Path) -> list[PropertyRecord]:
-    cache = read_proof_file(proof_path)
-    verify_digests(cache, proof_path)
-    return cache.properties
+    return cache

@@ -32,7 +32,6 @@ a direct equation is an error; rearranging indirect equations like
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -297,8 +296,6 @@ def _rebuild_with_children(e: core.Expr, kids: list[core.Expr]) -> core.Expr:
 # ---------------------------------------------------------------------------
 
 _REL = {"le": "<=", "lt": "<", "ge": ">=", "gt": ">", "eq": "="}
-_HOLDS = {"le": operator.le, "lt": operator.lt, "ge": operator.ge, "gt": operator.gt,
-          "eq": operator.eq}  # fmt: skip
 
 # One equation or atom: (comparison tag, lhs, rhs).  A side is a core term,
 # or the input variable on the right of an argument equation.
@@ -453,7 +450,7 @@ def compile_disjunct(d: Disjunct, ctx: NetworkContext) -> LinearQuery | None:
         constant = rc - lc
         if any(terms.values()):
             constraints.append(canonical_constraint(terms, _REL[op], constant))
-        elif not _HOLDS[op](Fraction(0), constant):
+        elif not core.CMP_HOLDS[op](Fraction(0), constant):
             return None
     return LinearQuery(constraints, MetaNetwork(tuple(applications)))
 

@@ -26,6 +26,11 @@ from . import core, surface
 from .errors import SourcePos, TypeCheckError
 from .types import BOOL, INT, NAT, PROP, RAT, FunT, Scalar, TensorT, VType, is_numeric
 
+# The deepest nesting of expressions a specification may have.  The passes
+# over a term recurse once or more per level, so the CLI sizes the
+# interpreter's recursion limit to this budget (``cli.RECURSION_LIMIT``).
+MAX_NESTING = 1000
+
 _BUILTIN_TYPE_NAMES = {
     "Bool": BOOL,
     "Prop": PROP,
@@ -283,6 +288,7 @@ class _Infer:
         self.prop_sources = 0  # sources of Prop met so far
         self.forces_prop: set[int] = set()  # id(surface node) with one beneath
         self.prop_condition = False  # an if condition has one beneath
+        self.depth = 0  # nesting of the node being inferred
 
     def fail(self, code: str, message: str, pos: SourcePos) -> TypeCheckError:
         return self.checker.error(code, message, pos)
@@ -303,7 +309,16 @@ class _Infer:
 
     def infer(self, e: surface.SExpr) -> UType:
         before = self.prop_sources
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(
+                "NestingTooDeep",
+                f"expression nested {self.depth} levels deep, "
+                f"over the budget of {MAX_NESTING} levels",
+                e.pos,
+            )
         t = self._infer(e)
+        self.depth -= 1
         self.types[id(e)] = t
         if self.prop_sources != before:
             self.forces_prop.add(id(e))

@@ -53,3 +53,26 @@ def test_tracer_installs_and_sees_every_solver_layer(
     assert tracer.counts["verifier.lp.calls"] > 0
     assert cli.check_query is check_query
     assert engine.feasible is feasible
+
+
+def test_tracer_sees_every_emit_layer(tmp_path, monkeypatch, controller_spec, controller_net):
+    tracing = load_tracing()
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(controller_spec, "controller-spec.vcl")
+    shutil.copy(controller_net, "controller.vnet")
+    spec = ["--spec", "controller-spec.vcl", "--network", "controller:controller.vnet"]
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        codes = [
+            cli.main(["verify", *spec, "--solver", "emit-only", "--proof-file", "p.vclp"]),
+            cli.main(["compile", *spec, "--target", "agda", "--proof-file", "p.vclp"]),
+            cli.main(["check", "--proof-file", "p.vclp", "--module", "out/ControllerSpec.agda"]),
+        ]
+    finally:
+        tracer.uninstall()
+    # The check reports the emit-only run's NotChecked statuses: exit 3.
+    assert codes == [0, 0, 3]
+    layers = ("normalise", "marabou", "agda", "proofcache.write", "proofcache.check")
+    tracing.check_complete(tracer, layers, "controller")

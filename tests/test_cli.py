@@ -4,7 +4,7 @@ import shutil
 
 import pytest
 
-from vspec import cli
+from vspec import cli, proofcache
 from vspec.proofcache import read_proof_file
 
 
@@ -250,16 +250,29 @@ def test_deep_nesting_is_a_coded_diagnostic_not_a_traceback(workspace):
     import subprocess
     import sys
 
-    atoms = " and ".join(f"x >= {k}" for k in range(5000))
-    spec = f"chain : Prop\nchain = forall (x : Rat) . {atoms} => x >= 0\n"
-    (workspace / "deep.vcl").write_text(spec)
-    result = subprocess.run(
-        [sys.executable, "-m", "vspec", "compile", "--spec", "deep.vcl", "--emit", "queries"],
-        capture_output=True,
-        text=True,
-    )
+    def compile_chain(conjuncts):
+        atoms = " and ".join(f"x ! 0 >= {k}" for k in range(conjuncts))
+        spec = (
+            "network controller : Tensor Rat [2] -> Rat\n\nchain : Prop\n"
+            f"chain = forall (x : Tensor Rat [2]) . {atoms} => controller x <= 0\n"
+        )
+        (workspace / "deep.vcl").write_text(spec)
+        args = ["compile", "--spec", "deep.vcl", "--network", "controller:controller.vnet"]
+        return subprocess.run(
+            [sys.executable, "-m", "vspec", *args, "--emit", "queries"],
+            capture_output=True,
+            text=True,
+        )
+
+    # Within the nesting budget: compiles to one query.
+    result = compile_chain(600)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("property chain: 1 queries\n")
+    # Over it: the type checker names the position, the depth and the budget.
+    result = compile_chain(5000)
     assert result.returncode == 1, result.stderr
-    assert "deep.vcl: error: " in result.stderr
+    assert result.stderr.startswith("deep.vcl:4:")
+    assert "nested 1001 levels deep, over the budget of 1000 levels" in result.stderr
     assert "[NestingTooDeep]" in result.stderr
     assert "Traceback" not in result.stderr
 
@@ -376,7 +389,7 @@ def test_json_format_summary(workspace, capsys):
     assert payload["properties"][0]["queries"] == 2
 
 
-def test_check_module_hash_flow(workspace):
+def test_check_module_hash_flow(workspace, monkeypatch):
     run(
         [
             "verify",
@@ -404,10 +417,15 @@ def test_check_module_hash_flow(workspace):
         ]
     )
     module = workspace / "out/ControllerSpec.agda"
+    reads = []
+    monkeypatch.setattr(
+        proofcache, "read_proof_file", lambda path: reads.append(path) or read_proof_file(path)
+    )
     code = run(
         ["check", "--proof-file", "controller-spec.vclp", "--module", str(module)]
     )
     assert code == 0
+    assert reads == ["controller-spec.vclp"]  # the digests and the module hash share one read
     module.write_text(module.read_text().replace("SafeOutput x", "SafeInput x"))
     code = run(
         ["check", "--proof-file", "controller-spec.vclp", "--module", str(module)]

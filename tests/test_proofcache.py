@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from vspec import cli
 from vspec.errors import CacheError
 from vspec.networks import hash_file
 from vspec.proofcache import (
     ProofCacheFile,
     PropertyRecord,
     check_all,
-    check_property,
     read_proof_file,
     render_proof_file,
     write_proof_file,
@@ -76,16 +76,17 @@ def test_untouched_files_return_status_without_verification(tmp_path, controller
     cache = sample_cache(tmp_path, controller_net)
     path = tmp_path / "proof.vclp"
     write_proof_file(cache, path)
-    assert check_property(path, "safe").kind == "Verified"
+    [record] = check_all(path).properties
+    assert (record.name, record.status.kind) == ("safe", "Verified")
 
 
-def test_unknown_property(tmp_path, controller_net):
+def test_unknown_property(tmp_path, controller_net, capsys):
     cache = sample_cache(tmp_path, controller_net)
     path = tmp_path / "proof.vclp"
     write_proof_file(cache, path)
-    with pytest.raises(CacheError) as err:
-        check_property(path, "unsafe")
-    assert err.value.code == "UnknownProperty"
+    assert [record.name for record in check_all(path).properties] == ["safe"]
+    assert cli.main(["check", "--proof-file", str(path), "--property", "unsafe"]) == 1
+    assert "[UnknownProperty]" in capsys.readouterr().err
 
 
 def test_network_mutation_is_stale(tmp_path, controller_net):
@@ -100,7 +101,7 @@ def test_network_mutation_is_stale(tmp_path, controller_net):
     data[10] ^= 0x04
     mutable.write_bytes(bytes(data))
     with pytest.raises(CacheError) as err:
-        check_property(path, "safe")
+        check_all(path)
     assert err.value.code == "StaleCache"
     assert "controller" in err.value.message
 
@@ -114,7 +115,7 @@ def test_missing_network_file_is_stale(tmp_path, controller_net):
     write_proof_file(cache, path)
     moved.unlink()
     with pytest.raises(CacheError) as err:
-        check_property(path, "safe")
+        check_all(path)
     assert err.value.code == "StaleCache"
 
 
@@ -146,7 +147,7 @@ def test_hundred_random_single_byte_mutations_all_stale(tmp_path, controller_net
         data[index] ^= 1 << rng.randrange(8)
         mutable.write_bytes(bytes(data))
         try:
-            check_property(path, "safe")
+            check_all(path)
         except CacheError as err:
             assert err.code == "StaleCache"
             stale += 1
