@@ -74,11 +74,7 @@ class _Normaliser:
         if isinstance(e, core.Lam):
             return _Binder("lam", e.binder, e.binder_type, lambda v: self.eval(e.body, env + [v]))
         if isinstance(e, core.App):
-            fn = self.eval(e.fn, env)
-            arg = self.eval(e.arg, env)
-            if isinstance(fn, _Binder):
-                return fn.instantiate(arg)
-            raise AssertionError("application of a non-function survived type checking")
+            return _apply(self.eval(e.fn, env), self.eval(e.arg, env))
         if isinstance(e, core.Quant):
             return self.eval_quant(e, env)
         if isinstance(e, core.NetworkApp):
@@ -114,6 +110,22 @@ class _Normaliser:
             return self.eval(e.body, env + [core.TensorLit(tuple(items))])
 
         return collect([])
+
+
+def _apply(fn: core.Expr, arg: core.Expr) -> core.Expr:
+    """``fn`` applied to ``arg``.  A function-typed ``if`` whose condition
+    is stuck takes the argument into both branches:
+    ``(if c then f else g) a`` is ``if c then f a else g a``."""
+    if isinstance(fn, _Binder):
+        return fn.instantiate(arg)
+    if isinstance(fn, core.Builtin) and fn.op == "if":
+        cond, then, els = fn.args
+        then, els = _apply(then, arg), _apply(els, arg)
+        # The branches now have the application's type; a formula keeps the
+        # level its own builtins were given.
+        level = next((b.level for b in (then, els) if isinstance(b, core.Builtin)), None)
+        return core.Builtin("if", (cond, then, els), level)
+    raise AssertionError("application of a non-function survived type checking")
 
 
 def _index(tensor: core.Expr, index: core.Expr) -> core.Expr:

@@ -4,16 +4,27 @@ piecewise-linear (affine/ReLU) networks.
 The metanetwork is unrolled into variables and equality constraints; each
 ReLU node is a case split (Inactive: pre <= 0, post = 0; Active: pre >= 0,
 post = pre).  Interval bound propagation over the query's input box fixes
-phases whose pre-activation cannot straddle zero; the remaining phases are
-enumerated lexicographically (Inactive before Active) and each case is
-decided by exact LP feasibility.  The first satisfiable case wins, which
-together with deterministic pivoting makes verdicts and witnesses
-reproducible.
+phases whose pre-activation cannot straddle zero.
+
+The remaining ("free") ReLUs are decided by a depth-first branch-and-bound
+search: branch on them in order, Inactive before Active.  The root LP is
+the base constraints plus the triangle relaxation of every free ReLU
+(Ehlers 2017): ``post >= 0``, ``post >= pre`` and, when both interval
+bounds ``l < 0 < u`` are known, ``post <= u (pre - l) / (u - l)``.  A child
+adds its ReLU's two phase rows to its parent's LP and is solved warm from
+the parent's final tableau; an infeasible node prunes its subtree.  Every
+point of a leaf's phase region satisfies the triangle rows, so a leaf is
+feasible exactly when the flat leaf LP (base plus phase rows) is, and the
+first feasible leaf is the lexicographically least satisfiable phase
+assignment.  It is re-solved from scratch on the flat leaf constraint list,
+so the witness depends only on that list (Bland's rule is deterministic),
+not on the search.
+
+Every LP goes through the module attribute ``feasible``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -185,8 +196,10 @@ def propagate_bounds(
 
 
 # ---------------------------------------------------------------------------
-# Phase enumeration
+# Branch-and-bound over ReLU phases
 # ---------------------------------------------------------------------------
+
+PHASES = ("inactive", "active")
 
 
 def _query_constraints(query: LinearQuery, skeleton: Skeleton) -> list[LPConstraint]:
@@ -210,6 +223,23 @@ def _phase_constraints(node: ReluNode, phase: str) -> list[LPConstraint]:
     ]
 
 
+def _triangle_constraints(node: ReluNode, bounds: Interval) -> list[LPConstraint]:
+    """The convex hull of post = max(pre, 0) over l <= pre <= u; without
+    both bounds only its two lower faces."""
+    one = Fraction(1)
+    rows = [
+        LPConstraint(((node.post_var, one),), ">=", ZERO),
+        LPConstraint(((node.post_var, one), (node.pre_var, -one)), ">=", ZERO),
+    ]
+    lo, hi = bounds
+    if lo is not None and hi is not None:
+        # (u - l) post - u pre <= -u l
+        rows.append(
+            LPConstraint(((node.post_var, hi - lo), (node.pre_var, -hi)), "<=", -hi * lo)
+        )
+    return rows
+
+
 def check_query(
     query: LinearQuery,
     ctx: NetworkContext,
@@ -218,13 +248,13 @@ def check_query(
 ) -> Verdict:
     """Decide one linear query exactly.
 
-    Enumerates phase assignments over the ReLU nodes left unfixed by bound
-    propagation, checking one exact LP per assignment; the first
-    satisfiable assignment (in lexicographic order, Inactive before Active)
-    yields SAT with its witness restricted to the relational variables.
+    SAT carries the witness of the lexicographically least satisfiable
+    phase assignment (Inactive before Active, in ReLU order) over the ReLU
+    nodes left unfixed by bound propagation, restricted to the relational
+    variables.  More than ``phase_budget`` unfixed nodes is an error.
     """
     skeleton = unroll_meta_network(query.meta, ctx)
-    _, fixed = propagate_bounds(skeleton, query)
+    intervals, fixed = propagate_bounds(skeleton, query)
 
     base = skeleton.equalities + _query_constraints(query, skeleton)
     for node_id, phase in fixed.items():
@@ -238,14 +268,43 @@ def check_query(
             f"of {phase_budget}",
         )
 
-    for assignment in itertools.product(("inactive", "active"), repeat=len(free_nodes)):
-        constraints = list(base)
-        for node, phase in zip(free_nodes, assignment):
-            constraints.extend(_phase_constraints(node, phase))
-        witness = feasible(LPProblem(skeleton.num_vars, constraints))
-        if witness is not None:
-            return _restrict(witness, skeleton)
-    return Unsat()
+    relaxation = list(base)
+    for node in free_nodes:
+        bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
+        relaxation.extend(_triangle_constraints(node, bounds))
+    root = LPProblem(skeleton.num_vars, relaxation)
+    witness = feasible(root)
+    if witness is None:
+        return Unsat()
+    if free_nodes:
+        phases = _first_feasible_leaf(root, free_nodes)
+        if phases is None:
+            return Unsat()
+        leaf = list(base)
+        for node, phase in zip(free_nodes, phases):
+            leaf.extend(_phase_constraints(node, phase))
+        witness = feasible(LPProblem(skeleton.num_vars, leaf))
+        assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
+    return _restrict(witness, skeleton)
+
+
+def _first_feasible_leaf(problem: LPProblem, free_nodes: list[ReluNode]) -> list[str] | None:
+    """Phases of the first leaf below the feasible ``problem`` whose LP is
+    feasible, branching on ``free_nodes[0]`` first; None if there is none."""
+    if not free_nodes:
+        return []
+    node, rest = free_nodes[0], free_nodes[1:]
+    for phase in PHASES:
+        child = LPProblem(
+            problem.num_vars,
+            problem.constraints + _phase_constraints(node, phase),
+            parent=problem,
+        )
+        if feasible(child) is not None:
+            phases = _first_feasible_leaf(child, rest)
+            if phases is not None:
+                return [phase] + phases
+    return None
 
 
 def _restrict(witness: list[Fraction], skeleton: Skeleton) -> Sat:

@@ -36,3 +36,13 @@ def controller_net() -> Path:
 @pytest.fixture
 def controller_zero_net() -> Path:
     return FIXTURES / "controller-zero.vnet"
+
+
+@pytest.fixture
+def four_relu_spec() -> Path:
+    return FIXTURES / "four-relu-spec.vcl"
+
+
+@pytest.fixture
+def four_relu_net() -> Path:
+    return FIXTURES / "four-relu.vnet"

@@ -4,7 +4,10 @@ Everything here is deliberately written from scratch against the intended
 semantics, not by calling the code under test: a direct core-expression
 evaluator, a Fourier-Motzkin feasibility decider (exact, strict-aware), a
 layer-by-layer network interpreter, a one-sided grid search over a query's
-input box, and a hand-rolled protobuf writer for ONNX model files.
+input box, and a hand-rolled protobuf writer for ONNX model files.  The
+one exception is the flat phase search, the reference for the verifier's
+branch-and-bound: it shares the verifier's unrolling, bounds and LP, and
+replaces only the search.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ from fractions import Fraction
 
 from vspec import core
 from vspec.queries import QVar
-from vspec.verdicts import Sat
+from vspec.verdicts import Sat, Unsat, Verdict
+from vspec.verifier import engine, lp
 
 # ---------------------------------------------------------------------------
 # Direct expression evaluation
@@ -348,6 +352,33 @@ def grid_oracle(query, ctx, resolution: int = 8) -> Sat | None:
         if all(constraint_holds(c, values) for c in query.constraints):
             return Sat(tuple(sorted(values.items())))
     return None
+
+
+# ---------------------------------------------------------------------------
+# Flat phase search
+# ---------------------------------------------------------------------------
+
+
+def flat_phase_search(query, ctx) -> Verdict:
+    """One LP from scratch per leaf of the 2^k assignments of the ReLUs
+    that bounds leave free, in lexicographic order (Inactive before
+    Active); the first feasible leaf gives the witness.  It calls
+    ``lp.feasible``, not ``engine.feasible``, so the engine's LP counters
+    never see it."""
+    skeleton = engine.unroll_meta_network(query.meta, ctx)
+    _, fixed = engine.propagate_bounds(skeleton, query)
+    base = skeleton.equalities + engine._query_constraints(query, skeleton)
+    for node_id, phase in fixed.items():
+        base.extend(engine._phase_constraints(skeleton.relu_nodes[node_id], phase))
+    free_nodes = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
+    for assignment in itertools.product(("inactive", "active"), repeat=len(free_nodes)):
+        constraints = list(base)
+        for node, phase in zip(free_nodes, assignment):
+            constraints.extend(engine._phase_constraints(node, phase))
+        witness = lp.feasible(lp.LPProblem(skeleton.num_vars, constraints))
+        if witness is not None:
+            return engine._restrict(witness, skeleton)
+    return Unsat()
 
 
 # ---------------------------------------------------------------------------

@@ -76,3 +76,27 @@ def test_tracer_sees_every_emit_layer(tmp_path, monkeypatch, controller_spec, co
     assert codes == [0, 0, 3]
     layers = ("normalise", "marabou", "agda", "proofcache.write", "proofcache.check")
     tracing.check_complete(tracer, layers, "controller")
+
+
+def test_tracer_counts_every_warm_lp(tmp_path, monkeypatch, four_relu_spec, four_relu_net):
+    # An all-UNSAT query with four free ReLUs: the root LP and the eight warm
+    # LPs of the search must all go through ``engine.feasible``, or the
+    # benchmark's ``verifier.lp`` counters undercount them.
+    tracing = load_tracing()
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(four_relu_spec, "four-relu-spec.vcl")
+    shutil.copy(four_relu_net, "four-relu.vnet")
+    argv = ["verify", "--spec", "four-relu-spec.vcl", "--network", "net:four-relu.vnet",
+            "--proof-file", "p.vclp"]  # fmt: skip
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    tracing.check_complete(tracer, ("verifier.engine", "verifier.lp"), "four-relu")
+    assert tracer.counts["verifier.engine.free_relus"] == 4
+    assert tracer.counts["verifier.lp.calls"] == 9
+    assert tracer.counts["verifier.lp.feasible"] == 4

@@ -345,6 +345,38 @@ def test_emit_queries_prints_constraints_and_metanetwork(workspace, capsys):
     assert "# application 1: controller x0..x1 -> y0..y0" in out
 
 
+PICK_SPEC = """\
+network f : Rat -> Rat
+
+h : Rat -> Rat -> Rat
+h a x = a * x
+
+pick : Bool -> Rat -> Rat
+pick c = if c then h 1 else h 0
+
+p : Prop
+p = forall x . pick (x <= 1) (f x) >= 0
+"""
+
+IDENTITY_VNET = "vnet 1\ninput 1\naffine 2 1\n1\n-1\n0 0\nrelu\naffine 1 2\n1 -1\n0\n"
+
+
+@pytest.mark.parametrize(
+    "emit, expected",
+    [
+        ("normalised", "(if x <= 1 then 1 * f [x] ! 0 else 0 * f [x] ! 0) >= 0"),
+        ("queries", "property p: 1 queries\nquery 1:\n  x0 <= 1\n  y0 < 0\n"),
+    ],
+)
+def test_applied_function_typed_if_with_a_stuck_condition(tmp_path, capsys, emit, expected):
+    # The argument is taken into both branches of the `if` over functions.
+    (tmp_path / "pick.vcl").write_text(PICK_SPEC)
+    (tmp_path / "id.vnet").write_text(IDENTITY_VNET)
+    spec = ["--spec", str(tmp_path / "pick.vcl"), "--network", f"f:{tmp_path / 'id.vnet'}"]
+    assert run(["compile", *spec, "--emit", emit]) == 0
+    assert expected in capsys.readouterr().out
+
+
 def test_verify_emit_only_writes_queries_and_not_checked(workspace):
     code = run(
         [

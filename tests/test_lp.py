@@ -21,6 +21,9 @@ def holds(constraint: LPConstraint, witness) -> bool:
     }[constraint.relation]
 
 
+RELATIONS = ("<=", "<", ">=", ">", "=")
+
+
 def test_contradictory_bounds_unsat():
     problem = LPProblem(1, [c({0: 1}, ">=", 1), c({0: 1}, "<=", 0)])
     assert feasible(problem) is None
@@ -123,6 +126,46 @@ def test_witnesses_satisfy_every_relation_kind():
         if witness is not None:
             for constraint in problem.constraints:
                 assert holds(constraint, witness)
+
+
+def random_row(rng: random.Random, n: int, relations) -> LPConstraint:
+    terms = {v: Fraction(rng.randint(-3, 3)) for v in range(n)}
+    terms = {v: k for v, k in terms.items() if k} or {rng.randrange(n): Fraction(1)}
+    return LPConstraint(tuple(terms.items()), rng.choice(relations), Fraction(rng.randint(-6, 6)))
+
+
+def test_warm_start_agrees_with_cold_solves_and_fourier_motzkin():
+    """Rows added in groups to a solved parent, re-optimised from its
+    tableau: feasibility matches a solve from scratch and the oracle, and
+    every warm witness satisfies every row.  Added rows are mostly
+    non-strict, like the search's; a strict one on a parent without strict
+    rows is solved from scratch."""
+    rng = random.Random(4242)
+    seen = {"warm": 0, "infeasible": 0, "negative rhs": 0, "=": 0, "strict": 0}
+    for _ in range(500):
+        n = rng.randint(1, 3)
+        parent = LPProblem(n, [random_row(rng, n, RELATIONS) for _ in range(rng.randint(0, 4))])
+        if feasible(parent) is None:
+            continue
+        for _ in range(rng.randint(1, 3)):
+            relations = RELATIONS if rng.random() < 0.3 else ("<=", ">=", "=")
+            added = [random_row(rng, n, relations) for _ in range(rng.randint(1, 2))]
+            child = LPProblem(n, parent.constraints + added, parent=parent)
+            witness = feasible(child)
+            cold = feasible(LPProblem(n, child.constraints))
+            oracle = fm_feasible(n, [(dict(c.terms), c.relation, c.rhs) for c in child.constraints])
+            assert (witness is not None) == (cold is not None) == oracle
+            strict = any(a.relation in ("<", ">") for a in added)
+            seen["warm"] += parent.tableau.eps_col is not None or not strict
+            seen["strict"] += strict
+            seen["negative rhs"] += any(a.rhs < 0 for a in added)
+            seen["="] += any(a.relation == "=" for a in added)
+            if witness is None:
+                seen["infeasible"] += 1
+                break
+            assert all(holds(c, witness) for c in child.constraints)
+            parent = child
+    assert min(seen.values()) >= 100, seen
 
 
 # sha256 of repr() of the witnesses of test_pinned_witnesses; see its docstring.

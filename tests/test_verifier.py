@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import UnboundedInput, constraint_holds, evaluate_networks, grid_oracle
+from oracles import (
+    UnboundedInput,
+    constraint_holds,
+    evaluate_networks,
+    flat_phase_search,
+    grid_oracle,
+)
 from vspec import verifier
 from vspec.errors import VerifyError
 from vspec.networks import Affine, NetworkInfo, NetworkModel, Relu, evaluate, parse_vnet
@@ -255,6 +261,72 @@ def test_agreement_with_grid_oracle():
             assert evaluate(model, inputs) == [values[QVar("y", 0)]]
 
 
+def random_deep_model(rng: random.Random, n_in: int, name: str):
+    """One or two hidden ReLU layers of width 1-3 and one output."""
+    layers = []
+    width = n_in
+    for _ in range(rng.randint(1, 2)):
+        out = rng.randint(1, 3)
+        w = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(width)) for _ in range(out))
+        b = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(out))
+        layers += [Affine(w, b), Relu(out)]
+        width = out
+    w = (tuple(Fraction(rng.randint(-3, 3)) for _ in range(width)),)
+    layers.append(Affine(w, (Fraction(rng.randint(-2, 2)),)))
+    return NetworkModel(name, n_in, 1, tuple(layers))
+
+
+def random_search_instance(rng: random.Random):
+    """A query over one or two applications of random nets.  Inputs are
+    boxed, half-bounded or free; one or two extra rows over inputs and
+    outputs use every relation, ``=`` included."""
+    models = {name: random_deep_model(rng, rng.randint(1, 2), name) for name in ("f", "g")}
+    apps = [rng.choice("fg") for _ in range(rng.randint(1, 2))]
+    meta = MetaNetwork(tuple((a, models[a].input_size, 1) for a in apps))
+    constraints = []
+    for i in range(meta.total_inputs):
+        lo = rng.randint(-3, 1)
+        kind = rng.random()
+        if kind < 0.7:
+            constraints.append(constraint({("x", i): 1}, ">=", lo))
+        if kind < 0.6 or kind >= 0.85:
+            constraints.append(constraint({("x", i): 1}, "<=", lo + rng.randint(1, 4)))
+    for _ in range(rng.randint(1, 2)):
+        terms = {("y", j): rng.choice((-2, -1, 1, 2)) for j in range(meta.total_outputs)}
+        if rng.random() < 0.5:
+            terms[("x", rng.randrange(meta.total_inputs))] = rng.choice((-1, 1))
+        rel = rng.choice(["<=", "<", ">=", ">", "="])
+        constraints.append(constraint(terms, rel, Fraction(rng.randint(-6, 6), 2)))
+    return make_ctx(**models), LinearQuery(constraints, meta)
+
+
+def test_search_matches_the_flat_phase_search():
+    """Verdict and witness equal those of one LP per leaf in order."""
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(("sat", "unsat", "strict", "=", "no upper triangle row",
+                          "two hidden layers", "two applications"), 0)  # fmt: skip
+    for _ in range(150):
+        while True:
+            ctx, query = random_search_instance(rng)
+            skeleton = unroll_meta_network(query.meta, ctx)
+            intervals, fixed = propagate_bounds(skeleton, query)
+            free = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
+            if len(free) <= 7:  # the flat search solves 2^k LPs: keep it quick
+                break
+        verdict = check_query(query, ctx)
+        assert repr(verdict) == repr(flat_phase_search(query, ctx))
+        relations = {c.relation for c in query.constraints}
+        seen["sat" if isinstance(verdict, Sat) else "unsat"] += 1
+        seen["strict"] += bool(relations & {"<", ">"})
+        seen["="] += "=" in relations
+        seen["no upper triangle row"] += any(None in intervals[n.pre_var] for n in free)
+        seen["two hidden layers"] += any(
+            len(ctx[name].model.layers) == 5 for name, _, _ in query.meta.applications
+        )
+        seen["two applications"] += len(query.meta.applications) == 2
+    assert min(seen.values()) >= 25, seen
+
+
 def test_pruning_neutrality(monkeypatch):
     from vspec.verifier import engine
 
@@ -267,26 +339,61 @@ def test_pruning_neutrality(monkeypatch):
     assert with_pruning == without
 
 
-def test_phase_exhaustiveness_in_unsat_case(monkeypatch):
-    ctx = make_ctx(f=identity_model())
-    meta = MetaNetwork((("f", 1, 1),))
-    # Unbounded input: neither relu phase can be fixed -> 2^2 LP problems.
-    query = LinearQuery(
-        [constraint({("y", 0): 1, ("x", 0): -1}, ">", 0)], meta  # y > x is impossible
-    )
-    calls = []
+def count_lp_calls(monkeypatch) -> list:
+    """Record every LP the engine solves, warm or cold."""
     from vspec.verifier import engine
 
+    calls = []
     original = engine.feasible
 
     def counting(problem):
-        calls.append(1)
+        calls.append(problem)
         return original(problem)
 
     monkeypatch.setattr(engine, "feasible", counting)
+    return calls
+
+
+def test_phase_exhaustiveness_in_unsat_case(monkeypatch):
+    ctx = make_ctx(f=identity_model())
+    meta = MetaNetwork((("f", 1, 1),))
+    # Unbounded input: neither relu phase can be fixed.  The root relaxation
+    # is feasible; both children of the first ReLU are infeasible, so the
+    # search prunes them and never branches on the second: 3 LPs, where the
+    # 2^2 leaves would be 4.
+    query = LinearQuery(
+        [constraint({("y", 0): 1, ("x", 0): -1}, ">", 0)], meta  # y > x is impossible
+    )
+    calls = count_lp_calls(monkeypatch)
     verdict = check_query(query, ctx)
     assert isinstance(verdict, Unsat)
-    assert len(calls) == 4
+    assert len(calls) == 3
+
+
+def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
+    # Each of the two UNSAT queries has four free ReLUs: one root LP from
+    # scratch and 22 warm ones (the flat search took 16 per query).
+    model = parse_vnet(controller_net.read_text(), "controller")
+    ctx, q1, q2 = controller_queries(model)
+    calls = count_lp_calls(monkeypatch)
+    assert isinstance(check_query(q1, ctx), Unsat)
+    assert isinstance(check_query(q2, ctx), Unsat)
+    assert len(calls) == 46
+    assert sum(problem.parent is None for problem in calls) == 2
+
+
+def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
+    model = parse_vnet(four_relu_net.read_text(), "net")
+    ctx = make_ctx(net=model)
+    meta = MetaNetwork((("net", 2, 1),))
+    query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", Fraction(21, 2))])
+    skeleton = unroll_meta_network(meta, ctx)
+    assert propagate_bounds(skeleton, query)[1] == {}
+    calls = count_lp_calls(monkeypatch)
+    assert isinstance(check_query(query, ctx), Unsat)
+    # One root LP from scratch, then 8 warm ones, against 16 leaves.
+    assert len(calls) == 9
+    assert [problem.parent is None for problem in calls] == [True] + [False] * 8
 
 
 def test_phase_budget_exceeded():
