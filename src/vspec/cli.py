@@ -21,7 +21,7 @@ from pathlib import Path
 from . import marabou, proofcache
 from .agda import emit_itp_module, hash_module_text, module_name_for
 from .core import print_expr
-from .errors import BackendError, CacheError, VspecError
+from .errors import BackendError, CacheError, VerifyError, VspecError
 from .pipeline import CompiledSpec, compile_spec, parse_network_bindings
 from .proofcache import PropertyRecord, ProofCacheFile, path_for_proof_file
 from .rational import render_ratio
@@ -217,6 +217,12 @@ def _timestamp() -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.phase_budget < 0:
+        raise VspecError(
+            "NegativePhaseBudget",
+            f"--phase-budget must be at least 0, got {args.phase_budget}",
+            path=args.spec,
+        )
     compiled = _load(args)
     proof_file = args.proof_file or _default_proof_file(args.spec)
 
@@ -228,10 +234,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             statuses.append((plan.name, NOT_CHECKED, len(plan.queries)))
     else:
         for plan in compiled.plans:
-            verdicts = [
-                check_query(q, compiled.ctx, phase_budget=args.phase_budget)
-                for q in plan.queries
-            ]
+            try:
+                verdicts = [
+                    check_query(q, compiled.ctx, phase_budget=args.phase_budget)
+                    for q in plan.queries
+                ]
+            except VerifyError as err:
+                err.path = compiled.spec_path
+                raise
             status = marabou.interpret_verdicts(plan, verdicts)
             statuses.append((plan.name, status, len(plan.queries)))
 

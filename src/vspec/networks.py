@@ -100,26 +100,6 @@ def validate_model(model: NetworkModel, path: str | None = None) -> NetworkModel
     return model
 
 
-def evaluate(model: NetworkModel, inputs: list[Fraction]) -> list[Fraction]:
-    """Run the network exactly on rational inputs."""
-    if len(inputs) != model.input_size:
-        raise ValueError(f"expected {model.input_size} inputs, got {len(inputs)}")
-    values = list(inputs)
-    for layer in model.layers:
-        if isinstance(layer, Affine):
-            values = [
-                sum((w * v for w, v in zip(row, values)), start=Fraction(0)) + b
-                for row, b in zip(layer.weights, layer.bias)
-            ]
-        else:
-            values = [v if v > 0 else Fraction(0) for v in values]
-    return values
-
-
-def count_relu_nodes(model: NetworkModel) -> int:
-    return sum(layer.width for layer in model.layers if isinstance(layer, Relu))
-
-
 # ---------------------------------------------------------------------------
 # Loading
 # ---------------------------------------------------------------------------

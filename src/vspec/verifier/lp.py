@@ -1,4 +1,4 @@
-"""Exact rational LP feasibility via simplex, from scratch or warm.
+"""Exact rational LP feasibility via a fraction-free simplex, from scratch or warm.
 
 Decides feasibility of a system of linear constraints over free rational
 variables, with mixed strict and non-strict relations, exactly:
@@ -9,6 +9,31 @@ variables, with mixed strict and non-strict relations, exactly:
 * optimum ``eps > 0`` means strictly feasible (witness extracted from the
   basis); optimum 0 with strict rows present, or infeasibility of the
   non-strict rows, means infeasible.
+
+**Integer tableau.** The simplex never builds a rational.  Invariants:
+
+* each tableau row is a primitive vector of integers (the gcd of its
+  entries is 1), a positive multiple of the row a rational tableau holds;
+* the entry of a row in its basic column is positive (the rational
+  tableau's is 1), and every other row has 0 there;
+* the reduced-cost row is a positive multiple of the true reduced costs.
+
+``_normalise`` scales each constraint by the lcm of its denominators, and
+its slack, artificial and ``eps`` entries by the same factor.  A pivot on
+entry ``p`` of row ``r`` first negates row ``r`` if ``p < 0``; each other
+row with entry ``f`` in the pivot column, and the reduced-cost row, becomes
+``p * row - f * row_r`` divided by the gcd of its entries (the
+integer-preserving pivot of Edmonds and Bareiss).  ``p`` and ``f`` are
+first divided by their gcd, which keeps the numbers small; when that leaves
+``p`` at 1, only the columns where row ``r`` is non-zero change.  The
+reduced-cost row is computed once per simplex phase and then updated this
+way after each pivot.
+
+Pivoting reads only the signs of entries and the order of ratios, which
+positive scaling leaves unchanged; the ratio tests compare ``x_i / a_i``
+with ``x_k / a_k`` by cross-multiplying.  So every pivot is the one a
+rational tableau makes, and ``feasible`` reads each basic value exactly,
+as right-hand side over basic entry.
 
 **From scratch** (two-phase primal simplex): phase 1 drives out the
 artificial columns of ``=`` rows and of rows with a negative right-hand
@@ -28,23 +53,13 @@ negative right-hand side and no negative entry outside the banned columns
 proves the problem infeasible.  The witness is valid but depends on the
 parent's pivots, so callers that need the canonical witness solve from
 scratch.
-
-The tableau is stored densely but worked sparsely: a pivot updates other
-rows only in the columns where the pivot row is non-zero, and only rows
-whose pivot-column entry is non-zero.  The reduced-cost row is computed
-once per simplex phase and then updated from the pivot row after each
-pivot.  In exact arithmetic these are the same numbers a dense tableau
-computes, so Bland's rule makes the same pivots and the witnesses are
-those of a dense tableau.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -74,14 +89,17 @@ class LPProblem:
 
 @dataclass
 class _Tableau:
-    """The final tableau of a feasible problem: rows of ``n_cols``
-    coefficients then the right-hand side, the basic column of each row,
-    and the reduced costs of the last objective (entry ``n_cols`` is minus
-    its value), all <= 0 outside ``banned``."""
+    """The final tableau of a feasible problem.
 
-    rows: list[list[Fraction]]
+    ``rows`` hold ``n_cols`` integer coefficients then the right-hand side;
+    each row is a primitive vector whose entry in its basic column
+    (``basis``) is positive.  ``reduced`` is a positive multiple of the
+    reduced costs of the last objective (entry ``n_cols`` is minus its
+    value), all <= 0 outside ``banned``."""
+
+    rows: list[list[int]]
     basis: list[int]
-    reduced: list[Fraction]
+    reduced: list[int]
     banned: set[int]  # artificial columns: fixed at 0, never enter
     eps_col: int | None
 
@@ -106,38 +124,50 @@ def feasible(problem: LPProblem) -> list[Fraction] | None:
     tableau = _extend(parent.tableau, added) if warm else _solve(problem)
     if tableau is None:
         return None
-    # Non-basic columns are at 0.
-    value = {b: row[-1] for row, b in zip(tableau.rows, tableau.basis)}
-    if tableau.eps_col is not None and value.get(tableau.eps_col, ZERO) <= 0:
-        return None
+    # Non-basic columns are at 0; a basic one at rhs / basic entry.
+    row_of = {b: row for row, b in zip(tableau.rows, tableau.basis)}
+    if tableau.eps_col is not None:
+        eps_row = row_of.get(tableau.eps_col)
+        if eps_row is None or eps_row[-1] <= 0:
+            return None
     problem.tableau = tableau
-    return [value.get(2 * v, ZERO) - value.get(2 * v + 1, ZERO) for v in range(n)]
+
+    def value(col: int) -> Fraction:
+        row = row_of.get(col)
+        return Fraction(0) if row is None else Fraction(row[-1], row[col])
+
+    return [value(2 * v) - value(2 * v + 1) for v in range(n)]
 
 
-def _normalise(c: LPConstraint) -> tuple[dict[int, Fraction], str, Fraction, bool]:
-    """``c`` as ``terms <= rhs`` or ``terms = rhs`` with merged terms, and
-    whether it was strict."""
-    terms: dict[int, Fraction] = {}
+def _normalise(c: LPConstraint) -> tuple[dict[int, int], str, int, bool, int]:
+    """``c`` as integer ``terms <= rhs`` or ``terms = rhs`` with merged,
+    non-zero terms, whether it was strict, and the positive ``scale`` (the
+    lcm of its denominators) it was multiplied by."""
+    merged: dict[int, Fraction] = {}
     for v, k in c.terms:
-        terms[v] = terms.get(v, ZERO) + k
+        merged[v] = merged.get(v, 0) + k
     rel, rhs = c.relation, c.rhs
-    if rel in (">=", ">"):
-        terms = {v: -k for v, k in terms.items()}
-        rhs = -rhs
-        rel = "<=" if rel == ">=" else "<"
-    return terms, "=" if rel == "=" else "<=", rhs, rel == "<"
+    sign = -1 if rel in (">=", ">") else 1
+    scale = math.lcm(rhs.denominator, *(k.denominator for k in merged.values()))
+    terms = {
+        v: sign * k.numerator * (scale // k.denominator) for v, k in merged.items() if k
+    }
+    rhs_int = sign * rhs.numerator * (scale // rhs.denominator)
+    return terms, "=" if rel == "=" else "<=", rhs_int, rel in ("<", ">"), scale
 
 
-def _columns(terms: dict[int, Fraction], strict: bool, eps_col: int | None) -> dict[int, Fraction]:
+def _columns(
+    terms: dict[int, int], strict: bool, eps_col: int | None, scale: int
+) -> dict[int, int]:
     """A normalised row's entries by tableau column: variable ``v`` is
-    column ``2v`` minus column ``2v + 1``, and a strict row adds ``eps``."""
-    row: dict[int, Fraction] = {}
+    column ``2v`` minus column ``2v + 1``, and a strict row adds ``eps``
+    with the row's scale."""
+    row: dict[int, int] = {}
     for v, k in terms.items():
-        if k:
-            row[2 * v] = k
-            row[2 * v + 1] = -k
+        row[2 * v] = k
+        row[2 * v + 1] = -k
     if strict:
-        row[eps_col] = ONE  # type: ignore[index]
+        row[eps_col] = scale  # type: ignore[index]
     return row
 
 
@@ -146,28 +176,32 @@ def _solve(problem: LPProblem) -> _Tableau | None:
     non-strict relaxation infeasible."""
     n = problem.num_vars
     rows = [_normalise(c) for c in problem.constraints]
-    any_strict = any(strict for *_, strict in rows)
+    any_strict = any(strict for _, _, _, strict, _ in rows)
 
     ns = 2 * n + (1 if any_strict else 0)  # structural columns
     eps_col = 2 * n if any_strict else None
 
-    # Build equality-form rows (structural coefficients, relation, rhs).
-    table_rows: list[list[Fraction]] = []
+    # Build equality-form rows (structural coefficients, relation, rhs,
+    # and the scale their slack or artificial entry carries).
+    table_rows: list[list[int]] = []
     rels: list[str] = []
-    rhss: list[Fraction] = []
-    for terms, rel, rhs, strict in rows:
-        struct = [ZERO] * ns
-        for j, k in _columns(terms, strict, eps_col).items():
+    rhss: list[int] = []
+    scales: list[int] = []
+    for terms, rel, rhs, strict, scale in rows:
+        struct = [0] * ns
+        for j, k in _columns(terms, strict, eps_col, scale).items():
             struct[j] = k
         table_rows.append(struct)
         rels.append(rel)
         rhss.append(rhs)
+        scales.append(scale)
     if any_strict:
-        cap = [ZERO] * ns
-        cap[eps_col] = ONE  # type: ignore[index]
+        cap = [0] * ns
+        cap[eps_col] = 1  # type: ignore[index]
         table_rows.append(cap)
         rels.append("<=")
-        rhss.append(ONE)
+        rhss.append(1)
+        scales.append(1)
 
     m = len(table_rows)
     # Assign slack columns for <= rows, then artificials where needed.
@@ -193,14 +227,14 @@ def _solve(problem: LPProblem) -> _Tableau | None:
     tableau = []
     basis: list[int] = []
     for i in range(m):
-        row = table_rows[i] + [ZERO] * (n_cols - ns) + [rhss[i]]
+        row = table_rows[i] + [0] * (n_cols - ns) + [rhss[i]]
         sc = slack_col[i]
         if sc is not None:
-            # A sign-normalised (negated) <= row carries slack coefficient -1.
-            row[sc] = -ONE if art_col[i] is not None else ONE
+            # A sign-normalised (negated) <= row carries a negative slack.
+            row[sc] = -scales[i] if art_col[i] is not None else scales[i]
         ac = art_col[i]
         if ac is not None:
-            row[ac] = ONE
+            row[ac] = scales[i]
             basis.append(ac)
         else:
             assert sc is not None
@@ -211,18 +245,18 @@ def _solve(problem: LPProblem) -> _Tableau | None:
 
     # Phase 1: maximise -(sum of artificials); optimum must be 0.
     if artificials:
-        cost1 = [ZERO] * n_cols
+        cost1 = [0] * n_cols
         for a in artificials:
-            cost1[a] = -ONE
+            cost1[a] = -1
         _simplex(tableau, basis, cost1, n_cols)
         if any(tableau[i][n_cols] != 0 for i in range(m) if basis[i] in artificials):
             return None
         _drive_out_artificials(tableau, basis, artificials, n_cols)
 
-    reduced = [ZERO] * (n_cols + 1)
+    reduced = [0] * (n_cols + 1)
     if eps_col is not None:
-        cost2 = [ZERO] * n_cols
-        cost2[eps_col] = ONE
+        cost2 = [0] * n_cols
+        cost2[eps_col] = 1
         reduced = _simplex(tableau, basis, cost2, n_cols, banned=artificials)
     return _Tableau(tableau, basis, reduced, artificials, eps_col)
 
@@ -232,38 +266,36 @@ def _extend(parent: _Tableau, added: list[LPConstraint]) -> _Tableau | None:
     re-optimised by dual simplex; None when the rows make it infeasible.
 
     Each new ``<=`` row gets a fresh slack column, which is basic in it; an
-    ``=`` row is two ``<=`` rows.  Subtracting multiples of the rows of the
-    basic columns it touches puts the row in terms of the current basis.
-    The reduced costs stay <= 0 (the new slacks' are 0), so the tableau is
-    dual feasible and only right-hand sides can be negative."""
+    ``=`` row is two ``<=`` rows.  Eliminating the basic columns it touches
+    with the rows of those columns puts the row in terms of the current
+    basis.  The reduced costs stay <= 0 (the new slacks' are 0), so the
+    tableau is dual feasible and only right-hand sides can be negative."""
     eps_col = parent.eps_col
-    new_rows: list[tuple[dict[int, Fraction], Fraction]] = []
+    new_rows: list[tuple[dict[int, int], int, int]] = []  # entries, rhs, scale
     for c in added:
-        terms, rel, rhs, strict = _normalise(c)
-        row = _columns(terms, strict, eps_col)
-        new_rows.append((row, rhs))
+        terms, rel, rhs, strict, scale = _normalise(c)
+        row = _columns(terms, strict, eps_col, scale)
+        new_rows.append((row, rhs, scale))
         if rel == "=":
-            new_rows.append(({j: -k for j, k in row.items()}, -rhs))
+            new_rows.append(({j: -k for j, k in row.items()}, -rhs, scale))
 
     n_old = len(parent.reduced) - 1
-    pad = [ZERO] * len(new_rows)
+    pad = [0] * len(new_rows)
     n_cols = n_old + len(new_rows)
     rows = [r[:n_old] + pad + r[n_old:] for r in parent.rows]
     basis = list(parent.basis)
     reduced = parent.reduced[:n_old] + pad + parent.reduced[n_old:]
     where = {b: i for i, b in enumerate(basis)}
-    for t, (row, rhs) in enumerate(new_rows):
-        dense = [ZERO] * (n_cols + 1)
+    for t, (row, rhs, scale) in enumerate(new_rows):
+        dense = [0] * (n_cols + 1)
         for j, k in row.items():
             dense[j] = k
-        dense[n_old + t] = ONE
+        dense[n_old + t] = scale
         dense[n_cols] = rhs
-        for j, k in row.items():
+        for j in row:
             i = where.get(j)
             if i is not None:
-                for col, a in enumerate(rows[i]):
-                    if a:
-                        dense[col] -= k * a
+                dense = _eliminate(dense, dense[j], _support(rows[i]), rows[i][j])
         rows.append(dense)
         basis.append(n_old + t)
     if not _dual_simplex(rows, basis, reduced, parent.banned):
@@ -285,82 +317,99 @@ def _dual_simplex(tableau, basis, reduced, banned: set[int]) -> bool:
         if leaving == -1:
             return True
         # Enter: least ratio reduced/entry over negative entries, ties to
-        # the smallest column.  With none, the row sums non-negative terms
-        # to a negative value.
+        # the smallest column.  With both entries negative, r_j / a_j is
+        # below r_k / a_k exactly when r_j * a_k < r_k * a_j.  With no
+        # negative entry, the row sums non-negative terms to a negative
+        # value.
+        row = tableau[leaving]
         entering = -1
-        best: Fraction | None = None
-        for j, a in enumerate(tableau[leaving][:n_cols]):
+        for j in range(n_cols):
+            a = row[j]
             if a < 0 and j not in banned:
-                ratio = reduced[j] / a
-                if best is None or ratio < best:
-                    best = ratio
+                if entering == -1 or reduced[j] * row[entering] < reduced[entering] * a:
                     entering = j
         if entering == -1:
             return False
-        d = reduced[entering]
-        for j, k in _pivot(tableau, basis, leaving, entering):
-            reduced[j] -= d * k
-        reduced[entering] = ZERO
+        _pivot(tableau, basis, leaving, entering, reduced)
 
 
-def _simplex(tableau, basis, cost, n_cols, banned: set[int] | None = None) -> list[Fraction]:
+def _simplex(tableau, basis, cost, n_cols, banned: set[int] | None = None) -> list[int]:
     """Primal simplex (maximisation) with Bland's rule; mutates in place and
-    returns the final reduced costs."""
+    returns the final reduced costs, up to a positive factor."""
     banned = banned or set()
-    # Reduced costs c_j - c_B . T[:, j]; entry n_cols carries minus the
-    # objective value.  A basic column's entry is exactly 0, so it is never
-    # chosen to enter and the basis needs no membership test.
-    reduced = list(cost) + [ZERO]
+    # Reduced costs c_j - c_B . T[:, j], up to a positive factor: each
+    # basic column is eliminated from the cost row with its own row, as a
+    # pivot does.  Entry n_cols carries minus the objective value.  A basic
+    # column's entry is exactly 0, so it is never chosen to enter and the
+    # basis needs no membership test.
+    reduced = list(cost) + [0]
     for row, b in zip(tableau, basis):
-        cb = cost[b]
-        if cb:
-            for j, k in enumerate(row):
-                if k:
-                    reduced[j] -= cb * k
+        if reduced[b]:
+            reduced = _eliminate(reduced, reduced[b], _support(row), row[b])
     while True:
         entering = next(
             (j for j in range(n_cols) if reduced[j] > 0 and j not in banned), -1
         )
         if entering == -1:
             return reduced
+        # Leave: least ratio rhs/entry over positive entries, ties to the
+        # smallest basic column, compared by cross-multiplying.
         leaving = -1
-        best: Fraction | None = None
         for i, row in enumerate(tableau):
             a = row[entering]
             if a > 0:
-                ratio = row[n_cols] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leaving]
-                ):
-                    best = ratio
+                if leaving == -1:
+                    leaving = i
+                    continue
+                best = tableau[leaving]
+                x, y = row[n_cols] * best[entering], best[n_cols] * a
+                if x < y or (x == y and basis[i] < basis[leaving]):
                     leaving = i
         if leaving == -1:
             raise AssertionError("LP objective is unbounded; the eps cap is missing")
-        d = reduced[entering]
-        for j, k in _pivot(tableau, basis, leaving, entering):
-            reduced[j] -= d * k
-        reduced[entering] = ZERO
+        _pivot(tableau, basis, leaving, entering, reduced)
 
 
-def _pivot(tableau, basis, row, col) -> list[tuple[int, Fraction]]:
-    """Pivot on (row, col) in place, touching only the pivot row's non-zero
-    columns; return them, other than ``col``, with the normalised entries."""
+def _pivot(tableau, basis, row, col, reduced: list[int] | None = None) -> None:
+    """Pivot on (row, col) in place: make the pivot entry positive, then
+    clear ``col`` from every other row and from ``reduced``."""
     pivot_row = tableau[row]
-    support = [j for j, k in enumerate(pivot_row) if k]
-    pivot = pivot_row[col]
-    if pivot != 1:
-        inv = ONE / pivot
-        for j in support:
-            pivot_row[j] *= inv
-    rest = [(j, pivot_row[j]) for j in support if j != col]
+    p = pivot_row[col]
+    if p < 0:
+        p = -p
+        pivot_row = tableau[row] = [-k for k in pivot_row]
+    support = _support(pivot_row)
     for i, other in enumerate(tableau):
-        factor = other[col]
-        if factor and i != row:
-            for j, k in rest:
-                other[j] -= factor * k
-            other[col] = ZERO
+        f = other[col]
+        if f and i != row:
+            tableau[i] = _eliminate(other, f, support, p)
+    if reduced is not None and reduced[col]:
+        reduced[:] = _eliminate(reduced, reduced[col], support, p)
     basis[row] = col
-    return rest
+
+
+def _support(row: list[int]) -> list[tuple[int, int]]:
+    """The non-zero entries of ``row`` with their columns."""
+    return [(j, k) for j, k in enumerate(row) if k]
+
+
+def _eliminate(other: list[int], f: int, support: list[tuple[int, int]], p: int) -> list[int]:
+    """``p * other - f * pivot_row`` (``p > 0``) divided by the gcd of its
+    entries, where ``support`` is ``_support(pivot_row)``.  Dividing ``p``
+    and ``f`` by their gcd first keeps the numbers small; when that leaves
+    ``p`` at 1, only the columns in ``support`` change."""
+    g = math.gcd(p, f)
+    if g == p:
+        new = other[:]
+        f //= p
+    else:
+        p //= g
+        f //= g
+        new = [p * a for a in other]
+    for j, k in support:
+        new[j] -= f * k
+    g = math.gcd(*new)
+    return [k // g for k in new] if g > 1 else new
 
 
 def _drive_out_artificials(tableau, basis, artificials, n_cols) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from generators import close_over, disjunction_agrees, tractable_formula
-from oracles import constraint_holds, grid_oracle
+from oracles import constraint_holds, grid_oracle, run_network_by_hand
 from vspec import cli, core
 from vspec.agda import emit_itp_module
 from vspec.networks import (
@@ -20,7 +20,6 @@ from vspec.networks import (
     NetworkModel,
     Relu,
     analyze_network_types,
-    evaluate,
 )
 from vspec.normalise import prune_non_prop
 from vspec.pipeline import load_program
@@ -220,9 +219,8 @@ def test_c3_end_to_end_falsified_run(workspace, capsys, controller_spec, control
         plan = compile_property(name, prop, ctx)
         values = dict(record.status.witness)
         model = ctx["controller"].model
-        assert evaluate(model, [values[QVar("x", 0)], values[QVar("x", 1)]]) == [
-            values[QVar("y", 0)]
-        ]
+        inputs = [values[QVar("x", 0)], values[QVar("x", 1)]]
+        assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]
         assert any(
             all(constraint_holds(c, values) for c in q.constraints)
             for q in plan.queries
@@ -299,7 +297,7 @@ def test_c4_verifier_oracle_agreement():
                 values = verdict.as_dict()
                 assert all(constraint_holds(c, values) for c in query.constraints)
                 inputs = [values[QVar("x", i)] for i in range(n_in)]
-                assert evaluate(model, inputs) == [values[QVar("y", 0)]]
+                assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]
         assert disagreements == 0
         assert sat_checked > 0  # the sweep exercises both verdicts
 

@@ -536,6 +536,30 @@ def test_phase_budget_exceeded_has_guidance(workspace, capsys):
     assert "--phase-budget" in err
 
 
+def test_phase_budget_exceeded_names_the_spec(workspace, capsys):
+    argv = ["verify", "--spec", "controller-spec.vcl", "--network", "controller:controller.vnet",
+            "--proof-file", "p.vclp", "--phase-budget", "0"]  # fmt: skip
+    assert run(argv) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first == (
+        "controller-spec.vcl: error: 4 unfixed ReLU nodes exceed the phase budget of 0 "
+        "[PhaseBudgetExceeded]"
+    )
+    assert not (workspace / "p.vclp").exists()
+
+
+def test_negative_phase_budget_is_refused(workspace, capsys):
+    argv = ["verify", "--spec", "controller-spec.vcl", "--network", "controller:controller.vnet",
+            "--proof-file", "p.vclp", "--phase-budget", "-1"]  # fmt: skip
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "controller-spec.vcl: error: --phase-budget must be at least 0, got -1 "
+        "[NegativePhaseBudget]\n"
+    )
+    assert not (workspace / "p.vclp").exists()
+
+
 def test_console_entry_point_runs(workspace):
     import subprocess
     import sys

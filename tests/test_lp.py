@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -228,3 +229,91 @@ def test_pinned_witnesses():
     assert 60 <= unsat <= 240
     digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
     assert digest == PINNED_DIGEST
+
+
+# sha256 of repr() of the child witnesses of test_pinned_warm_witnesses.
+PINNED_WARM_DIGEST = "352df099f953b8b93118ad06b51bcb4fbe3e15e7671a7daf6bfd41dbb3f234ca"
+
+
+def added_group(rng: random.Random, n: int, float32: bool) -> list[LPConstraint]:
+    """One to three rows to add to a solved parent, mostly non-strict."""
+    relations = RELATIONS if rng.random() < 0.3 else ("<=", ">=", "=")
+    group = []
+    for _ in range(rng.randint(1, 3)):
+        if float32:
+            terms = {v: float32_like(rng) for v in range(n)}
+        else:
+            terms = {v: Fraction(rng.randint(-4, 4)) for v in range(n)}
+        terms = {v: k for v, k in terms.items() if k} or {rng.randrange(n): Fraction(1)}
+        rhs = Fraction(rng.randint(-8, 8))
+        group.append(LPConstraint(tuple(terms.items()), rng.choice(relations), rhs))
+    return group
+
+
+def test_pinned_warm_witnesses():
+    """The witnesses of problems solved warm from a parent's tableau are
+    pinned to a digest, as ``test_pinned_witnesses`` pins cold ones.
+
+    Each parent of the ``pinned_problem`` corpus that is feasible gets a
+    chain of added row groups; each child is solved with its predecessor as
+    ``parent``, so the dual simplex runs on it.  The groups cover negative
+    right-hand sides, ``=`` rows, strict rows (which fall back to a cold
+    solve on a parent without an ``eps`` column), groups that make the
+    problem infeasible, and, every fifth group, float32-style coefficients.
+    The digest was recorded on the rational-tableau simplex, before the
+    tableau became integer, so it gates "same dual-simplex pivots"."""
+    rng = random.Random(20261019)
+    witnesses = []
+    seen = {"warm": 0, "negative rhs": 0, "=": 0, "strict": 0, "infeasible": 0, "float32": 0}
+    groups = 0
+    for index in range(400):
+        parent = pinned_problem(rng, index)
+        if feasible(parent) is None:
+            continue
+        for _ in range(rng.randint(1, 4)):
+            float32 = groups % 5 == 4
+            groups += 1
+            added = added_group(rng, parent.num_vars, float32)
+            child = LPProblem(parent.num_vars, parent.constraints + added, parent=parent)
+            witness = feasible(child)
+            witnesses.append(witness)
+            strict = any(a.relation in ("<", ">") for a in added)
+            seen["warm"] += parent.tableau.eps_col is not None or not strict
+            seen["negative rhs"] += any(a.rhs < 0 for a in added)
+            seen["="] += any(a.relation == "=" for a in added)
+            seen["strict"] += strict
+            seen["float32"] += float32
+            if witness is None:
+                seen["infeasible"] += 1
+                break
+            assert all(holds(c, witness) for c in child.constraints)
+            parent = child
+    assert min(seen.values()) >= 60, seen
+    digest = hashlib.sha256(repr(witnesses).encode()).hexdigest()
+    assert digest == PINNED_WARM_DIGEST
+
+
+def check_tableau(tableau) -> None:
+    """The integer tableau's invariants (see ``lp``'s module docstring)."""
+    for row, b in zip(tableau.rows, tableau.basis):
+        assert all(type(k) is int for k in row)
+        assert math.gcd(*row) == 1
+        assert row[b] > 0
+        assert all(other[b] == 0 for other in tableau.rows if other is not row)
+    assert all(type(k) is int for k in tableau.reduced)
+    assert all(tableau.reduced[b] == 0 for b in tableau.basis)
+    n_cols = len(tableau.reduced) - 1
+    assert all(tableau.reduced[j] <= 0 for j in range(n_cols) if j not in tableau.banned)
+
+
+def test_tableaux_are_primitive_integer_rows():
+    rng = random.Random(7)
+    for index in range(150):
+        parent = pinned_problem(rng, index)
+        if feasible(parent) is None:
+            continue
+        check_tableau(parent.tableau)
+        added = added_group(rng, parent.num_vars, index % 5 == 4)
+        child = LPProblem(parent.num_vars, parent.constraints + added, parent=parent)
+        if feasible(child) is not None:
+            check_tableau(child.tableau)

@@ -10,10 +10,11 @@ from oracles import (
     onnx_node,
     onnx_tensor,
     onnx_value_info,
+    run_network_by_hand,
     simple_gemm_model,
 )
 from vspec.errors import NetworkError
-from vspec.networks import Affine, Relu, evaluate, load_network
+from vspec.networks import Affine, Relu, load_network
 from vspec.onnx_decode import decode_onnx_subset
 
 
@@ -99,7 +100,7 @@ def test_matmul_add_relu_chain():
     # Spot-check semantics against a by-hand computation at x = (1, 1):
     #   pre = W^T x + b = (1*1 + -1*1 + 0.5, 0 + 1, 2 + 0 - 1) = (0.5, 1, 1)
     #   post = relu(pre) = same; out = 0.5 - 1 + 2 = 1.5
-    assert evaluate(model, [Fraction(1), Fraction(1)]) == [Fraction(3, 2)]
+    assert run_network_by_hand(model.layers, [Fraction(1), Fraction(1)]) == [Fraction(3, 2)]
 
 
 def test_flatten_is_absorbed_on_input():
@@ -174,7 +175,7 @@ def test_loader_dispatches_on_binary_content(tmp_path):
     path.write_bytes(simple_gemm_model([[1.0, -1.0]], [0.25]))
     model = load_network(path)
     assert model.input_size == 2
-    assert evaluate(model, [Fraction(1), Fraction(2)]) == [Fraction(-3, 4)]
+    assert run_network_by_hand(model.layers, [Fraction(1), Fraction(2)]) == [Fraction(-3, 4)]
 
 
 def test_standalone_add_is_rejected():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from generators import close_over, random_assignment, random_formula
-from oracles import eval_core
+from oracles import eval_core, run_network_by_hand
 from vspec import core
 from vspec.errors import QueryError
 from vspec.networks import NetworkInfo, NetworkModel, analyze_network_types
@@ -419,11 +419,9 @@ def test_no_uses_unchanged():
 
 
 def _eval_with_network(e, env, model):
-    from vspec.networks import evaluate
-
     def go(e):
         if isinstance(e, core.NetworkApp):
-            return tuple(evaluate(model, list(go(e.arg))))
+            return tuple(run_network_by_hand(model.layers, list(go(e.arg))))
         if isinstance(e, core.Var):
             return env[len(env) - 1 - e.index]
         if isinstance(e, core.RatLit):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,11 @@ from oracles import (
     evaluate_networks,
     flat_phase_search,
     grid_oracle,
+    run_network_by_hand,
 )
-from vspec import verifier
+from vspec import cli, verifier
 from vspec.errors import VerifyError
-from vspec.networks import Affine, NetworkInfo, NetworkModel, Relu, evaluate, parse_vnet
+from vspec.networks import Affine, NetworkInfo, NetworkModel, Relu, parse_vnet
 from vspec.queries import LinearConstraint, LinearQuery, MetaNetwork, QVar
 from vspec.types import RAT, FunT, TensorT
 from vspec.verdicts import Sat, Unsat
@@ -208,7 +210,7 @@ def test_zero_controller_is_falsified_and_witness_checks(controller_zero_net):
             values = verdict.as_dict()
             assert all(constraint_holds(c, values) for c in query.constraints)
             inputs = [values[QVar("x", 0)], values[QVar("x", 1)]]
-            assert evaluate(model, inputs) == [values[QVar("y", 0)]]
+            assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]
     assert sat_any
 
 
@@ -258,7 +260,7 @@ def test_agreement_with_grid_oracle():
             assert all(constraint_holds(c, values) for c in query.constraints)
             model = ctx["f"].model
             inputs = [values[QVar("x", i)] for i in range(model.input_size)]
-            assert evaluate(model, inputs) == [values[QVar("y", 0)]]
+            assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]
 
 
 def random_deep_model(rng: random.Random, n_in: int, name: str):
@@ -394,6 +396,43 @@ def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     # One root LP from scratch, then 8 warm ones, against 16 leaves.
     assert len(calls) == 9
     assert [problem.parent is None for problem in calls] == [True] + [False] * 8
+
+
+def verify_calls(argv) -> int:
+    """Python function calls made by one ``vspec verify`` run."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    return calls
+
+
+@pytest.mark.parametrize(
+    "spec, net, binding, bound",
+    [
+        # 9 LPs: 7,542 calls; a tableau of Fractions made 68,325.
+        ("four_relu_spec", "four_relu_net", "net", 16_000),
+        # 46 LPs: 15,978 calls; a tableau of Fractions made 190,219.
+        ("controller_spec", "controller_net", "controller", 34_000),
+    ],
+)
+def test_verify_work_is_bounded(request, tmp_path, monkeypatch, spec, net, binding, bound):
+    # Deterministic: counts calls, not time.  A simplex loop that built a
+    # rational per tableau entry would make several calls per entry.
+    spec_path, net_path = request.getfixturevalue(spec), request.getfixturevalue(net)
+    monkeypatch.chdir(tmp_path)
+    argv = ["verify", "--spec", str(spec_path), "--network", f"{binding}:{net_path}",
+            "--proof-file", "p.vclp"]  # fmt: skip
+    assert verify_calls(argv) <= bound
 
 
 def test_phase_budget_exceeded():
