@@ -13,6 +13,7 @@ Exit codes form a total mapping from outcome categories:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -108,8 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use.  Parsing copies an
+    ``append`` option's default before it appends, so no call sees the
+    lists of another."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, RECURSION_LIMIT))
     try:

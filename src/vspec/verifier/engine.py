@@ -7,18 +7,24 @@ post = pre).  Interval bound propagation over the query's input box fixes
 phases whose pre-activation cannot straddle zero.
 
 The remaining ("free") ReLUs are decided by a depth-first branch-and-bound
-search: branch on them in order, Inactive before Active.  The root LP is
-the base constraints plus the triangle relaxation of every free ReLU
-(Ehlers 2017): ``post >= 0``, ``post >= pre`` and, when both interval
-bounds ``l < 0 < u`` are known, ``post <= u (pre - l) / (u - l)``.  A child
-adds its ReLU's two phase rows to its parent's LP and is solved warm from
-the parent's final tableau; an infeasible node prunes its subtree.  Every
+search: branch on them in order, Inactive before Active.  The search runs
+in free coordinates, the network inputs and the outputs of the free ReLUs:
+every other variable is an affine form over them (``free_coordinate_forms``),
+so the search LPs carry none of the network's equalities.  Each equality
+defines its variable uniquely, so a node's LP is feasible exactly when the
+LP over all variables is.  The root LP is the query rows and the fixed
+phases' sign rows plus the triangle relaxation of every free ReLU (Ehlers
+2017): ``post >= 0``, ``post >= pre`` and, when both interval bounds
+``l < 0 < u`` are known, ``post <= u (pre - l) / (u - l)``.  A child adds
+its ReLU's two phase rows to its parent's LP and is solved warm from the
+parent's final tableau; an infeasible node prunes its subtree.  Every
 point of a leaf's phase region satisfies the triangle rows, so a leaf is
 feasible exactly when the flat leaf LP (base plus phase rows) is, and the
 first feasible leaf is the lexicographically least satisfiable phase
-assignment.  It is re-solved from scratch on the flat leaf constraint list,
-so the witness depends only on that list (Bland's rule is deterministic),
-not on the search.
+assignment.  It is re-solved from scratch on the flat leaf constraint list
+over all variables, so the witness depends only on that list (Bland's
+rule is deterministic), not on the search.  A query with no free ReLU is
+the one LP of its base constraints.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -37,6 +43,7 @@ from .lp import LPConstraint, LPProblem, feasible
 DEFAULT_PHASE_BUDGET = 20
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -196,6 +203,74 @@ def propagate_bounds(
 
 
 # ---------------------------------------------------------------------------
+# Free coordinates
+# ---------------------------------------------------------------------------
+
+Form = tuple[dict[int, Fraction], Fraction]  # coefficient per coordinate, constant
+
+
+def free_coordinate_forms(
+    skeleton: Skeleton, fixed: dict[int, str]
+) -> tuple[int, dict[int, Form]]:
+    """The number of free coordinates, and every variable as an affine form
+    over them.
+
+    The free coordinates are the network inputs (coordinate ``v`` is input
+    variable ``v``; unrolling numbers the inputs first) and then the
+    outputs of the ReLUs that ``fixed`` leaves free, in node order.  The
+    equalities and the fixed phases determine every other variable.  A
+    form holds no zero coefficient.
+    """
+    forms: dict[int, Form] = {
+        vid: ({vid: ONE}, ZERO) for qv, vid in skeleton.qvar_ids.items() if qv.kind == "x"
+    }
+    count = len(forms)
+    for event in skeleton.events:
+        if event[0] == "affine":
+            _, vid, terms, bias = event
+            forms[vid] = _combine(terms, bias, forms)
+            continue
+        node = skeleton.relu_nodes[event[1]]
+        phase = fixed.get(node.node_id)
+        if phase is None:
+            forms[node.post_var] = ({count: ONE}, ZERO)
+            count += 1
+        elif phase == "inactive":
+            forms[node.post_var] = ({}, ZERO)
+        else:
+            forms[node.post_var] = forms[node.pre_var]
+    # No event defines the outputs of a layerless model, only y - x = 0.
+    for eq in skeleton.equalities:
+        (vid, _), *rest = eq.terms
+        if vid not in forms:
+            forms[vid] = _combine([(u, -k) for u, k in rest], eq.rhs, forms)
+    return count, forms
+
+
+def _combine(terms, constant: Fraction, forms: dict[int, Form]) -> Form:
+    """``constant + sum(k * forms[v] for v, k in terms)``."""
+    coeffs: dict[int, Fraction] = {}
+    for v, k in terms:
+        form, offset = forms[v]
+        if offset:
+            constant += k * offset
+        for c, a in form.items():
+            ka = k if a is ONE else k * a
+            coeffs[c] = coeffs[c] + ka if c in coeffs else ka
+    return {c: a for c, a in coeffs.items() if a}, constant
+
+
+def _in_free_coordinates(
+    c: LPConstraint, forms: dict[int, Form], num_inputs: int
+) -> LPConstraint:
+    """``c`` over the free coordinates; a row over inputs alone already is."""
+    if all(v < num_inputs for v, _ in c.terms):
+        return c
+    coeffs, constant = _combine(c.terms, ZERO, forms)
+    return LPConstraint(tuple(coeffs.items()), c.relation, c.rhs - constant)
+
+
+# ---------------------------------------------------------------------------
 # Branch-and-bound over ReLU phases
 # ---------------------------------------------------------------------------
 
@@ -210,33 +285,46 @@ def _query_constraints(query: LinearQuery, skeleton: Skeleton) -> list[LPConstra
     return out
 
 
-def _phase_constraints(node: ReluNode, phase: str) -> list[LPConstraint]:
-    one = Fraction(1)
+# The rows of one ReLU are built from the form of its pre-activation and
+# the variable of its output: the node's own two variables in the full
+# constraint list, and in free coordinates the form of ``pre_var`` and the
+# coordinate of a free output.
+
+
+def _sign_row(pre: Form, phase: str) -> LPConstraint:
+    """``pre <= 0`` (Inactive) or ``pre >= 0`` (Active)."""
+    coeffs, constant = pre
+    return LPConstraint(tuple(coeffs.items()), "<=" if phase == "inactive" else ">=", -constant)
+
+
+def _minus_pre(post: int, pre: Form, scale: Fraction = ONE) -> tuple[tuple[int, Fraction], ...]:
+    """The terms of ``scale * post - pre``; ``post`` is not in ``pre``."""
+    return ((post, scale),) + tuple((v, -k) for v, k in pre[0].items())
+
+
+def _phase_rows(pre: Form, post: int, phase: str) -> list[LPConstraint]:
+    """The sign row and ``post = 0`` (Inactive) or ``post = pre`` (Active)."""
     if phase == "inactive":
-        return [
-            LPConstraint(((node.pre_var, one),), "<=", ZERO),
-            LPConstraint(((node.post_var, one),), "=", ZERO),
-        ]
-    return [
-        LPConstraint(((node.pre_var, one),), ">=", ZERO),
-        LPConstraint(((node.post_var, one), (node.pre_var, -one)), "=", ZERO),
-    ]
+        return [_sign_row(pre, phase), LPConstraint(((post, ONE),), "=", ZERO)]
+    return [_sign_row(pre, phase), LPConstraint(_minus_pre(post, pre), "=", pre[1])]
 
 
-def _triangle_constraints(node: ReluNode, bounds: Interval) -> list[LPConstraint]:
+def _phase_constraints(node: ReluNode, phase: str) -> list[LPConstraint]:
+    return _phase_rows(({node.pre_var: ONE}, ZERO), node.post_var, phase)
+
+
+def _triangle_rows(pre: Form, post: int, bounds: Interval) -> list[LPConstraint]:
     """The convex hull of post = max(pre, 0) over l <= pre <= u; without
     both bounds only its two lower faces."""
-    one = Fraction(1)
     rows = [
-        LPConstraint(((node.post_var, one),), ">=", ZERO),
-        LPConstraint(((node.post_var, one), (node.pre_var, -one)), ">=", ZERO),
+        LPConstraint(((post, ONE),), ">=", ZERO),
+        LPConstraint(_minus_pre(post, pre), ">=", pre[1]),
     ]
     lo, hi = bounds
     if lo is not None and hi is not None:
-        # (u - l) post - u pre <= -u l
-        rows.append(
-            LPConstraint(((node.post_var, hi - lo), (node.pre_var, -hi)), "<=", -hi * lo)
-        )
+        # (u - l) post - u pre <= -u l, where pre is its terms plus b
+        scaled = ({v: hi * k for v, k in pre[0].items()}, ZERO)
+        rows.append(LPConstraint(_minus_pre(post, scaled, hi - lo), "<=", hi * (pre[1] - lo)))
     return rows
 
 
@@ -256,7 +344,8 @@ def check_query(
     skeleton = unroll_meta_network(query.meta, ctx)
     intervals, fixed = propagate_bounds(skeleton, query)
 
-    base = skeleton.equalities + _query_constraints(query, skeleton)
+    query_rows = _query_constraints(query, skeleton)
+    base = skeleton.equalities + query_rows
     for node_id, phase in fixed.items():
         base.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
 
@@ -267,41 +356,50 @@ def check_query(
             f"{len(free_nodes)} unfixed ReLU nodes exceed the phase budget "
             f"of {phase_budget}",
         )
+    if not free_nodes:
+        witness = feasible(LPProblem(skeleton.num_vars, base))
+        return Unsat() if witness is None else _restrict(witness, skeleton)
 
-    relaxation = list(base)
+    # The search runs in free coordinates: the equalities and the fixed
+    # phases' definition rows become 0 = 0 there and are dropped.
+    num_coords, forms = free_coordinate_forms(skeleton, fixed)
+    num_inputs = query.meta.total_inputs
+    relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
+    for node_id, phase in fixed.items():
+        relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
+    branches = []
     for node in free_nodes:
+        pre = forms[node.pre_var]
+        (post,) = forms[node.post_var][0]  # the output's coordinate
         bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
-        relaxation.extend(_triangle_constraints(node, bounds))
-    root = LPProblem(skeleton.num_vars, relaxation)
-    witness = feasible(root)
-    if witness is None:
+        relaxation.extend(_triangle_rows(pre, post, bounds))
+        branches.append(tuple(_phase_rows(pre, post, phase) for phase in PHASES))
+    root = LPProblem(num_coords, relaxation)
+    if feasible(root) is None:
         return Unsat()
-    if free_nodes:
-        phases = _first_feasible_leaf(root, free_nodes)
-        if phases is None:
-            return Unsat()
-        leaf = list(base)
-        for node, phase in zip(free_nodes, phases):
-            leaf.extend(_phase_constraints(node, phase))
-        witness = feasible(LPProblem(skeleton.num_vars, leaf))
-        assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
+    phases = _first_feasible_leaf(root, branches)
+    if phases is None:
+        return Unsat()
+    leaf = list(base)
+    for node, phase in zip(free_nodes, phases):
+        leaf.extend(_phase_constraints(node, phase))
+    witness = feasible(LPProblem(skeleton.num_vars, leaf))
+    assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
     return _restrict(witness, skeleton)
 
 
-def _first_feasible_leaf(problem: LPProblem, free_nodes: list[ReluNode]) -> list[str] | None:
+def _first_feasible_leaf(
+    problem: LPProblem, branches: list[tuple[list[LPConstraint], ...]]
+) -> list[str] | None:
     """Phases of the first leaf below the feasible ``problem`` whose LP is
-    feasible, branching on ``free_nodes[0]`` first; None if there is none."""
-    if not free_nodes:
+    feasible, branching first on the node whose rows per phase are
+    ``branches[0]``; None if there is none."""
+    if not branches:
         return []
-    node, rest = free_nodes[0], free_nodes[1:]
-    for phase in PHASES:
-        child = LPProblem(
-            problem.num_vars,
-            problem.constraints + _phase_constraints(node, phase),
-            parent=problem,
-        )
+    for phase, rows in zip(PHASES, branches[0]):
+        child = LPProblem(problem.num_vars, problem.constraints + rows, parent=problem)
         if feasible(child) is not None:
-            phases = _first_feasible_leaf(child, rest)
+            phases = _first_feasible_leaf(child, branches[1:])
             if phases is not None:
                 return [phase] + phases
     return None

@@ -499,6 +499,33 @@ def test_duplicate_network_binding_rejected(workspace, capsys):
     assert "bound more than once" in capsys.readouterr().err
 
 
+def test_repeated_options_do_not_carry_over_between_calls(workspace, capsys):
+    # One parser serves every call in a process.
+    assert cli._parser() is cli._parser()
+    verify = ["verify", "--spec", "controller-spec.vcl", "--proof-file", "p.vclp"]
+    assert run(verify + ["--network", "controller:controller.vnet", "--property", "absent"]) == 1
+    assert "UnknownProperty" in capsys.readouterr().err
+    # A carried-over --property would name "absent" again, and a carried-over
+    # --network would bind the controller twice.
+    assert run(verify + ["--network", "controller:controller-zero.vnet"]) == 3
+    captured = capsys.readouterr()
+    assert "safe: Falsified" in captured.out
+    assert captured.err == ""
+    assert run(verify + ["--network", "controller:controller.vnet", "--property", "safe"]) == 0
+    assert capsys.readouterr().out == "safe: Verified\n"
+
+
+def test_a_usage_error_leaves_the_next_call_working(workspace, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--spec", "controller-spec.vcl", "--no-such-option"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    code = run(["verify", "--spec", "controller-spec.vcl", "--network",
+                "controller:controller.vnet", "--proof-file", "p.vclp"])  # fmt: skip
+    assert code == 0
+    assert capsys.readouterr().out == "safe: Verified\n"
+
+
 def test_check_with_empty_property_list_warns_and_exits_zero(
     workspace, capsys, controller_net
 ):

@@ -263,18 +263,41 @@ def test_agreement_with_grid_oracle():
             assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]
 
 
+# Layer stacks, A an affine layer and R a ReLU layer: one or two hidden
+# layers, affine after affine, ReLU after ReLU (the second is fixed Active
+# by bounds and feeds the last layer), a final ReLU, and ReLUs on the inputs.
+SHAPES = ("ARA", "ARARA", "AARA", "ARRA", "ARAR", "RA")
+
+
 def random_deep_model(rng: random.Random, n_in: int, name: str):
-    """One or two hidden ReLU layers of width 1-3 and one output."""
+    """A stack of one of ``SHAPES`` with hidden widths 1-3 and one output,
+    or now and then a layerless net (y = x).  A quarter of the nets have
+    float32-style weights (dyadic, 23 fraction bits) and a fifth an
+    all-zero last affine layer."""
+    if rng.random() < 0.2:
+        return NetworkModel(name, n_in, n_in, ())
+    dyadic = rng.random() < 0.25
+    zero_out = rng.random() < 0.2
+
+    def weight():
+        if dyadic:
+            return Fraction(rng.randint(-3 << 23, 3 << 23), 1 << 23)
+        return Fraction(rng.randint(-3, 3))
+
+    shape = rng.choice(SHAPES)
+    last_affine = shape.rindex("A")
     layers = []
     width = n_in
-    for _ in range(rng.randint(1, 2)):
-        out = rng.randint(1, 3)
-        w = tuple(tuple(Fraction(rng.randint(-3, 3)) for _ in range(width)) for _ in range(out))
+    for i, kind in enumerate(shape):
+        if kind == "R":
+            layers.append(Relu(width))
+            continue
+        out = 1 if i == last_affine else rng.randint(1, 3)
+        zero = zero_out and i == last_affine
+        w = tuple(tuple(Fraction(0) if zero else weight() for _ in range(width)) for _ in range(out))
         b = tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(out))
-        layers += [Affine(w, b), Relu(out)]
+        layers.append(Affine(w, b))
         width = out
-    w = (tuple(Fraction(rng.randint(-3, 3)) for _ in range(width)),)
-    layers.append(Affine(w, (Fraction(rng.randint(-2, 2)),)))
     return NetworkModel(name, n_in, 1, tuple(layers))
 
 
@@ -283,8 +306,10 @@ def random_search_instance(rng: random.Random):
     boxed, half-bounded or free; one or two extra rows over inputs and
     outputs use every relation, ``=`` included."""
     models = {name: random_deep_model(rng, rng.randint(1, 2), name) for name in ("f", "g")}
-    apps = [rng.choice("fg") for _ in range(rng.randint(1, 2))]
-    meta = MetaNetwork(tuple((a, models[a].input_size, 1) for a in apps))
+    apps = rng.choice(("f", "g", "fg", "gf", "ff"))
+    meta = MetaNetwork(
+        tuple((a, models[a].input_size, models[a].output_size) for a in apps)
+    )
     constraints = []
     for i in range(meta.total_inputs):
         lo = rng.randint(-3, 1)
@@ -303,11 +328,18 @@ def random_search_instance(rng: random.Random):
 
 
 def test_search_matches_the_flat_phase_search():
-    """Verdict and witness equal those of one LP per leaf in order."""
+    """Verdict and witness equal those of one LP per leaf in order.  The
+    shapes the free-coordinate forms must handle are counted only when
+    the search runs, that is when some ReLU is free."""
+    from vspec.verifier import engine
+
     rng = random.Random(20261018)
     seen = dict.fromkeys(("sat", "unsat", "strict", "=", "no upper triangle row",
-                          "two hidden layers", "two applications"), 0)  # fmt: skip
-    for _ in range(150):
+                          "two hidden layers", "two applications", "layerless",
+                          "all-zero layer", "query row with no terms", "affine after affine",
+                          "relu after relu", "final relu", "fixed relu feeding a layer",
+                          "dyadic weights"), 0)  # fmt: skip
+    for _ in range(400):
         while True:
             ctx, query = random_search_instance(rng)
             skeleton = unroll_meta_network(query.meta, ctx)
@@ -326,6 +358,29 @@ def test_search_matches_the_flat_phase_search():
             len(ctx[name].model.layers) == 5 for name, _, _ in query.meta.applications
         )
         seen["two applications"] += len(query.meta.applications) == 2
+        if not free:
+            continue
+        models = [ctx[name].model for name, _, _ in query.meta.applications]
+        shapes = {"".join("R" if isinstance(x, Relu) else "A" for x in m.layers) for m in models}
+        affine = [x for m in models for x in m.layers if isinstance(x, Affine)]
+        _, forms = engine.free_coordinate_forms(skeleton, fixed)
+        rows = engine._query_constraints(query, skeleton)
+        outputs = {vid for qv, vid in skeleton.qvar_ids.items() if qv.kind == "y"}
+        seen["layerless"] += "" in shapes
+        seen["all-zero layer"] += any(not any(map(any, x.weights)) for x in affine)
+        seen["query row with no terms"] += any(
+            not engine._in_free_coordinates(c, forms, query.meta.total_inputs).terms
+            for c in rows
+        )
+        seen["affine after affine"] += any("AA" in shape for shape in shapes)
+        seen["relu after relu"] += any("RR" in shape for shape in shapes)
+        seen["final relu"] += any(shape.endswith("R") for shape in shapes)
+        seen["fixed relu feeding a layer"] += any(
+            skeleton.relu_nodes[i].post_var not in outputs for i in fixed
+        )
+        seen["dyadic weights"] += any(
+            w.denominator == 1 << 23 for x in affine for row in x.weights for w in row
+        )
     assert min(seen.values()) >= 25, seen
 
 
@@ -372,16 +427,38 @@ def test_phase_exhaustiveness_in_unsat_case(monkeypatch):
     assert len(calls) == 3
 
 
+def count_pivots(monkeypatch) -> list:
+    """Record every simplex pivot, cold or warm."""
+    from vspec.verifier import lp
+
+    pivots = []
+    original = lp._pivot
+
+    def counting(*args, **kwargs):
+        pivots.append(args[3])  # the entering column
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    return pivots
+
+
 def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     # Each of the two UNSAT queries has four free ReLUs: one root LP from
     # scratch and 22 warm ones (the flat search took 16 per query).
     model = parse_vnet(controller_net.read_text(), "controller")
     ctx, q1, q2 = controller_queries(model)
     calls = count_lp_calls(monkeypatch)
+    pivots = count_pivots(monkeypatch)
     assert isinstance(check_query(q1, ctx), Unsat)
     assert isinstance(check_query(q2, ctx), Unsat)
     assert len(calls) == 46
     assert sum(problem.parent is None for problem in calls) == 2
+    # The search runs over 2 inputs and 4 free ReLU outputs.  With the
+    # network's 11 variables and 5 equalities in every LP it made 123 pivots.
+    roots = [problem for problem in calls if problem.parent is None]
+    assert [root.num_vars for root in roots] == [6, 6]
+    assert all(c.relation != "=" for root in roots for c in root.constraints)
+    assert len(pivots) == 78
 
 
 def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
@@ -392,14 +469,22 @@ def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     skeleton = unroll_meta_network(meta, ctx)
     assert propagate_bounds(skeleton, query)[1] == {}
     calls = count_lp_calls(monkeypatch)
+    pivots = count_pivots(monkeypatch)
     assert isinstance(check_query(query, ctx), Unsat)
     # One root LP from scratch, then 8 warm ones, against 16 leaves.
     assert len(calls) == 9
     assert [problem.parent is None for problem in calls] == [True] + [False] * 8
+    # Over the network's 11 variables and 5 equalities: 47 pivots.
+    assert calls[0].num_vars == 6
+    assert all(c.relation != "=" for c in calls[0].constraints)
+    assert len(pivots) == 34
 
 
 def verify_calls(argv) -> int:
-    """Python function calls made by one ``vspec verify`` run."""
+    """Python function calls made by one ``vspec verify`` run.  The
+    process's parser (1,933 calls to build) is built first, so the count
+    does not depend on whether an earlier test built it."""
+    cli._parser()
     calls = 0
 
     def count(frame, event, arg):
@@ -419,9 +504,9 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 9 LPs: 7,542 calls; a tableau of Fractions made 68,325.
+        # 9 LPs: 5,341 calls; a tableau of Fractions made 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 46 LPs: 15,978 calls; a tableau of Fractions made 190,219.
+        # 46 LPs: 12,665 calls; a tableau of Fractions made 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
