@@ -39,9 +39,10 @@ EXIT_FALSIFIED = 3
 EXIT_STALE = 4
 
 # Frames the interpreter may stack while a command runs.  At the nesting
-# budget the passes over a term take about 3 frames a level and the parser
-# about 12 per level of parentheses.  A much higher limit would let
-# recursion through generators overflow the C stack before Python stops it.
+# budget the passes over a term take about 3 frames a level, and the parser
+# 3 per level of parentheses and 6 per level of parenthesised ``if``.  A
+# much higher limit would let recursion through generators overflow the C
+# stack before Python stops it.
 RECURSION_LIMIT = 20 * MAX_NESTING
 
 
@@ -137,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         return _error_exit_code(err)
     except RecursionError:
         # The type checker enforces the nesting budget, but the parser runs
-        # before it, and inlining definitions can build a deeper term.
+        # before it (input several times deeper than the budget overflows
+        # there), and inlining definitions can build a deeper term.
         err = VspecError(
             "NestingTooDeep",
             "expressions are nested too deeply to compile",

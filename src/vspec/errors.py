@@ -67,7 +67,8 @@ class TypeCheckError(VspecError):
     NestingTooDeep marks an expression nested deeper than the budget
     ``typecheck.MAX_NESTING``, at the position where inference passed it.
     The CLI gives the same code, with no position, to a ``RecursionError``
-    in any pass: the parser on deeply parenthesised input, or a term that
+    in any pass: the parser on input nested several times deeper than the
+    budget (over about 6,600 levels of parentheses), or a term that
     inlining definitions made deeper than the budget."""
 
 

@@ -1,12 +1,16 @@
 """Lexer for the specification language.
 
-The grammar is layout-insensitive: newlines and indentation carry no meaning,
-and declaration boundaries are recovered by the parser from the token stream.
-Line comments start with ``--``.
+One compiled regular expression, ``_TOKEN``, matches a token class at each
+offset: blanks and comments, newlines, decimal and Nat literals, words
+(identifiers and keywords) and operators.  Columns count characters from
+the start of the line.  The grammar is layout-insensitive: newlines and
+indentation carry no meaning, and declaration boundaries are recovered by
+the parser from the token stream.  Line comments start with ``--``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
@@ -74,34 +78,44 @@ KEYWORDS: dict[str, TokenKind] = {
     "in": TokenKind.KW_IN,
 }
 
-# Multi-character operators must be tried before their prefixes.
-_OPERATORS: list[tuple[str, TokenKind]] = [
-    ("->", TokenKind.ARROW),
-    ("=>", TokenKind.IMPLIES),
-    ("<=", TokenKind.OP_LE),
-    (">=", TokenKind.OP_GE),
-    ("==", TokenKind.OP_EQ),
-    ("<", TokenKind.OP_LT),
-    (">", TokenKind.OP_GT),
-    ("=", TokenKind.EQUALS),
-    ("+", TokenKind.PLUS),
-    ("-", TokenKind.MINUS),
-    ("*", TokenKind.STAR),
-    ("/", TokenKind.SLASH),
-    ("!", TokenKind.BANG),
-    (":", TokenKind.COLON),
-    (".", TokenKind.DOT),
-    (",", TokenKind.COMMA),
-    ("(", TokenKind.LPAREN),
-    (")", TokenKind.RPAREN),
-    ("[", TokenKind.LBRACKET),
-    ("]", TokenKind.RBRACKET),
-]
+_OPERATORS: dict[str, TokenKind] = {
+    "->": TokenKind.ARROW,
+    "=>": TokenKind.IMPLIES,
+    "<=": TokenKind.OP_LE,
+    ">=": TokenKind.OP_GE,
+    "==": TokenKind.OP_EQ,
+    "<": TokenKind.OP_LT,
+    ">": TokenKind.OP_GT,
+    "=": TokenKind.EQUALS,
+    "+": TokenKind.PLUS,
+    "-": TokenKind.MINUS,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
+    "!": TokenKind.BANG,
+    ":": TokenKind.COLON,
+    ".": TokenKind.DOT,
+    ",": TokenKind.COMMA,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    "[": TokenKind.LBRACKET,
+    "]": TokenKind.RBRACKET,
+}
 
-
-# Numeric literals are ASCII: ``str.isdigit`` also accepts superscripts and
-# other scripts' digits, which ``int`` rejects or reads as ASCII ones.
-_DIGITS = frozenset("0123456789")
+# One alternative per token class, tried in order at each offset.  A comment
+# comes before the operator ``-``, a decimal before its leading Nat, and a
+# two-character operator before its one-character prefix.  Numeric literals
+# are ASCII: ``\d`` also matches other scripts' digits, which ``int`` would
+# read as ASCII ones.  ``\w`` is exactly ``str.isalnum`` or ``_``, but
+# ``[^\W\d]`` also holds numerics that are not letters, such as ``²``, so
+# ``tokenize`` checks a word's first character itself.
+_TOKEN = re.compile(
+    r"(?P<skip>[ \t\r]+|--[^\n]*)"
+    r"|(?P<newline>\n)"
+    r"|(?P<decimal>[0-9]+\.[0-9]+)"
+    r"|(?P<nat>[0-9]+)"
+    r"|(?P<word>[^\W\d][\w']*)"
+    r"|(?P<op>" + "|".join(map(re.escape, sorted(_OPERATORS, key=len, reverse=True))) + ")"
+)
 
 
 @dataclass(frozen=True)
@@ -117,69 +131,33 @@ class Token:
 
 def tokenize(source: str, path: str | None = None) -> list[Token]:
     """Tokenize UTF-8 source text; raises LexError with position on any
-    unrecognised character."""
+    unrecognised character.  An identifier starts with a letter or ``_``
+    and continues with alphanumerics of any script (``str.isalnum``), ``_``
+    and ``'``."""
     tokens: list[Token] = []
     line = 1
-    col = 1
+    line_start = 0  # offset of the first character of the current line
     i = 0
-    n = len(source)
-
-    def advance(text: str) -> None:
-        nonlocal line, col
-        for ch in text:
-            if ch == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if source.startswith("--", i):
-            end = source.find("\n", i)
-            end = n if end == -1 else end
-            advance(source[i:end])
-            i = end
-            continue
-        pos = SourcePos(line, col)
-        if ch in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-                text = source[i:j]
+    while i < len(source):
+        match = _TOKEN.match(source, i)
+        group = match.lastgroup if match else None
+        if group == "newline":
+            line += 1
+            line_start = match.end()
+        elif group != "skip":
+            pos = SourcePos(line, i - line_start + 1)
+            ch = source[i]
+            if group is None or (group == "word" and not (ch.isalpha() or ch == "_")):
+                raise LexError(f"unrecognised character {ch!r}", path=path, pos=pos)
+            text = match.group()
+            if group == "word":
+                tokens.append(Token(KEYWORDS.get(text, TokenKind.IDENT), text, pos))
+            elif group == "nat":
+                tokens.append(Token(TokenKind.NAT, text, pos, int(text)))
+            elif group == "decimal":
                 tokens.append(Token(TokenKind.DECIMAL, text, pos, parse_decimal(text)))
             else:
-                text = source[i:j]
-                tokens.append(Token(TokenKind.NAT, text, pos, int(text)))
-            advance(text)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] in "_'"):
-                j += 1
-            text = source[i:j]
-            kind = KEYWORDS.get(text, TokenKind.IDENT)
-            tokens.append(Token(kind, text, pos))
-            advance(text)
-            i = j
-            continue
-        for text, kind in _OPERATORS:
-            if source.startswith(text, i):
-                tokens.append(Token(kind, text, pos))
-                advance(text)
-                i += len(text)
-                break
-        else:
-            raise LexError(f"unrecognised character {ch!r}", path=path, pos=pos)
-
-    tokens.append(Token(TokenKind.EOF, "", SourcePos(line, col)))
+                tokens.append(Token(_OPERATORS[text], text, pos))
+        i = match.end()
+    tokens.append(Token(TokenKind.EOF, "", SourcePos(line, i - line_start + 1)))
     return tokens

@@ -1,6 +1,10 @@
-"""Surface syntax: AST, recursive-descent parser, and pretty-printer.
+"""Surface syntax: AST and parser.
 
-Operator precedence, loosest to tightest:
+The parser descends recursively through declarations, types and atoms, and
+parses operators by precedence climbing (Pratt 1973): ``_Parser.expr``
+loops over the binding levels in ``_BINARY``, so a level of parentheses
+costs three Python frames (``expr``, ``application``, ``atom``), not one
+per binding level.  Operator precedence, loosest to tightest:
 
     =>  (right associative)
     or
@@ -25,7 +29,6 @@ from fractions import Fraction
 
 from .errors import ParseError, SourcePos
 from .lexer import Token, TokenKind, tokenize
-from .rational import render_number
 
 # ---------------------------------------------------------------------------
 # Surface types
@@ -180,6 +183,29 @@ SurfaceDecl = TypeSynonym | NetworkDecl | FunDef
 # Parser
 # ---------------------------------------------------------------------------
 
+# Binding levels of the binary operators: ``=>`` is right associative, the
+# others left, and the operand of ``!`` is an application.  Prefix ``not``
+# and unary minus bind at _NOT and _NEG, a comparison chain at _CMP_PREC.
+_BINARY = {
+    TokenKind.IMPLIES: ("=>", 1),
+    TokenKind.KW_OR: ("or", 2),
+    TokenKind.KW_AND: ("and", 3),
+    TokenKind.PLUS: ("+", 6),
+    TokenKind.MINUS: ("-", 6),
+    TokenKind.STAR: ("*", 7),
+    TokenKind.SLASH: ("/", 7),
+    TokenKind.BANG: ("!", 9),
+}
+_NOT, _CMP_PREC, _NEG = 4, 5, 8
+
+_CMP = {
+    TokenKind.OP_LE: "<=",
+    TokenKind.OP_LT: "<",
+    TokenKind.OP_GE: ">=",
+    TokenKind.OP_GT: ">",
+    TokenKind.OP_EQ: "==",
+}
+
 _ATOM_START = {
     TokenKind.IDENT,
     TokenKind.NAT,
@@ -270,25 +296,11 @@ class _Parser:
     # -- types --------------------------------------------------------------
 
     def type_expr(self) -> SType:
-        dom = self.type_atom_or_tensor()
+        dom = self.type_atom()
         if self.peek().kind is TokenKind.ARROW:
             self.next()
             return SFun(dom, self.type_expr())
         return dom
-
-    def type_atom_or_tensor(self) -> SType:
-        tok = self.peek()
-        if tok.kind is TokenKind.IDENT and tok.text == "Tensor":
-            self.next()
-            elem = self.type_atom()
-            self.expect(TokenKind.LBRACKET, "'[' in tensor type")
-            dims = [self.nat_literal()]
-            while self.peek().kind is TokenKind.COMMA:
-                self.next()
-                dims.append(self.nat_literal())
-            self.expect(TokenKind.RBRACKET, "']' in tensor type")
-            return STensor(elem, tuple(dims))
-        return self.type_atom()
 
     def type_atom(self) -> SType:
         tok = self.peek()
@@ -297,114 +309,81 @@ class _Parser:
             inner = self.type_expr()
             self.expect(TokenKind.RPAREN, "')'")
             return inner
-        if tok.kind is TokenKind.IDENT:
-            if tok.text == "Tensor":
-                return self.type_atom_or_tensor()
-            self.next()
+        if tok.kind is not TokenKind.IDENT:
+            self.fail(f"expected a type, found {tok.text!r}", tok)
+        self.next()
+        if tok.text != "Tensor":
             return SName(tok.text)
-        self.fail(f"expected a type, found {tok.text!r}", tok)
+        elem = self.type_atom()
+        self.expect(TokenKind.LBRACKET, "'[' in tensor type")
+        dims = [self.nat_literal()]
+        while self.peek().kind is TokenKind.COMMA:
+            self.next()
+            dims.append(self.nat_literal())
+        self.expect(TokenKind.RBRACKET, "']' in tensor type")
+        return STensor(elem, tuple(dims))
 
     def nat_literal(self) -> int:
         tok = self.expect(TokenKind.NAT, "natural number literal")
         return int(tok.value)  # type: ignore[arg-type]
 
-    # -- expressions, loosest binding first ----------------------------------
+    # -- expressions ----------------------------------------------------------
 
-    def expr(self) -> SExpr:
-        return self.implies_expr()
-
-    def implies_expr(self) -> SExpr:
-        lhs = self.or_expr()
-        if self.peek().kind is TokenKind.IMPLIES:
-            tok = self.next()
-            rhs = self.implies_expr()  # right associative
-            return SBinOp("=>", lhs, rhs, tok.pos)
-        return lhs
-
-    def or_expr(self) -> SExpr:
-        lhs = self.and_expr()
-        while self.peek().kind is TokenKind.KW_OR:
-            tok = self.next()
-            lhs = SBinOp("or", lhs, self.and_expr(), tok.pos)
-        return lhs
-
-    def and_expr(self) -> SExpr:
-        lhs = self.not_expr()
-        while self.peek().kind is TokenKind.KW_AND:
-            tok = self.next()
-            lhs = SBinOp("and", lhs, self.not_expr(), tok.pos)
-        return lhs
-
-    def not_expr(self) -> SExpr:
-        if self.peek().kind is TokenKind.KW_NOT:
-            tok = self.next()
-            return SNot(self.not_expr(), tok.pos)
-        return self.cmp_expr()
-
-    _CMP = {
-        TokenKind.OP_LE: "<=",
-        TokenKind.OP_LT: "<",
-        TokenKind.OP_GE: ">=",
-        TokenKind.OP_GT: ">",
-        TokenKind.OP_EQ: "==",
-    }
-
-    def cmp_expr(self) -> SExpr:
-        first = self.add_expr()
-        comparisons: list[SCmp] = []
-        lhs = first
-        while self.peek().kind in self._CMP:
-            tok = self.next()
-            rhs = self.add_expr()
-            comparisons.append(SCmp(self._CMP[tok.kind], lhs, rhs, tok.pos))
-            lhs = rhs
-        if not comparisons:
-            return first
-        # a <= b <= c  desugars to  a <= b and b <= c
-        result: SExpr = comparisons[0]
-        for cmp in comparisons[1:]:
-            result = SBinOp("and", result, cmp, cmp.pos)
-        return result
-
-    def add_expr(self) -> SExpr:
-        lhs = self.mul_expr()
-        while self.peek().kind in (TokenKind.PLUS, TokenKind.MINUS):
-            tok = self.next()
-            op = "+" if tok.kind is TokenKind.PLUS else "-"
-            lhs = SBinOp(op, lhs, self.mul_expr(), tok.pos)
-        return lhs
-
-    def mul_expr(self) -> SExpr:
-        lhs = self.unary_expr()
-        while self.peek().kind in (TokenKind.STAR, TokenKind.SLASH):
-            tok = self.next()
-            op = "*" if tok.kind is TokenKind.STAR else "/"
-            lhs = SBinOp(op, lhs, self.unary_expr(), tok.pos)
-        return lhs
-
-    def unary_expr(self) -> SExpr:
-        if self.peek().kind is TokenKind.MINUS:
-            tok = self.next()
-            arg = self.unary_expr()
+    def expr(self, min_prec: int = 0) -> SExpr:
+        """An expression whose operators outside brackets bind at level
+        ``min_prec`` or tighter (see ``_BINARY``)."""
+        tok = self.peek()
+        if tok.kind is TokenKind.KW_NOT and min_prec <= _NOT:
+            self.next()
+            lhs: SExpr = SNot(self.expr(_NOT), tok.pos)
+        elif tok.kind is TokenKind.MINUS:
+            self.next()
+            arg = self.expr(_NEG)
             if isinstance(arg, SNum):
-                return SNum(-arg.value, arg.is_decimal, tok.pos)
-            return SNeg(arg, tok.pos)
-        return self.index_expr()
+                lhs = SNum(-arg.value, arg.is_decimal, tok.pos)
+            else:
+                lhs = SNeg(arg, tok.pos)
+        else:
+            # A prefix 'not' above its level fails here as a missing atom.  A
+            # '-' never is above its level: '!' takes an application.
+            lhs = self.application()
+        while True:
+            tok = self.peek()
+            if tok.kind in _CMP:
+                if min_prec > _CMP_PREC:
+                    return lhs
+                lhs = self.comparisons(lhs)
+                continue
+            op = _BINARY.get(tok.kind)
+            if op is None or op[1] < min_prec:
+                return lhs
+            self.next()
+            name, prec = op
+            if name == "!":
+                lhs = SIndex(lhs, self.application(), tok.pos)
+            else:
+                rhs = self.expr(prec if name == "=>" else prec + 1)
+                lhs = SBinOp(name, lhs, rhs, tok.pos)
 
-    def index_expr(self) -> SExpr:
-        lhs = self.app_expr()
-        while self.peek().kind is TokenKind.BANG:
+    def comparisons(self, lhs: SExpr) -> SExpr:
+        """A chain of comparisons after ``lhs``: ``a <= b <= c`` desugars to
+        ``a <= b and b <= c``."""
+        result: SExpr | None = None
+        while self.peek().kind in _CMP:
             tok = self.next()
-            lhs = SIndex(lhs, self.app_expr(), tok.pos)
-        return lhs
+            rhs = self.expr(_CMP_PREC + 1)
+            cmp = SCmp(_CMP[tok.kind], lhs, rhs, tok.pos)
+            result = cmp if result is None else SBinOp("and", result, cmp, tok.pos)
+            lhs = rhs
+        return result  # type: ignore[return-value]
 
-    def app_expr(self) -> SExpr:
+    def application(self) -> SExpr:
         head = self.atom()
         args: list[SExpr] = []
         while self.peek().kind in _ATOM_START and not self.at_declaration_boundary():
             args.append(self.atom())
         if args:
-            return SApp(head, tuple(args), _pos_of(head))
+            return SApp(head, tuple(args), head.pos)  # type: ignore[attr-defined]
         return head
 
     def atom(self) -> SExpr:
@@ -474,10 +453,6 @@ class _Parser:
         return SQuant(kind, tuple(binders), body, tok.pos)
 
 
-def _pos_of(e: SExpr) -> SourcePos:
-    return e.pos  # type: ignore[attr-defined]
-
-
 def parse(source: str, path: str | None = None) -> list[SurfaceDecl]:
     """Parse source text into declarations (in source order)."""
     tokens = tokenize(source, path)
@@ -488,106 +463,3 @@ def parse(source: str, path: str | None = None) -> list[SurfaceDecl]:
             raise ParseError(f"duplicate declaration of {d.name!r}", path=path, pos=d.pos)
         seen.add(d.name)
     return decls
-
-
-# ---------------------------------------------------------------------------
-# Pretty-printer (used by the parse/print round-trip tests; ``--emit``
-# prints core terms with ``core.print_expr``)
-# ---------------------------------------------------------------------------
-
-_PREC = {
-    "=>": 1,
-    "or": 2,
-    "and": 3,
-    "not": 4,
-    "cmp": 5,
-    "+": 6,
-    "-": 6,
-    "*": 7,
-    "/": 7,
-    "neg": 8,
-    "!": 9,
-    "app": 10,
-    "atom": 11,
-}
-
-
-def print_type(t: SType) -> str:
-    if isinstance(t, SName):
-        return t.name
-    if isinstance(t, STensor):
-        elem = print_type(t.elem)
-        if isinstance(t.elem, (SFun, STensor)):
-            elem = f"({elem})"
-        dims = ", ".join(str(d) for d in t.dims)
-        return f"Tensor {elem} [{dims}]"
-    if isinstance(t, SFun):
-        dom = print_type(t.dom)
-        if isinstance(t.dom, SFun):
-            dom = f"({dom})"
-        return f"{dom} -> {print_type(t.cod)}"
-    raise AssertionError(t)
-
-
-def print_expr(e: SExpr, prec: int = 0) -> str:
-    if isinstance(e, SVar):
-        return e.name
-    if isinstance(e, SNum):
-        return render_number(e.value)
-    if isinstance(e, STensorLit):
-        return "[" + ", ".join(print_expr(x) for x in e.items) + "]"
-    if isinstance(e, SApp):
-        parts = [print_expr(e.fn, _PREC["atom"])]
-        parts += [print_expr(a, _PREC["atom"]) for a in e.args]
-        return _paren(" ".join(parts), _PREC["app"], prec)
-    if isinstance(e, SIndex):
-        text = f"{print_expr(e.tensor, _PREC['!'])} ! {print_expr(e.index, _PREC['atom'])}"
-        return _paren(text, _PREC["!"], prec)
-    if isinstance(e, SNeg):
-        return _paren(f"-{print_expr(e.arg, _PREC['neg'])}", _PREC["neg"], prec)
-    if isinstance(e, SNot):
-        return _paren(f"not {print_expr(e.arg, _PREC['not'])}", _PREC["not"], prec)
-    if isinstance(e, SCmp):
-        lhs = print_expr(e.lhs, _PREC["cmp"] + 1)
-        rhs = print_expr(e.rhs, _PREC["cmp"] + 1)
-        return _paren(f"{lhs} {e.op} {rhs}", _PREC["cmp"], prec)
-    if isinstance(e, SBinOp):
-        p = _PREC[e.op]
-        right_assoc = e.op == "=>"
-        lhs = print_expr(e.lhs, p + (1 if right_assoc else 0))
-        rhs = print_expr(e.rhs, p + (0 if right_assoc else 1))
-        return _paren(f"{lhs} {e.op} {rhs}", p, prec)
-    if isinstance(e, SIf):
-        text = (
-            f"if {print_expr(e.cond)} then {print_expr(e.then)} else {print_expr(e.els)}"
-        )
-        return _paren(text, 0, prec)
-    if isinstance(e, SQuant):
-        groups: list[str] = []
-        for name, btype in e.binders:
-            if btype is None:
-                groups.append(name)
-            else:
-                groups.append(f"({name} : {print_type(btype)})")
-        text = f"{e.kind} {' '.join(groups)} . {print_expr(e.body)}"
-        return _paren(text, 0, prec)
-    raise AssertionError(e)
-
-
-def _paren(text: str, node_prec: int, ctx_prec: int) -> str:
-    return f"({text})" if node_prec < ctx_prec else text
-
-
-def print_program(decls: list[SurfaceDecl]) -> str:
-    chunks: list[str] = []
-    for d in decls:
-        if isinstance(d, TypeSynonym):
-            chunks.append(f"type {d.name} = {print_type(d.rhs)}")
-        elif isinstance(d, NetworkDecl):
-            chunks.append(f"network {d.name} : {print_type(d.signature)}")
-        else:
-            params = "".join(f" {p}" for p in d.params)
-            chunks.append(
-                f"{d.name} : {print_type(d.signature)}\n{d.name}{params} = {print_expr(d.body)}"
-            )
-    return "\n\n".join(chunks) + "\n"

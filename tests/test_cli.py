@@ -277,6 +277,83 @@ def test_deep_nesting_is_a_coded_diagnostic_not_a_traceback(workspace):
     assert "Traceback" not in result.stderr
 
 
+def test_nesting_within_the_budget_reaches_the_type_checker(workspace):
+    import subprocess
+    import sys
+
+    def compile_body(body):
+        spec = (
+            "network controller : Tensor Rat [2] -> Rat\n\np : Prop\n"
+            f"p = forall (x : Tensor Rat [2]) . {body}\n"
+        )
+        (workspace / "deep.vcl").write_text(spec)
+        args = ["compile", "--spec", "deep.vcl", "--network", "controller:controller.vnet"]
+        return subprocess.run(
+            [sys.executable, "-m", "vspec", *args, "--emit", "queries"],
+            capture_output=True,
+            text=True,
+        )
+
+    def nested_ifs(levels):
+        # The conditions are closed, so the normaliser folds every level.
+        return "controller x <= " + "(if 0 <= 1 then 0 else " * levels + "1" + ")" * levels
+
+    # 990 levels of parentheses or of parenthesised 'if', within the budget,
+    # parse in the frames cli.RECURSION_LIMIT allows, so the type checker
+    # sees the whole term and it compiles.
+    for body in (nested_ifs(990), "(" * 990 + "controller x <= 0" + ")" * 990):
+        result = compile_body(body)
+        assert result.returncode == 0, result.stderr[-500:]
+        assert result.stdout.startswith("property p: 1 queries\n")
+    # Over it, the diagnostic has a position.
+    result = compile_body(nested_ifs(1001))
+    assert result.returncode == 1
+    assert result.stderr == (
+        "deep.vcl:4:22963: error: expression nested 1001 levels deep, "
+        "over the budget of 1000 levels [NestingTooDeep]\n"
+    )
+
+
+def parser_frames_per_level(wrap):
+    """Python frames the parser stacks per level of ``wrap(levels)``,
+    counted with ``sys.setprofile`` at 100 and 200 levels."""
+    import sys
+
+    from vspec.surface import parse
+
+    def deepest(levels):
+        depth = top = 0
+
+        def profile(frame, event, arg):
+            nonlocal depth, top
+            if event == "call":
+                depth += 1
+                top = max(top, depth)
+            elif event == "return":
+                depth -= 1
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, cli.RECURSION_LIMIT))
+        sys.setprofile(profile)
+        try:
+            parse(f"p : Prop\np = {wrap(levels)}")
+        finally:
+            sys.setprofile(None)
+            sys.setrecursionlimit(limit)
+        return top
+
+    return (deepest(200) - deepest(100)) / 100
+
+
+def test_parser_frames_per_nesting_level_are_bounded():
+    # cli.RECURSION_LIMIT leaves room for the passes after the parser only
+    # if the parser stacks a few frames per level.
+    parens = parser_frames_per_level(lambda n: "(" * n + "x" + ")" * n)
+    ifs = parser_frames_per_level(lambda n: "(if c then a else " * n + "x" + ")" * n)
+    assert parens <= 4
+    assert ifs <= 8
+
+
 def test_check_unknown_property_filter(workspace):
     run(
         [

@@ -1,3 +1,5 @@
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -88,3 +90,37 @@ def test_numeric_literals_are_ascii_digits_only():
         (TokenKind.IDENT, "x²"),
         (TokenKind.IDENT, "x١"),
     ]
+
+
+def test_identifier_rule_where_regex_classes_and_str_methods_disagree():
+    # ``\w`` and ``[^\W\d]`` differ from ``str.isalnum`` and ``str.isalpha``
+    # on ``_`` and on numerics that are no decimal digit (superscripts,
+    # fractions, Roman numerals, ...).  At each such code point the lexer
+    # keeps the documented rule: an identifier starts with a letter or
+    # ``_``, continues with an alphanumeric, ``_`` or ``'``, and numeric
+    # literals are ASCII digits.
+    start, word = re.compile(r"[^\W\d]"), re.compile(r"\w")
+    disagree = [
+        ch
+        for ch in map(chr, range(sys.maxunicode + 1))
+        if (start.match(ch) is None) == ch.isalpha() or (word.match(ch) is None) == ch.isalnum()
+    ]
+    assert {"_", "²", "½", "Ⅻ"} <= set(disagree)
+
+    def lexed(source):
+        try:
+            return [(t.kind, t.text, t.pos.column) for t in tokenize(source)[:-1]]
+        except LexError as err:
+            return err.pos.column
+
+    for ch in disagree:
+        if ch.isalpha() or ch == "_":
+            assert lexed(ch) == [(TokenKind.IDENT, ch, 1)], ch
+            assert lexed("1" + ch) == [(TokenKind.NAT, "1", 1), (TokenKind.IDENT, ch, 2)], ch
+        else:
+            assert lexed(ch) == 1, ch
+            assert lexed("1" + ch) == 2, ch
+        assert ch.isalnum() or ch == "_"
+        assert lexed("x" + ch) == [(TokenKind.IDENT, "x" + ch, 1)], ch
+    # A CJK numeral is a letter as well as a numeric, so it starts a name.
+    assert lexed("一") == [(TokenKind.IDENT, "一", 1)]

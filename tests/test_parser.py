@@ -1,19 +1,30 @@
+import hashlib
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import FIXTURES
 from oracles import eval_core
-from vspec.errors import ParseError
+from printer import print_program
+from test_normalise import PINNED_HEADER, pinned_spec
+from vspec.errors import LexError, ParseError
+from vspec.lexer import tokenize
 from vspec.surface import (
     FunDef,
     NetworkDecl,
+    SApp,
     SBinOp,
     SCmp,
+    SIndex,
+    SNeg,
+    SNot,
     SNum,
     SQuant,
+    SVar,
     TypeSynonym,
     parse,
-    print_program,
 )
 
 
@@ -164,3 +175,108 @@ def test_roundtrip_various_programs(program):
     printed = print_program(first)
     second = parse(printed)
     assert print_program(second) == printed
+
+
+def bracketed(e) -> str:
+    """Every node of a surface expression in brackets, each operator with
+    its column."""
+    if isinstance(e, SVar):
+        return e.name
+    if isinstance(e, SNum):
+        return str(e.value)
+    if isinstance(e, (SBinOp, SCmp)):
+        return f"({e.op}@{e.pos.column} {bracketed(e.lhs)} {bracketed(e.rhs)})"
+    if isinstance(e, (SNot, SNeg)):
+        op = "not" if isinstance(e, SNot) else "neg"
+        return f"({op}@{e.pos.column} {bracketed(e.arg)})"
+    if isinstance(e, SIndex):
+        return f"(!@{e.pos.column} {bracketed(e.tensor)} {bracketed(e.index)})"
+    if isinstance(e, SApp):
+        return "(" + " ".join(bracketed(x) for x in (e.fn, *e.args)) + ")"
+    raise AssertionError(e)
+
+
+# A prefix ``not`` or ``-`` parses only where its own level may start, and
+# the operand of ``!`` is an application.  Recorded with the parser that had
+# one method per precedence level.
+PREFIX_CASES = [
+    ("a <= not b", "spec.vcl:2:10: error: expected an expression, found 'not' [ParseError]"),
+    ("a + not b", "spec.vcl:2:9: error: expected an expression, found 'not' [ParseError]"),
+    ("t ! -1", "spec.vcl:2:9: error: expected an expression, found '-' [ParseError]"),
+    ("t ! not b", "spec.vcl:2:9: error: expected an expression, found 'not' [ParseError]"),
+    ("a * -b", "(*@7 a (neg@9 b))"),
+    ("-t ! 0", "(neg@5 (!@8 t 0))"),
+    ("not a <= b <= c", "(not@5 (and@16 (<=@11 a b) (<=@16 b c)))"),
+    ("a => b => c", "(=>@7 a (=>@12 b c))"),
+]
+
+
+@pytest.mark.parametrize("text,expected", PREFIX_CASES, ids=[t for t, _ in PREFIX_CASES])
+def test_prefix_operators_and_index_operands(text, expected):
+    try:
+        got = bracketed(parse(f"p : Prop\np = {text}", "spec.vcl")[0].body)
+    except ParseError as err:
+        got = err.diagnostic()
+    assert got == expected
+
+
+# -- pinned front end ------------------------------------------------------------
+
+# sha256 of the front end's output on front_end_corpus(); see
+# test_pinned_front_end_corpus.
+PINNED_FRONT_END_DIGEST = "615d5f61b057d5624db05c0787da3a0b14ad34ccb3cee44338402cd7e617c142"
+
+# Pieces the mutations insert or delete: prefix operators, an index, an
+# implication, a superscript two (a numeric that may continue a name but
+# neither start one nor be a digit), a non-ASCII letter, a type word, the
+# rejected ``let`` and a comment that swallows the rest of its line.
+MUTATION_PIECES = ("not", "-", "!", "=>", "\u00b2", "\u00e9", "Tensor", "let", "-- note")
+
+
+def front_end_corpus() -> list[str]:
+    """The fixtures' specs and 60 ``pinned_spec`` programs, each intact,
+    cut at 3 seeded offsets, and with 6 seeded single-piece mutations: a
+    piece of ``MUTATION_PIECES`` inserted at a random offset, bare or
+    between spaces, or one occurrence of it deleted."""
+    rng = random.Random(20261019)
+    bases = [path.read_text() for path in sorted(FIXTURES.glob("*.vcl"))]
+    bases += [PINNED_HEADER + pinned_spec(rng, index) for index in range(60)]
+    corpus = []
+    for source in bases:
+        corpus.append(source)
+        corpus += [source[: rng.randrange(len(source))] for _ in range(3)]
+        for _ in range(6):
+            piece = rng.choice(MUTATION_PIECES)
+            hits = [m.start() for m in re.finditer(re.escape(piece), source)]
+            if hits and rng.random() < 0.4:
+                at = rng.choice(hits)
+                corpus.append(source[:at] + source[at + len(piece) :])
+            else:
+                at = rng.randrange(len(source) + 1)
+                gap = rng.choice(("", " "))
+                corpus.append(source[:at] + gap + piece + gap + source[at:])
+    return corpus
+
+
+def test_pinned_front_end_corpus():
+    """Tokens, surface ASTs (positions included) and diagnostics of
+    ``front_end_corpus`` are pinned to a digest.
+
+    Each input contributes the ``repr`` of its token list and of its parsed
+    declarations, or the diagnostic that stopped either.  The digest was
+    recorded with the character-walking lexer and the recursive-descent
+    parser that had one method per precedence level, so it gates "same
+    front end" for any rewrite of either."""
+    rendered = []
+    outcomes = {"parsed": 0, "ParseError": 0, "LexError": 0}
+    for source in front_end_corpus():
+        try:
+            rendered.append(repr(tokenize(source, "spec.vcl")))
+            rendered.append(repr(parse(source, "spec.vcl")))
+            outcomes["parsed"] += 1
+        except (LexError, ParseError) as err:
+            rendered.append(err.diagnostic())
+            outcomes[err.code] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+    digest = hashlib.sha256(repr(rendered).encode()).hexdigest()
+    assert digest == PINNED_FRONT_END_DIGEST
