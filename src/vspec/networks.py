@@ -110,7 +110,10 @@ def load_network(path: str | Path, name: str | None = None) -> NetworkModel:
     path = Path(path)
     if not path.exists():
         raise NetworkError("MissingNetworkFile", f"no such file: {path}", path=str(path))
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise NetworkError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
     name = name or path.stem
     if not data:
         raise NetworkError("MalformedNetworkFile", "empty file", path=str(path))

@@ -317,6 +317,11 @@ def decode_onnx_subset(data: bytes, name: str, path: str | None = None):
             )
         return initializers[names[0]]
 
+    def output(node: _Node) -> str:
+        if not node.outputs:
+            raise _malformed(f"node {node.op_type!r} has no output", path=path)
+        return node.outputs[0]
+
     layers: list[Affine | Relu] = []
     width = m
     current = input_info.name
@@ -339,11 +344,11 @@ def decode_onnx_subset(data: bytes, name: str, path: str | None = None):
                     "Flatten is only absorbed on the graph input",
                     path=path,
                 )
-            current = node.outputs[0]
+            current = output(node)
             continue
         if op == "Relu":
             layers.append(Relu(width))
-            current = node.outputs[0]
+            current = output(node)
             continue
         if op == "Gemm":
             attrs = _attr_map(node)
@@ -385,7 +390,7 @@ def decode_onnx_subset(data: bytes, name: str, path: str | None = None):
                 )
             layers.append(Affine(weights, bias))
             width = rows
-            current = node.outputs[0]
+            current = output(node)
             continue
         if op == "MatMul":
             w = weight_tensor(node, current)
@@ -402,9 +407,10 @@ def decode_onnx_subset(data: bytes, name: str, path: str | None = None):
             weights = _reshape(wvals, w.dims, transpose=True)
             bias = tuple(Fraction(0) for _ in range(out_w))
             # Fuse a following Add with an initializer operand as the bias.
-            nxt = by_input.get(node.outputs[0])
+            current = output(node)
+            nxt = by_input.get(current)
             if nxt is not None and nxt.op_type == "Add":
-                bname = [i for i in nxt.inputs if i != node.outputs[0]]
+                bname = [i for i in nxt.inputs if i != current]
                 if not bname or bname[0] not in initializers:
                     raise NetworkError(
                         "UnsupportedOperator",
@@ -415,9 +421,7 @@ def decode_onnx_subset(data: bytes, name: str, path: str | None = None):
                 if len(bvals) != out_w:
                     raise _malformed("Add bias width mismatch", path=path)
                 bias = tuple(bvals)
-                current = nxt.outputs[0]
-            else:
-                current = node.outputs[0]
+                current = output(nxt)
             layers.append(Affine(weights, bias))
             width = out_w
             continue

@@ -21,6 +21,7 @@ a status query can never trigger verification.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shlex
 import tempfile
@@ -92,6 +93,7 @@ def write_proof_file(cache: ProofCacheFile, path: str | Path) -> None:
     """Atomic write (temp file + rename) of the canonical serialisation."""
     path = Path(path)
     text = render_proof_file(cache)
+    tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".vclp.tmp")
@@ -99,6 +101,9 @@ def write_proof_file(cache: ProofCacheFile, path: str | Path) -> None:
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:  # the temp file was made: remove it
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise CacheError("IoError", f"cannot write {path}: {exc}", path=str(path)) from None
 
 

@@ -24,7 +24,7 @@ first feasible leaf is the lexicographically least satisfiable phase
 assignment.  It is re-solved from scratch on the flat leaf constraint list
 over all variables, so the witness depends only on that list (Bland's
 rule is deterministic), not on the search.  A query with no free ReLU is
-the one LP of its base constraints.
+the search with zero branches: its leaf LP is the only one it solves.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -57,20 +57,29 @@ class ReluNode:
 
 @dataclass
 class Skeleton:
-    """Variables and equality constraints of an unrolled metanetwork."""
+    """Variables and network definitions of an unrolled metanetwork."""
 
     num_vars: int
     qvar_ids: dict[QVar, int]
-    equalities: list[LPConstraint]
     relu_nodes: list[ReluNode]
-    # Forward-ordered events for bound propagation: ("affine", out_var,
-    # terms, bias) or ("relu", node_id).
+    # The network, in forward order: ("affine", out_var, terms, bias) for
+    # out_var = bias + sum(w * v for v, w in terms), a layerless model's
+    # y = x included, or ("relu", node_id).
     events: list[tuple]
+
+    @property
+    def equalities(self) -> list[LPConstraint]:
+        """``out_var - sum(w * v) = bias`` per affine event, in order."""
+        return [
+            LPConstraint(((e[1], ONE),) + tuple((v, -w) for v, w in e[2]), "=", e[3])
+            for e in self.events
+            if e[0] == "affine"
+        ]
 
 
 def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> Skeleton:
-    """Introduce hidden variables per layer; affine layers contribute
-    equalities, ReLU nodes become case splits."""
+    """Introduce hidden variables per layer; affine layers define their
+    outputs, ReLU nodes become case splits."""
     qvar_ids: dict[QVar, int] = {}
     counter = 0
 
@@ -84,7 +93,6 @@ def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> Skeleton:
     for j in range(meta.total_outputs):
         qvar_ids[QVar("y", j)] = fresh()
 
-    equalities: list[LPConstraint] = []
     relu_nodes: list[ReluNode] = []
     events: list[tuple] = []
 
@@ -103,11 +111,6 @@ def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> Skeleton:
                     terms = tuple(
                         (current[cidx], w) for cidx, w in enumerate(row) if w != 0
                     )
-                    # new[r] - sum(w * cur) = b
-                    eq_terms = ((new[r], Fraction(1)),) + tuple(
-                        (v, -w) for v, w in terms
-                    )
-                    equalities.append(LPConstraint(eq_terms, "=", b))
                     events.append(("affine", new[r], terms, b))
                 current = new
             else:
@@ -119,10 +122,8 @@ def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> Skeleton:
                 current = new
         if not model.layers:
             for x_id, y_id in zip(current, y_ids):
-                equalities.append(
-                    LPConstraint(((y_id, Fraction(1)), (x_id, Fraction(-1))), "=", ZERO)
-                )
-    return Skeleton(counter, qvar_ids, equalities, relu_nodes, events)
+                events.append(("affine", y_id, ((x_id, ONE),), ZERO))
+    return Skeleton(counter, qvar_ids, relu_nodes, events)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +240,6 @@ def free_coordinate_forms(
             forms[node.post_var] = ({}, ZERO)
         else:
             forms[node.post_var] = forms[node.pre_var]
-    # No event defines the outputs of a layerless model, only y - x = 0.
-    for eq in skeleton.equalities:
-        (vid, _), *rest = eq.terms
-        if vid not in forms:
-            forms[vid] = _combine([(u, -k) for u, k in rest], eq.rhs, forms)
     return count, forms
 
 
@@ -344,11 +340,6 @@ def check_query(
     skeleton = unroll_meta_network(query.meta, ctx)
     intervals, fixed = propagate_bounds(skeleton, query)
 
-    query_rows = _query_constraints(query, skeleton)
-    base = skeleton.equalities + query_rows
-    for node_id, phase in fixed.items():
-        base.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
-
     free_nodes = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
     if len(free_nodes) > phase_budget:
         raise VerifyError(
@@ -356,35 +347,38 @@ def check_query(
             f"{len(free_nodes)} unfixed ReLU nodes exceed the phase budget "
             f"of {phase_budget}",
         )
-    if not free_nodes:
-        witness = feasible(LPProblem(skeleton.num_vars, base))
-        return Unsat() if witness is None else _restrict(witness, skeleton)
-
-    # The search runs in free coordinates: the equalities and the fixed
-    # phases' definition rows become 0 = 0 there and are dropped.
-    num_coords, forms = free_coordinate_forms(skeleton, fixed)
-    num_inputs = query.meta.total_inputs
-    relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
+    query_rows = _query_constraints(query, skeleton)
+    phases: list[str] = []
+    if free_nodes:
+        # The search runs in free coordinates: the equalities and the fixed
+        # phases' definition rows become 0 = 0 there and are dropped.
+        num_coords, forms = free_coordinate_forms(skeleton, fixed)
+        num_inputs = query.meta.total_inputs
+        relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
+        for node_id, phase in fixed.items():
+            relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
+        branches = []
+        for node in free_nodes:
+            pre = forms[node.pre_var]
+            (post,) = forms[node.post_var][0]  # the output's coordinate
+            bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
+            relaxation.extend(_triangle_rows(pre, post, bounds))
+            branches.append(tuple(_phase_rows(pre, post, phase) for phase in PHASES))
+        root = LPProblem(num_coords, relaxation)
+        if feasible(root) is None:
+            return Unsat()
+        phases = _first_feasible_leaf(root, branches)
+        if phases is None:
+            return Unsat()
+    leaf = skeleton.equalities + query_rows
     for node_id, phase in fixed.items():
-        relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
-    branches = []
-    for node in free_nodes:
-        pre = forms[node.pre_var]
-        (post,) = forms[node.post_var][0]  # the output's coordinate
-        bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
-        relaxation.extend(_triangle_rows(pre, post, bounds))
-        branches.append(tuple(_phase_rows(pre, post, phase) for phase in PHASES))
-    root = LPProblem(num_coords, relaxation)
-    if feasible(root) is None:
-        return Unsat()
-    phases = _first_feasible_leaf(root, branches)
-    if phases is None:
-        return Unsat()
-    leaf = list(base)
+        leaf.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
     for node, phase in zip(free_nodes, phases):
         leaf.extend(_phase_constraints(node, phase))
     witness = feasible(LPProblem(skeleton.num_vars, leaf))
-    assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
+    if witness is None:
+        assert not free_nodes, "a feasible leaf relaxation has an infeasible leaf LP"
+        return Unsat()
     return _restrict(witness, skeleton)
 
 

@@ -176,70 +176,34 @@ def _solve(problem: LPProblem) -> _Tableau | None:
     non-strict relaxation infeasible."""
     n = problem.num_vars
     rows = [_normalise(c) for c in problem.constraints]
-    any_strict = any(strict for _, _, _, strict, _ in rows)
+    eps_col = None
+    if any(strict for _, _, _, strict, _ in rows):
+        eps_col = 2 * n
+        rows.append(({}, "<=", 1, True, 1))  # the cap eps <= 1
 
-    ns = 2 * n + (1 if any_strict else 0)  # structural columns
-    eps_col = 2 * n if any_strict else None
-
-    # Build equality-form rows (structural coefficients, relation, rhs,
-    # and the scale their slack or artificial entry carries).
-    table_rows: list[list[int]] = []
-    rels: list[str] = []
-    rhss: list[int] = []
-    scales: list[int] = []
-    for terms, rel, rhs, strict, scale in rows:
-        struct = [0] * ns
-        for j, k in _columns(terms, strict, eps_col, scale).items():
-            struct[j] = k
-        table_rows.append(struct)
-        rels.append(rel)
-        rhss.append(rhs)
-        scales.append(scale)
-    if any_strict:
-        cap = [0] * ns
-        cap[eps_col] = 1  # type: ignore[index]
-        table_rows.append(cap)
-        rels.append("<=")
-        rhss.append(1)
-        scales.append(1)
-
-    m = len(table_rows)
-    # Assign slack columns for <= rows, then artificials where needed.
-    slack_col: list[int | None] = [None] * m
-    col = ns
-    for i in range(m):
-        if rels[i] == "<=":
-            slack_col[i] = col
-            col += 1
-    art_start = col
-    art_col: list[int | None] = [None] * m
-    for i in range(m):
-        negate = rhss[i] < 0
-        if negate:
-            table_rows[i] = [-k for k in table_rows[i]]
-            rhss[i] = -rhss[i]
-        needs_artificial = rels[i] == "=" or negate
-        if needs_artificial:
-            art_col[i] = col
-            col += 1
-    n_cols = col
-
-    tableau = []
+    # Columns: the structural pairs and eps, then a slack per <= row, then
+    # an artificial per = row and per row with a negative right-hand side,
+    # each in row order.  The rhs sits in column n_cols.
+    slack = 2 * n + (eps_col is not None)
+    art = art_start = slack + sum(rel == "<=" for _, rel, _, _, _ in rows)
+    n_cols = art_start + sum(rel == "=" or rhs < 0 for _, rel, rhs, _, _ in rows)
+    tableau: list[list[int]] = []
     basis: list[int] = []
-    for i in range(m):
-        row = table_rows[i] + [0] * (n_cols - ns) + [rhss[i]]
-        sc = slack_col[i]
-        if sc is not None:
-            # A sign-normalised (negated) <= row carries a negative slack.
-            row[sc] = -scales[i] if art_col[i] is not None else scales[i]
-        ac = art_col[i]
-        if ac is not None:
-            row[ac] = scales[i]
-            basis.append(ac)
-        else:
-            assert sc is not None
-            basis.append(sc)
+    for terms, rel, rhs, strict, scale in rows:
+        row = [0] * (n_cols + 1)
+        for j, k in _columns(terms, strict, eps_col, scale).items():
+            row[j] = k
+        row[n_cols] = rhs
+        if rel == "<=":
+            row[slack] = scale
+            basic, slack = slack, slack + 1
+        if rhs < 0:  # sign-normalise: a negated <= row carries a negative slack
+            row = [-k for k in row]
+        if rel == "=" or rhs < 0:
+            row[art] = scale
+            basic, art = art, art + 1
         tableau.append(row)
+        basis.append(basic)
 
     artificials = set(range(art_start, n_cols))
 
@@ -249,7 +213,7 @@ def _solve(problem: LPProblem) -> _Tableau | None:
         for a in artificials:
             cost1[a] = -1
         _simplex(tableau, basis, cost1, n_cols)
-        if any(tableau[i][n_cols] != 0 for i in range(m) if basis[i] in artificials):
+        if any(row[n_cols] != 0 for row, b in zip(tableau, basis) if b in artificials):
             return None
         _drive_out_artificials(tableau, basis, artificials, n_cols)
 

@@ -227,6 +227,27 @@ def test_output_under_a_regular_file_is_an_io_error(workspace, capsys, command):
     assert "Traceback" not in err
 
 
+def test_proof_file_naming_a_directory_leaves_no_temp_file(workspace, capsys):
+    (workspace / "pdir").mkdir()
+    net = ["--network", "controller:controller.vnet"]
+    code = run(["verify", "--spec", "controller-spec.vcl", *net, "--proof-file", "pdir"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "[IoError]" in err
+    assert "Traceback" not in err
+    assert not list(workspace.glob("**/*.vclp.tmp"))
+
+
+def test_network_file_naming_a_directory_is_an_io_error(workspace, capsys):
+    (workspace / "netdir").mkdir()
+    code = run(["verify", "--spec", "controller-spec.vcl", "--network", "controller:netdir"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("netdir: error: cannot read netdir")
+    assert "[IoError]" in err
+    assert "Traceback" not in err
+
+
 def test_unreadable_proof_file_names_its_path(workspace, capsys):
     assert run(["check", "--proof-file", "nope.vclp"]) == 2
     assert capsys.readouterr().err.startswith("nope.vclp: error: cannot read nope.vclp")

@@ -1,3 +1,5 @@
+import collections
+import random
 import struct
 from fractions import Fraction
 
@@ -77,9 +79,9 @@ def test_conv_node_is_unsupported():
     assert err.value.code == "UnsupportedOperator"
 
 
-def test_matmul_add_relu_chain():
-    # x(2) -> MatMul W(2x3) -> Add b(3) -> Relu -> MatMul V(3x1)
-    data = onnx_model(
+def matmul_add_relu_chain() -> bytes:
+    """x(2) -> MatMul W(2x3) -> Add b(3) -> Relu -> MatMul V(3x1)"""
+    return onnx_model(
         nodes=[
             onnx_node("MatMul", ["input", "W"], ["h0"]),
             onnx_node("Add", ["h0", "b"], ["h1"]),
@@ -94,7 +96,23 @@ def test_matmul_add_relu_chain():
         inputs=[onnx_value_info("input", [2])],
         outputs=[onnx_value_info("output", [1])],
     )
-    model = decode_onnx_subset(data, "net")
+
+
+def gemm_relu(relu_outputs: list[str]) -> bytes:
+    """x(1) -> Gemm -> Relu, the Relu node with ``relu_outputs``."""
+    return onnx_model(
+        nodes=[
+            onnx_node("Gemm", ["input", "W", "B"], ["h"], [onnx_attr_int("transB", 1)]),
+            onnx_node("Relu", ["h"], relu_outputs),
+        ],
+        initializers=[onnx_tensor("W", [1, 1], [1.0]), onnx_tensor("B", [1], [0.0])],
+        inputs=[onnx_value_info("input", [1])],
+        outputs=[onnx_value_info("output", [1])],
+    )
+
+
+def test_matmul_add_relu_chain():
+    model = decode_onnx_subset(matmul_add_relu_chain(), "net")
     assert [type(l).__name__ for l in model.layers] == ["Affine", "Relu", "Affine"]
     assert model.layers[0].bias == (Fraction(1, 2), Fraction(0), Fraction(-1))
     # Spot-check semantics against a by-hand computation at x = (1, 1):
@@ -188,3 +206,32 @@ def test_standalone_add_is_rejected():
     with pytest.raises(NetworkError) as err:
         decode_onnx_subset(data, "net")
     assert err.value.code == "UnsupportedOperator"
+
+
+def test_node_without_output_is_malformed():
+    with pytest.raises(NetworkError) as err:
+        decode_onnx_subset(gemm_relu([]), "net")
+    assert err.value.code == "MalformedProtobuf"
+    assert "'Relu' has no output" in err.value.message
+
+
+def test_byte_mutations_decode_or_give_a_coded_diagnostic():
+    """Seeded mutations of one to three bytes of three small models: each
+    decodes to a model or ends in a ``NetworkError``, never another
+    exception."""
+    models = [
+        simple_gemm_model([[0.5, -1.5], [1.0, 2.0]], [2.0, -1.0]),
+        matmul_add_relu_chain(),
+        gemm_relu(["output"]),
+    ]
+    rng = random.Random(20261019)
+    codes = collections.Counter()
+    for _ in range(4000):
+        data = bytearray(rng.choice(models))
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        try:
+            codes[type(decode_onnx_subset(bytes(data), "net")).__name__] += 1
+        except NetworkError as exc:
+            codes["no output" if "has no output" in exc.message else exc.code] += 1
+    assert codes["NetworkModel"] and codes["no output"], codes

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
@@ -382,6 +383,34 @@ def test_search_matches_the_flat_phase_search():
             w.denominator == 1 << 23 for x in affine for row in x.weights for w in row
         )
     assert min(seen.values()) >= 25, seen
+
+
+def test_pinned_search_outputs(monkeypatch):
+    """The verdict, witness and LP count of 400 seeded search instances,
+    pinned by digest, so that a refactor of the engine or the LP cannot
+    move an output or a search step unseen."""
+    rng = random.Random(20261020)
+    calls = count_lp_calls(monkeypatch)
+    digest = hashlib.sha256()
+    shapes = dict.fromkeys(("no free relu", "layerless", "sat with free", "sat without"), 0)
+    for _ in range(400):
+        while True:
+            ctx, query = random_search_instance(rng)
+            skeleton = unroll_meta_network(query.meta, ctx)
+            free = len(skeleton.relu_nodes) - len(propagate_bounds(skeleton, query)[1])
+            if free <= 7:
+                break
+        calls.clear()
+        verdict = check_query(query, ctx)
+        digest.update(f"{verdict!r} {len(calls)}\n".encode())
+        shapes["no free relu"] += not free
+        shapes["layerless"] += any(
+            not ctx[name].model.layers for name, _, _ in query.meta.applications
+        )
+        if isinstance(verdict, Sat):
+            shapes["sat with free" if free else "sat without"] += 1
+    assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
+    assert digest.hexdigest() == "34ecd5c906c2944150aa146adf2ab333a9c1f760b3dbe65f2487421a943fad81"
 
 
 def test_pruning_neutrality(monkeypatch):
