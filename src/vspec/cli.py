@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=[],
             help="restrict to the named properties (repeatable)",
         )
-        p.add_argument("--format", choices=["text", "json"], default="text")
 
     compile_p = sub.add_parser("compile", help="compile the specification")
     add_spec_args(compile_p)
@@ -95,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="verify all properties")
     add_spec_args(verify_p)
+    verify_p.add_argument("--format", choices=["text", "json"], default="text")
     verify_p.add_argument("--proof-file", default=None)
     verify_p.add_argument("--output", default="out")
     verify_p.add_argument("--phase-budget", type=int, default=DEFAULT_PHASE_BUDGET)
@@ -245,15 +245,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             statuses.append((plan.name, NOT_CHECKED, len(plan.queries)))
     else:
         for plan in compiled.plans:
+            # Queries are solved on demand, so none after the deciding SAT runs.
+            verdicts = (
+                check_query(q, compiled.ctx, phase_budget=args.phase_budget)
+                for q in plan.queries
+            )
             try:
-                verdicts = [
-                    check_query(q, compiled.ctx, phase_budget=args.phase_budget)
-                    for q in plan.queries
-                ]
+                status = marabou.interpret_verdicts(plan, verdicts)
             except VerifyError as err:
                 err.path = compiled.spec_path
                 raise
-            status = marabou.interpret_verdicts(plan, verdicts)
             statuses.append((plan.name, status, len(plan.queries)))
 
     existing_digest = None

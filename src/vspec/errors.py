@@ -93,8 +93,7 @@ class QueryError(VspecError):
 
 class BackendError(VspecError):
     """Raised by output backends; ``code`` is one of NonLinearAtom,
-    VerdictCountMismatch, UnrenderableConstruct, IoError,
-    MalformedQueryFile."""
+    VerdictCountMismatch, UnrenderableConstruct, IoError."""
 
 
 class VerifyError(VspecError):

@@ -21,21 +21,14 @@ application, in metanetwork order.
 from __future__ import annotations
 
 import shlex
+from collections.abc import Iterable
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BackendError
 from .networks import NetworkContext
-from .queries import (
-    LinearConstraint,
-    LinearQuery,
-    MetaNetwork,
-    PropertyPlan,
-    QVar,
-    canonical_constraint,
-)
-from .rational import parse_rational, render_number
+from .queries import LinearConstraint, LinearQuery, MetaNetwork, PropertyPlan
+from .rational import render_number
 from .verdicts import PropertyStatus, Sat, VERIFIED, Verdict, falsified
 
 MANIFEST_NAME = "queries.manifest"
@@ -110,107 +103,29 @@ def emit_property_queries(
 
 
 # ---------------------------------------------------------------------------
-# Reading emitted files back (round-trip checking and file-level verification)
-# ---------------------------------------------------------------------------
-
-
-def parse_constraint(line: str) -> LinearConstraint:
-    for rel in ("<=", ">=", "<", ">", "="):
-        marker = f" {rel} "
-        if marker in line:
-            lhs_text, _, rhs_text = line.partition(marker)
-            break
-    else:
-        raise BackendError("MalformedQueryFile", f"no relation in line {line!r}")
-    constant = parse_rational(rhs_text.strip())
-    terms: dict[QVar, Fraction] = {}
-    for raw in lhs_text.split():
-        text = raw
-        sign = Fraction(1)
-        if text.startswith("+"):
-            text = text[1:]
-        elif text.startswith("-"):
-            sign = Fraction(-1)
-            text = text[1:]
-        split = max(text.rfind("x"), text.rfind("y"))
-        if split == -1:
-            raise BackendError("MalformedQueryFile", f"bad term {raw!r}")
-        coeff_text, kind, index_text = text[:split], text[split], text[split + 1 :]
-        try:
-            index = int(index_text)
-        except ValueError:
-            raise BackendError("MalformedQueryFile", f"bad term {raw!r}") from None
-        coeff = sign * (parse_rational(coeff_text) if coeff_text else Fraction(1))
-        var = QVar(kind, index)
-        terms[var] = terms.get(var, Fraction(0)) + coeff
-    return canonical_constraint(terms, rel, constant)
-
-
-def parse_query_file(path: str | Path) -> list[LinearConstraint]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise BackendError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
-    return [parse_constraint(line) for line in text.splitlines() if line.strip()]
-
-
-def parse_manifest(path: str | Path) -> list[tuple[str, str, str]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise BackendError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
-    entries = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        parts = shlex.split(line)
-        if len(parts) != 3:
-            raise BackendError("MalformedQueryFile", f"bad manifest line {line!r}")
-        entries.append((parts[0], parts[1], parts[2]))
-    return entries
-
-
-def load_query_dir(directory: str | Path, ctx: NetworkContext) -> list[LinearQuery]:
-    """Reconstruct LinearQueries from an emitted directory, using the
-    manifest order to rebuild the metanetwork."""
-    directory = Path(directory)
-    entries = parse_manifest(directory / MANIFEST_NAME)
-    apps = []
-    for name, _path, _digest in entries:
-        info = ctx[name]
-        apps.append((name, info.input_size, info.output_size))
-    meta = MetaNetwork(tuple(apps))
-    queries = []
-    k = 1
-    while (directory / f"query{k}.txt").exists():
-        queries.append(LinearQuery(parse_query_file(directory / f"query{k}.txt"), meta))
-        k += 1
-    return queries
-
-
-# ---------------------------------------------------------------------------
 # Verdict interpretation
 # ---------------------------------------------------------------------------
 
 
-def interpret_verdicts(plan: PropertyPlan, verdicts: list[Verdict]) -> PropertyStatus:
-    """Combine per-query verdicts into a property status.
+def interpret_verdicts(plan: PropertyPlan, verdicts: Iterable[Verdict]) -> PropertyStatus:
+    """Combine per-query verdicts, read in plan order, into a property status.
 
-    A negated (all-universal) plan is Verified iff every query is
-    unsatisfiable; any satisfying assignment falsifies the property.  An
-    all-existential plan is Verified iff some query is satisfiable.
+    The first satisfiable query decides the property: it falsifies a negated
+    (all-universal) plan and verifies an all-existential one, with its
+    witness.  No verdict after it is read, so ``verdicts`` may be a generator
+    that solves each query on demand.  Without one, a negated plan is
+    Verified and an existential plan Falsified.
     """
-    if len(verdicts) != len(plan.queries):
-        raise BackendError(
-            "VerdictCountMismatch",
-            f"{len(plan.queries)} queries but {len(verdicts)} verdicts",
-        )
-    if plan.negated:
-        for v in verdicts:
-            if isinstance(v, Sat):
-                return falsified(v.witness)
-        return VERIFIED
+    count = 0
     for v in verdicts:
         if isinstance(v, Sat):
+            if plan.negated:
+                return falsified(v.witness)
             return PropertyStatus("Verified", v.witness)
-    return PropertyStatus("Falsified")
+        count += 1
+    if count != len(plan.queries):
+        raise BackendError(
+            "VerdictCountMismatch",
+            f"{len(plan.queries)} queries but {count} verdicts",
+        )
+    return VERIFIED if plan.negated else PropertyStatus("Falsified")

@@ -108,13 +108,19 @@ def validate_model(model: NetworkModel, path: str | None = None) -> NetworkModel
 def load_network(path: str | Path, name: str | None = None) -> NetworkModel:
     """Load a network file, dispatching on its leading bytes."""
     path = Path(path)
+    return _decode_network(_read_network_file(path), name or path.stem, path)
+
+
+def _read_network_file(path: Path) -> bytes:
     if not path.exists():
         raise NetworkError("MissingNetworkFile", f"no such file: {path}", path=str(path))
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise NetworkError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
-    name = name or path.stem
+
+
+def _decode_network(data: bytes, name: str, path: Path) -> NetworkModel:
     if not data:
         raise NetworkError("MalformedNetworkFile", "empty file", path=str(path))
     if data.startswith(b"vnet"):
@@ -308,7 +314,10 @@ def analyze_network_types(
             )
         path = network_files[name]
         normalised, curried_k = _normalise_network_type(name, declared)
-        model = load_network(path, name)
+        # The digest is taken over the bytes that were decoded, so a file
+        # replaced in between cannot be recorded as verified.
+        data = _read_network_file(Path(path))
+        model = _decode_network(data, name, Path(path))
         if not _model_matches(normalised, model):
             cod: VType = TensorT(RAT, (model.output_size,))
             actual = FunT(TensorT(RAT, (model.input_size,)), cod)
@@ -318,7 +327,7 @@ def analyze_network_types(
                 f"implements {actual}",
                 path=path,
             )
-        ctx[name] = NetworkInfo(model, normalised, str(path), hash_file(path))
+        ctx[name] = NetworkInfo(model, normalised, str(path), hashlib.sha256(data).hexdigest())
         rewrite_arity[name] = curried_k
         assert isinstance(declared, FunT)
         # Application sites need '! 0' when the user-facing codomain is scalar.

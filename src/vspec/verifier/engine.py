@@ -23,8 +23,10 @@ feasible exactly when the flat leaf LP (base plus phase rows) is, and the
 first feasible leaf is the lexicographically least satisfiable phase
 assignment.  It is re-solved from scratch on the flat leaf constraint list
 over all variables, so the witness depends only on that list (Bland's
-rule is deterministic), not on the search.  A query with no free ReLU is
-the search with zero branches: its leaf LP is the only one it solves.
+rule is deterministic), not on the search; that LP is solved only for a
+feasible leaf, so it is always feasible.  A query with no free ReLU is the
+search with zero branches: its root, over the inputs alone, is its only
+leaf.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -347,38 +349,34 @@ def check_query(
             f"{len(free_nodes)} unfixed ReLU nodes exceed the phase budget "
             f"of {phase_budget}",
         )
+    # The search runs in free coordinates: the equalities and the fixed
+    # phases' definition rows become 0 = 0 there and are dropped.
+    num_coords, forms = free_coordinate_forms(skeleton, fixed)
     query_rows = _query_constraints(query, skeleton)
-    phases: list[str] = []
-    if free_nodes:
-        # The search runs in free coordinates: the equalities and the fixed
-        # phases' definition rows become 0 = 0 there and are dropped.
-        num_coords, forms = free_coordinate_forms(skeleton, fixed)
-        num_inputs = query.meta.total_inputs
-        relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
-        for node_id, phase in fixed.items():
-            relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
-        branches = []
-        for node in free_nodes:
-            pre = forms[node.pre_var]
-            (post,) = forms[node.post_var][0]  # the output's coordinate
-            bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
-            relaxation.extend(_triangle_rows(pre, post, bounds))
-            branches.append(tuple(_phase_rows(pre, post, phase) for phase in PHASES))
-        root = LPProblem(num_coords, relaxation)
-        if feasible(root) is None:
-            return Unsat()
-        phases = _first_feasible_leaf(root, branches)
-        if phases is None:
-            return Unsat()
+    num_inputs = query.meta.total_inputs
+    relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
+    for node_id, phase in fixed.items():
+        relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
+    branches = []
+    for node in free_nodes:
+        pre = forms[node.pre_var]
+        (post,) = forms[node.post_var][0]  # the output's coordinate
+        bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
+        relaxation.extend(_triangle_rows(pre, post, bounds))
+        branches.append(tuple(_phase_rows(pre, post, phase) for phase in PHASES))
+    root = LPProblem(num_coords, relaxation)
+    if feasible(root) is None:
+        return Unsat()
+    phases = _first_feasible_leaf(root, branches)
+    if phases is None:
+        return Unsat()
     leaf = skeleton.equalities + query_rows
     for node_id, phase in fixed.items():
         leaf.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
     for node, phase in zip(free_nodes, phases):
         leaf.extend(_phase_constraints(node, phase))
     witness = feasible(LPProblem(skeleton.num_vars, leaf))
-    if witness is None:
-        assert not free_nodes, "a feasible leaf relaxation has an infeasible leaf LP"
-        return Unsat()
+    assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
     return _restrict(witness, skeleton)
 
 

@@ -209,7 +209,7 @@ _TERM_RE = __import__("re").compile(r"([+-]?)([0-9./]*)([xy])([0-9]+)")
 
 def read_query_file_by_hand(path) -> list[tuple[dict, str, Fraction]]:
     """Parse an emitted query file with a regex-based reader, independent of
-    the emitter's own parser.  Returns (terms, relation, constant) triples
+    the emitter.  Returns (terms, relation, constant) triples
     with coefficients normalised (merged, zero-free)."""
     out = []
     for line in open(path, encoding="utf-8"):

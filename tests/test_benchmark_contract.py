@@ -100,3 +100,26 @@ def test_tracer_counts_every_warm_lp(tmp_path, monkeypatch, four_relu_spec, four
     assert tracer.counts["verifier.engine.free_relus"] == 4
     assert tracer.counts["verifier.lp.calls"] == 9
     assert tracer.counts["verifier.lp.feasible"] == 4
+
+
+def test_tracer_counts_the_queries_solved(
+    tmp_path, monkeypatch, controller_spec, controller_zero_net
+):
+    # The zero controller falsifies the first of the two queries, so the
+    # second is never solved and the tracer must not count it.
+    tracing = load_tracing()
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(controller_spec, "controller-spec.vcl")
+    shutil.copy(controller_zero_net, "controller-zero.vnet")
+    argv = ["verify", "--spec", "controller-spec.vcl", "--network",
+            "controller:controller-zero.vnet", "--proof-file", "p.vclp"]  # fmt: skip
+
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        code = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert code == 3
+    assert tracer.counts["queries.linear_queries"] == 2
+    assert tracer.counts["verifier.engine.queries"] == 1

@@ -624,6 +624,15 @@ def test_a_usage_error_leaves_the_next_call_working(workspace, capsys):
     assert capsys.readouterr().out == "safe: Verified\n"
 
 
+def test_compile_takes_no_format_option(workspace, capsys):
+    # Only verify and check print a summary that --format could shape.
+    with pytest.raises(SystemExit) as exc:
+        run(["compile", "--spec", "controller-spec.vcl", "--network",
+             "controller:controller.vnet", "--format", "json"])  # fmt: skip
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
 def test_check_with_empty_property_list_warns_and_exits_zero(
     workspace, capsys, controller_net
 ):
@@ -668,6 +677,84 @@ def test_phase_budget_exceeded_names_the_spec(workspace, capsys):
     first = capsys.readouterr().err.splitlines()[0]
     assert first == (
         "controller-spec.vcl: error: 4 unfixed ReLU nodes exceed the phase budget of 0 "
+        "[PhaseBudgetExceeded]"
+    )
+    assert not (workspace / "p.vclp").exists()
+
+
+# Each property's queries, in plan order, over f(x) = -2 x0 + x1: the box
+# [-1, 1]^2 leaves all four ReLUs free, the others fix them all.
+#   nonNegative: UNSAT, SAT (the deciding one), 4 free ReLUs;
+#   wideFirst:   4 free ReLUs, SAT;
+#   reachesZero: UNSAT, SAT only at (1, 2), SAT elsewhere.
+ORDER_SPEC = """\
+network controller : Tensor Rat [2] -> Rat
+
+box : Rat -> Rat -> Rat -> Rat -> Tensor Rat [2] -> Prop
+box a b c d x = a <= x ! 0 <= b and c <= x ! 1 <= d
+
+nonNegative : Prop
+nonNegative = forall x . box (-2) (-1) 1 2 x or box 1 2 1 2 x or box (-1) 1 (-1) 1 x => controller x >= 0
+
+wideFirst : Prop
+wideFirst = forall x . box (-1) 1 (-1) 1 x or box 1 2 1 2 x => controller x >= 0
+
+reachesZero : Prop
+reachesZero = exists x . (box 1 2 (-2) (-1) x or box 1 2 1 2 x or box (-2) (-1) 1 2 x) and controller x >= 0
+"""
+
+
+def verify_order_spec(workspace, monkeypatch, prop, *extra):
+    """Exit code of ``verify`` on one property of ``ORDER_SPEC``, and the
+    number of queries it solved."""
+    (workspace / "order.vcl").write_text(ORDER_SPEC)
+    calls = []
+    check_query = cli.check_query
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check_query(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_query", counting)
+    code = run(["verify", "--spec", "order.vcl", "--network", "controller:controller.vnet",
+                "--proof-file", "p.vclp", "--property", prop, *extra])  # fmt: skip
+    return code, len(calls)
+
+
+def test_a_property_stops_at_its_deciding_sat(workspace, monkeypatch, capsys):
+    assert verify_order_spec(workspace, monkeypatch, "nonNegative") == (3, 2)
+    assert capsys.readouterr().out == (
+        "nonNegative: Falsified\n  counterexample: x0 = 1/1, x1 = 1/1, y0 = -1/1\n"
+    )
+    # The proof cache still counts every query of the plan.
+    assert read_proof_file(workspace / "p.vclp").properties[0].query_count == 3
+
+
+def test_an_existential_property_is_verified_by_its_first_sat_query(
+    workspace, monkeypatch, capsys
+):
+    code = verify_order_spec(workspace, monkeypatch, "reachesZero", "--format", "json")
+    assert code == (0, 2)
+    [summary] = json.loads(capsys.readouterr().out)["properties"]
+    assert summary["status"] == "Verified"
+    assert summary["witness"] == {"x0": "1/1", "x1": "2/1", "y0": "0/1"}
+
+
+def test_a_query_over_the_phase_budget_after_the_deciding_sat_is_not_run(
+    workspace, monkeypatch, capsys
+):
+    code = verify_order_spec(workspace, monkeypatch, "nonNegative", "--phase-budget", "3")
+    assert code == (3, 2)
+    assert "nonNegative: Falsified" in capsys.readouterr().out
+
+
+def test_a_query_over_the_phase_budget_before_the_deciding_sat_is_an_error(
+    workspace, monkeypatch, capsys
+):
+    code = verify_order_spec(workspace, monkeypatch, "wideFirst", "--phase-budget", "3")
+    assert code == (1, 1)
+    assert capsys.readouterr().err.splitlines()[0] == (
+        "order.vcl: error: 4 unfixed ReLU nodes exceed the phase budget of 3 "
         "[PhaseBudgetExceeded]"
     )
     assert not (workspace / "p.vclp").exists()

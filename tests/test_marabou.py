@@ -1,16 +1,14 @@
+import shlex
 from fractions import Fraction
 
 import pytest
 
+from oracles import read_query_file_by_hand
 from vspec.errors import BackendError
 from vspec.marabou import (
     emit_property_queries,
     emit_query,
     interpret_verdicts,
-    load_query_dir,
-    parse_constraint,
-    parse_manifest,
-    parse_query_file,
     render_constraint,
 )
 from vspec.networks import analyze_network_types
@@ -33,6 +31,15 @@ def lc(terms, rel, rhs):
     return canonical_constraint(
         {QVar(k, i): Fraction(v) for (k, i), v in terms}, rel, Fraction(rhs)
     )
+
+
+def by_hand(query: LinearQuery) -> list[tuple[dict, str, Fraction]]:
+    """The constraints of ``query`` in the form ``read_query_file_by_hand``
+    gives them."""
+    return [
+        ({(v.kind, v.index): coeff for v, coeff in c.terms}, c.relation, c.constant)
+        for c in query.constraints
+    ]
 
 
 def controller_plan(controller_spec, controller_net):
@@ -65,12 +72,10 @@ def test_running_example_query_file_lines(tmp_path, controller_spec, controller_
 def test_manifest_lists_applications_in_order(tmp_path, controller_spec, controller_net):
     plan, ctx = controller_plan(controller_spec, controller_net)
     emit_property_queries(plan, tmp_path, ctx)
-    entries = parse_manifest(tmp_path / "queries.manifest")
-    assert len(entries) == 1
-    name, path, digest = entries[0]
-    assert name == "controller"
-    assert path == str(controller_net)
-    assert digest == ctx["controller"].digest
+    lines = (tmp_path / "queries.manifest").read_text(encoding="utf-8").splitlines()
+    assert [shlex.split(line) for line in lines] == [
+        ["controller", str(controller_net), ctx["controller"].digest]
+    ]
 
 
 def test_non_decimal_coefficient_renders_as_ratio():
@@ -93,26 +98,12 @@ def test_emission_is_deterministic(tmp_path, controller_spec, controller_net):
 
 def test_round_trip_preserves_constraints(tmp_path, controller_spec, controller_net):
     plan, ctx = controller_plan(controller_spec, controller_net)
+    emit_property_queries(plan, tmp_path, ctx)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "queries.manifest", "query1.txt", "query2.txt"
+    ]
     for k, query in enumerate(plan.queries, start=1):
-        emit_query(query, tmp_path / f"query{k}.txt")
-        parsed = parse_query_file(tmp_path / f"query{k}.txt")
-        assert parsed == query.constraints
-
-
-def test_independent_reader_reconstructs_constraint_sets(
-    tmp_path, controller_spec, controller_net
-):
-    from oracles import read_query_file_by_hand
-
-    plan, ctx = controller_plan(controller_spec, controller_net)
-    for k, query in enumerate(plan.queries, start=1):
-        emit_query(query, tmp_path / f"query{k}.txt")
-        parsed = read_query_file_by_hand(tmp_path / f"query{k}.txt")
-        expected = [
-            ({(v.kind, v.index): coeff for v, coeff in c.terms}, c.relation, c.constant)
-            for c in query.constraints
-        ]
-        assert parsed == expected
+        assert read_query_file_by_hand(tmp_path / f"query{k}.txt") == by_hand(query)
 
 
 def test_round_trip_of_awkward_coefficients(tmp_path):
@@ -125,7 +116,7 @@ def test_round_trip_of_awkward_coefficients(tmp_path):
         MetaNetwork((("f", 2, 2),)),
     )
     emit_query(query, tmp_path / "query1.txt")
-    assert parse_query_file(tmp_path / "query1.txt") == query.constraints
+    assert read_query_file_by_hand(tmp_path / "query1.txt") == by_hand(query)
 
 
 def test_variable_indices_stay_inside_metanetwork(tmp_path, controller_spec, controller_net):
@@ -137,22 +128,6 @@ def test_variable_indices_stay_inside_metanetwork(tmp_path, controller_spec, con
                     query.meta.total_inputs if var.kind == "x" else query.meta.total_outputs
                 )
                 assert var.index < limit
-
-
-def test_load_query_dir_reconstructs_queries(tmp_path, controller_spec, controller_net):
-    plan, ctx = controller_plan(controller_spec, controller_net)
-    emit_property_queries(plan, tmp_path, ctx)
-    loaded = load_query_dir(tmp_path, ctx)
-    assert len(loaded) == 2
-    for original, roundtripped in zip(plan.queries, loaded):
-        assert roundtripped.constraints == original.constraints
-        assert roundtripped.meta == original.meta
-
-
-def test_malformed_query_line_rejected():
-    with pytest.raises(BackendError) as err:
-        parse_constraint("x0 plus y0 <= 1")
-    assert err.value.code == "MalformedQueryFile"
 
 
 # -- verdict interpretation ----------------------------------------------------

@@ -132,6 +132,33 @@ def test_single_flipped_bit_changes_digest(tmp_path, controller_net):
     assert hash_file(mutated) != original
 
 
+def test_network_digest_is_of_the_decoded_bytes(
+    tmp_path, monkeypatch, controller_spec, controller_net, controller_zero_net
+):
+    # The file is replaced right after its first read.  Reading it again for
+    # the digest would record the bytes of a network that was never decoded.
+    from pathlib import Path
+
+    from vspec.pipeline import compile_spec
+
+    net = tmp_path / "controller.vnet"
+    net.write_bytes(controller_net.read_bytes())
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def replacing(self):
+        data = read_bytes(self)
+        if self == net:
+            reads.append(self)
+            net.write_bytes(controller_zero_net.read_bytes())
+        return data
+
+    monkeypatch.setattr(Path, "read_bytes", replacing)
+    compiled = compile_spec(controller_spec, {"controller": str(net)})
+    assert len(reads) == 1
+    assert compiled.ctx["controller"].digest == hash_file(controller_net)
+
+
 # -- network type analysis ---------------------------------------------------
 
 

@@ -386,12 +386,15 @@ def test_search_matches_the_flat_phase_search():
 
 
 def test_pinned_search_outputs(monkeypatch):
-    """The verdict, witness and LP count of 400 seeded search instances,
-    pinned by digest, so that a refactor of the engine or the LP cannot
-    move an output or a search step unseen."""
+    """The outputs of 400 seeded search instances, pinned by digest so that
+    a refactor of the engine or the LP cannot move them unseen: the verdicts
+    and witnesses, the LP that gives each witness (its variables and its
+    rows in order, which fix the witness under Bland's rule), and the LP
+    counts.  The first two are outputs; the counts are search facts, which
+    a change to the search may move."""
     rng = random.Random(20261020)
     calls = count_lp_calls(monkeypatch)
-    digest = hashlib.sha256()
+    verdicts, witness_lps, counts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     shapes = dict.fromkeys(("no free relu", "layerless", "sat with free", "sat without"), 0)
     for _ in range(400):
         while True:
@@ -402,15 +405,19 @@ def test_pinned_search_outputs(monkeypatch):
                 break
         calls.clear()
         verdict = check_query(query, ctx)
-        digest.update(f"{verdict!r} {len(calls)}\n".encode())
+        verdicts.update(f"{verdict!r}\n".encode())
+        counts.update(f"{len(calls)}\n".encode())
         shapes["no free relu"] += not free
         shapes["layerless"] += any(
             not ctx[name].model.layers for name, _, _ in query.meta.applications
         )
         if isinstance(verdict, Sat):
             shapes["sat with free" if free else "sat without"] += 1
+            witness_lps.update(f"{calls[-1].num_vars} {calls[-1].constraints!r}\n".encode())
     assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
-    assert digest.hexdigest() == "34ecd5c906c2944150aa146adf2ab333a9c1f760b3dbe65f2487421a943fad81"
+    assert verdicts.hexdigest() == "4c7437dc21e21ed96954fb0aa6e5c4e49e1f9fc63862e9e6e1f831768c748662"
+    assert witness_lps.hexdigest() == "56d95ad0cbde6aa536bf20de032c6d22b8ad8480da1002a0af659425b5839848"
+    assert counts.hexdigest() == "36615960e5283789bb7171e437dfc745612a5cdd0c57fcc1f4d3016cc071a6d8"
 
 
 def test_pruning_neutrality(monkeypatch):
