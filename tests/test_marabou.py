@@ -98,12 +98,48 @@ def test_emission_is_deterministic(tmp_path, controller_spec, controller_net):
 
 def test_round_trip_preserves_constraints(tmp_path, controller_spec, controller_net):
     plan, ctx = controller_plan(controller_spec, controller_net)
+    for k, query in enumerate(plan.queries, start=1):
+        emit_query(query, tmp_path / f"query{k}.txt")
+        assert read_query_file_by_hand(tmp_path / f"query{k}.txt") == by_hand(query)
+
+
+def test_independent_reader_reconstructs_constraint_sets(
+    tmp_path, controller_spec, controller_net
+):
+    from vspec.queries import canonical_constraint
+
+    plan, ctx = controller_plan(controller_spec, controller_net)
+    for k, query in enumerate(plan.queries, start=1):
+        emit_query(query, tmp_path / f"query{k}.txt")
+        rebuilt = tuple(
+            canonical_constraint(
+                {QVar(kind, index): coeff for (kind, index), coeff in terms.items()},
+                relation,
+                constant,
+            )
+            for terms, relation, constant in read_query_file_by_hand(
+                tmp_path / f"query{k}.txt"
+            )
+        )
+        assert rebuilt == tuple(query.constraints)
+
+
+def test_load_query_dir_reconstructs_queries(tmp_path, controller_spec, controller_net):
+    plan, ctx = controller_plan(controller_spec, controller_net)
     emit_property_queries(plan, tmp_path, ctx)
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "queries.manifest", "query1.txt", "query2.txt"
     ]
-    for k, query in enumerate(plan.queries, start=1):
-        assert read_query_file_by_hand(tmp_path / f"query{k}.txt") == by_hand(query)
+    manifest = (tmp_path / "queries.manifest").read_text(encoding="utf-8").splitlines()
+    meta = MetaNetwork(
+        tuple(
+            (name, ctx[name].input_size, ctx[name].output_size)
+            for name, _path, _digest in map(shlex.split, manifest)
+        )
+    )
+    for k, original in enumerate(plan.queries, start=1):
+        assert read_query_file_by_hand(tmp_path / f"query{k}.txt") == by_hand(original)
+        assert meta == original.meta
 
 
 def test_round_trip_of_awkward_coefficients(tmp_path):
