@@ -7,11 +7,10 @@ one-per-line diagnostic format ``file:line:col: severity: message``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourcePos:
+class SourcePos(NamedTuple):
     """1-based line/column position in a source file."""
 
     line: int

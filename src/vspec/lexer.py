@@ -11,9 +11,9 @@ the parser from the token stream.  Line comments start with ``--``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import LexError, SourcePos
 from .rational import parse_decimal
@@ -118,8 +118,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     pos: SourcePos

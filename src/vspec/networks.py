@@ -105,12 +105,6 @@ def validate_model(model: NetworkModel, path: str | None = None) -> NetworkModel
 # ---------------------------------------------------------------------------
 
 
-def load_network(path: str | Path, name: str | None = None) -> NetworkModel:
-    """Load a network file, dispatching on its leading bytes."""
-    path = Path(path)
-    return _decode_network(_read_network_file(path), name or path.stem, path)
-
-
 def _read_network_file(path: Path) -> bytes:
     if not path.exists():
         raise NetworkError("MissingNetworkFile", f"no such file: {path}", path=str(path))

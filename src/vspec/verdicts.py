@@ -15,9 +15,6 @@ class Sat:
 
     witness: tuple[tuple[QVar, Fraction], ...]
 
-    def as_dict(self) -> dict[QVar, Fraction]:
-        return dict(self.witness)
-
 
 @dataclass(frozen=True)
 class Unsat:

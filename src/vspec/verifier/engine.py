@@ -16,11 +16,16 @@ LP over all variables is.  The root LP is the query rows and the fixed
 phases' sign rows plus the triangle relaxation of every free ReLU (Ehlers
 2017): ``post >= 0``, ``post >= pre`` and, when both interval bounds
 ``l < 0 < u`` are known, ``post <= u (pre - l) / (u - l)``.  A child adds
-its ReLU's two phase rows to its parent's LP and is solved warm from the
-parent's final tableau; an infeasible node prunes its subtree.  Every
-point of a leaf's phase region satisfies the triangle rows, so a leaf is
-feasible exactly when the flat leaf LP (base plus phase rows) is, and the
-first feasible leaf is the lexicographically least satisfiable phase
+one row to its parent's LP, its ReLU's upper face for the phase:
+``post <= 0`` (Inactive) or ``post <= pre`` (Active).  With the lower
+faces every node already holds, that row gives exactly the phase's
+region: ``0 <= post <= 0`` and ``pre <= post`` is ``post = 0, pre <= 0``;
+``pre <= post <= pre`` and ``0 <= post`` is ``post = pre, pre >= 0``.  The
+child is solved warm from the parent's final tableau; an infeasible node
+prunes its subtree.  Every point of a leaf's phase region satisfies the
+triangle rows, so a leaf is feasible exactly when the flat leaf LP (base
+plus the sign row and ``post = 0`` or ``post = pre`` per ReLU) is, and
+the first feasible leaf is the lexicographically least satisfiable phase
 assignment.  It is re-solved from scratch on the flat leaf constraint list
 over all variables, so the witness depends only on that list (Bland's
 rule is deterministic), not on the search; that LP is solved only for a
@@ -307,6 +312,15 @@ def _phase_rows(pre: Form, post: int, phase: str) -> list[LPConstraint]:
     return [_sign_row(pre, phase), LPConstraint(_minus_pre(post, pre), "=", pre[1])]
 
 
+def _branch_row(pre: Form, post: int, phase: str) -> LPConstraint:
+    """``post <= 0`` (Inactive) or ``post <= pre`` (Active): with the
+    triangle's lower faces ``post >= 0`` and ``post >= pre``, the region
+    of ``_phase_rows``."""
+    if phase == "inactive":
+        return LPConstraint(((post, ONE),), "<=", ZERO)
+    return LPConstraint(_minus_pre(post, pre), "<=", pre[1])
+
+
 def _phase_constraints(node: ReluNode, phase: str) -> list[LPConstraint]:
     return _phase_rows(({node.pre_var: ONE}, ZERO), node.post_var, phase)
 
@@ -363,7 +377,7 @@ def check_query(
         (post,) = forms[node.post_var][0]  # the output's coordinate
         bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
         relaxation.extend(_triangle_rows(pre, post, bounds))
-        branches.append(tuple(_phase_rows(pre, post, phase) for phase in PHASES))
+        branches.append(tuple(_branch_row(pre, post, phase) for phase in PHASES))
     root = LPProblem(num_coords, relaxation)
     if feasible(root) is None:
         return Unsat()
@@ -381,15 +395,15 @@ def check_query(
 
 
 def _first_feasible_leaf(
-    problem: LPProblem, branches: list[tuple[list[LPConstraint], ...]]
+    problem: LPProblem, branches: list[tuple[LPConstraint, ...]]
 ) -> list[str] | None:
     """Phases of the first leaf below the feasible ``problem`` whose LP is
-    feasible, branching first on the node whose rows per phase are
+    feasible, branching first on the node whose row per phase is in
     ``branches[0]``; None if there is none."""
     if not branches:
         return []
-    for phase, rows in zip(PHASES, branches[0]):
-        child = LPProblem(problem.num_vars, problem.constraints + rows, parent=problem)
+    for phase, row in zip(PHASES, branches[0]):
+        child = LPProblem(problem.num_vars, problem.constraints + [row], parent=problem)
         if feasible(child) is not None:
             phases = _first_feasible_leaf(child, branches[1:])
             if phases is not None:

@@ -10,12 +10,17 @@ variables, with mixed strict and non-strict relations, exactly:
   basis); optimum 0 with strict rows present, or infeasibility of the
   non-strict rows, means infeasible.
 
-**Integer tableau.** The simplex never builds a rational.  Invariants:
+**Integer tableau.**  The simplex never builds a rational.  Each tableau
+row, and the reduced-cost row, is a dict of its non-zero integer entries by
+column, with the right-hand side under the key ``RHS``; a zero is never
+stored, so a row costs what its non-zeros cost.  Invariants:
 
 * each tableau row is a primitive vector of integers (the gcd of its
-  entries is 1), a positive multiple of the row a rational tableau holds;
+  entries, right-hand side included, is 1), a positive multiple of the row
+  a rational tableau holds;
 * the entry of a row in its basic column is positive (the rational
-  tableau's is 1), and every other row has 0 there;
+  tableau's is 1), and no other row, nor the reduced-cost row, holds that
+  column;
 * the reduced-cost row is a positive multiple of the true reduced costs.
 
 ``_normalise`` scales each constraint by the lcm of its denominators, and
@@ -25,15 +30,21 @@ row with entry ``f`` in the pivot column, and the reduced-cost row, becomes
 ``p * row - f * row_r`` divided by the gcd of its entries (the
 integer-preserving pivot of Edmonds and Bareiss).  ``p`` and ``f`` are
 first divided by their gcd, which keeps the numbers small; when that leaves
-``p`` at 1, only the columns where row ``r`` is non-zero change.  The
-reduced-cost row is computed once per simplex phase and then updated this
-way after each pivot.
+``p`` at 1, only the columns where row ``r`` is non-zero change.  A row
+operation touches only the non-zeros of the two rows.  The reduced-cost
+row is computed once per simplex phase and then updated this way after
+each pivot.
+
+A tableau row is never changed in place: a pivot replaces it by a new
+dict.  So a tableau extended by new rows shares the row objects of the
+tableau it extends, and a new slack column is just a new key.
 
 Pivoting reads only the signs of entries and the order of ratios, which
 positive scaling leaves unchanged; the ratio tests compare ``x_i / a_i``
-with ``x_k / a_k`` by cross-multiplying.  So every pivot is the one a
-rational tableau makes, and ``feasible`` reads each basic value exactly,
-as right-hand side over basic entry.
+with ``x_k / a_k`` by cross-multiplying, and compare columns to break
+ties, since a row's key order is not its column order.  So every pivot is
+the one a rational tableau makes, and ``feasible`` reads each basic value
+exactly, as right-hand side over basic entry.
 
 **From scratch** (two-phase primal simplex): phase 1 drives out the
 artificial columns of ``=`` rows and of rows with a negative right-hand
@@ -87,21 +98,27 @@ class LPProblem:
     tableau: _Tableau | None = field(default=None, init=False, repr=False, compare=False)
 
 
+RHS = -1  # the key of a row's right-hand side; columns are 0, 1, ...
+
+Row = dict[int, int]
+
+
 @dataclass
 class _Tableau:
     """The final tableau of a feasible problem.
 
-    ``rows`` hold ``n_cols`` integer coefficients then the right-hand side;
-    each row is a primitive vector whose entry in its basic column
-    (``basis``) is positive.  ``reduced`` is a positive multiple of the
-    reduced costs of the last objective (entry ``n_cols`` is minus its
-    value), all <= 0 outside ``banned``."""
+    ``rows`` hold the non-zero integer entries of columns ``0..n_cols-1``
+    and the right-hand side (key ``RHS``); each row is primitive and its
+    entry in its basic column (``basis``) is positive.  ``reduced`` is a
+    positive multiple of the reduced costs of the last objective (key
+    ``RHS`` holds minus its value), all <= 0 outside ``banned``."""
 
-    rows: list[list[int]]
+    rows: list[Row]
     basis: list[int]
-    reduced: list[int]
+    reduced: Row
     banned: set[int]  # artificial columns: fixed at 0, never enter
     eps_col: int | None
+    n_cols: int
 
 
 def feasible(problem: LPProblem) -> list[Fraction] | None:
@@ -128,13 +145,13 @@ def feasible(problem: LPProblem) -> list[Fraction] | None:
     row_of = {b: row for row, b in zip(tableau.rows, tableau.basis)}
     if tableau.eps_col is not None:
         eps_row = row_of.get(tableau.eps_col)
-        if eps_row is None or eps_row[-1] <= 0:
+        if eps_row is None or eps_row.get(RHS, 0) <= 0:
             return None
     problem.tableau = tableau
 
     def value(col: int) -> Fraction:
         row = row_of.get(col)
-        return Fraction(0) if row is None else Fraction(row[-1], row[col])
+        return Fraction(0) if row is None else Fraction(row.get(RHS, 0), row[col])
 
     return [value(2 * v) - value(2 * v + 1) for v in range(n)]
 
@@ -157,17 +174,19 @@ def _normalise(c: LPConstraint) -> tuple[dict[int, int], str, int, bool, int]:
 
 
 def _columns(
-    terms: dict[int, int], strict: bool, eps_col: int | None, scale: int
-) -> dict[int, int]:
+    terms: dict[int, int], rhs: int, strict: bool, eps_col: int | None, scale: int
+) -> Row:
     """A normalised row's entries by tableau column: variable ``v`` is
-    column ``2v`` minus column ``2v + 1``, and a strict row adds ``eps``
-    with the row's scale."""
-    row: dict[int, int] = {}
+    column ``2v`` minus column ``2v + 1``, a strict row adds ``eps`` with
+    the row's scale, and a non-zero ``rhs`` sits under ``RHS``."""
+    row: Row = {}
     for v, k in terms.items():
         row[2 * v] = k
         row[2 * v + 1] = -k
     if strict:
         row[eps_col] = scale  # type: ignore[index]
+    if rhs:
+        row[RHS] = rhs
     return row
 
 
@@ -183,22 +202,19 @@ def _solve(problem: LPProblem) -> _Tableau | None:
 
     # Columns: the structural pairs and eps, then a slack per <= row, then
     # an artificial per = row and per row with a negative right-hand side,
-    # each in row order.  The rhs sits in column n_cols.
+    # each in row order.
     slack = 2 * n + (eps_col is not None)
     art = art_start = slack + sum(rel == "<=" for _, rel, _, _, _ in rows)
     n_cols = art_start + sum(rel == "=" or rhs < 0 for _, rel, rhs, _, _ in rows)
-    tableau: list[list[int]] = []
+    tableau: list[Row] = []
     basis: list[int] = []
     for terms, rel, rhs, strict, scale in rows:
-        row = [0] * (n_cols + 1)
-        for j, k in _columns(terms, strict, eps_col, scale).items():
-            row[j] = k
-        row[n_cols] = rhs
+        row = _columns(terms, rhs, strict, eps_col, scale)
         if rel == "<=":
             row[slack] = scale
             basic, slack = slack, slack + 1
         if rhs < 0:  # sign-normalise: a negated <= row carries a negative slack
-            row = [-k for k in row]
+            row = {j: -k for j, k in row.items()}
         if rel == "=" or rhs < 0:
             row[art] = scale
             basic, art = art, art + 1
@@ -209,25 +225,22 @@ def _solve(problem: LPProblem) -> _Tableau | None:
 
     # Phase 1: maximise -(sum of artificials); optimum must be 0.
     if artificials:
-        cost1 = [0] * n_cols
-        for a in artificials:
-            cost1[a] = -1
-        _simplex(tableau, basis, cost1, n_cols)
-        if any(row[n_cols] != 0 for row, b in zip(tableau, basis) if b in artificials):
+        _simplex(tableau, basis, dict.fromkeys(artificials, -1))
+        if any(RHS in row for row, b in zip(tableau, basis) if b in artificials):
             return None
-        _drive_out_artificials(tableau, basis, artificials, n_cols)
+        _drive_out_artificials(tableau, basis, artificials)
 
-    reduced = [0] * (n_cols + 1)
+    reduced: Row = {}
     if eps_col is not None:
-        cost2 = [0] * n_cols
-        cost2[eps_col] = 1
-        reduced = _simplex(tableau, basis, cost2, n_cols, banned=artificials)
-    return _Tableau(tableau, basis, reduced, artificials, eps_col)
+        reduced = _simplex(tableau, basis, {eps_col: 1}, banned=artificials)
+    return _Tableau(tableau, basis, reduced, artificials, eps_col, n_cols)
 
 
 def _extend(parent: _Tableau, added: list[LPConstraint]) -> _Tableau | None:
-    """A copy of ``parent``'s optimal tableau with ``added`` as new rows,
-    re-optimised by dual simplex; None when the rows make it infeasible.
+    """``parent``'s optimal tableau with ``added`` as new rows, re-optimised
+    by dual simplex; None when the rows make it infeasible.  The parent's
+    row objects are shared, not copied: a pivot replaces a row, never
+    changes it.
 
     Each new ``<=`` row gets a fresh slack column, which is basic in it; an
     ``=`` row is two ``<=`` rows.  Eliminating the basic columns it touches
@@ -235,48 +248,43 @@ def _extend(parent: _Tableau, added: list[LPConstraint]) -> _Tableau | None:
     basis.  The reduced costs stay <= 0 (the new slacks' are 0), so the
     tableau is dual feasible and only right-hand sides can be negative."""
     eps_col = parent.eps_col
-    new_rows: list[tuple[dict[int, int], int, int]] = []  # entries, rhs, scale
+    new_rows: list[tuple[Row, int]] = []  # entries with rhs, scale
     for c in added:
         terms, rel, rhs, strict, scale = _normalise(c)
-        row = _columns(terms, strict, eps_col, scale)
-        new_rows.append((row, rhs, scale))
+        row = _columns(terms, rhs, strict, eps_col, scale)
+        new_rows.append((row, scale))
         if rel == "=":
-            new_rows.append(({j: -k for j, k in row.items()}, -rhs, scale))
+            new_rows.append(({j: -k for j, k in row.items()}, scale))
 
-    n_old = len(parent.reduced) - 1
-    pad = [0] * len(new_rows)
-    n_cols = n_old + len(new_rows)
-    rows = [r[:n_old] + pad + r[n_old:] for r in parent.rows]
+    rows = list(parent.rows)
     basis = list(parent.basis)
-    reduced = parent.reduced[:n_old] + pad + parent.reduced[n_old:]
+    reduced = dict(parent.reduced)
     where = {b: i for i, b in enumerate(basis)}
-    for t, (row, rhs, scale) in enumerate(new_rows):
-        dense = [0] * (n_cols + 1)
-        for j, k in row.items():
-            dense[j] = k
-        dense[n_old + t] = scale
-        dense[n_cols] = rhs
+    slack = parent.n_cols
+    for row, scale in new_rows:
+        new = dict(row)
+        new[slack] = scale
         for j in row:
             i = where.get(j)
             if i is not None:
-                dense = _eliminate(dense, dense[j], _support(rows[i]), rows[i][j])
-        rows.append(dense)
-        basis.append(n_old + t)
+                new = _eliminate(new, new[j], rows[i], rows[i][j])
+        rows.append(new)
+        basis.append(slack)
+        slack += 1
     if not _dual_simplex(rows, basis, reduced, parent.banned):
         return None
-    return _Tableau(rows, basis, reduced, parent.banned, eps_col)
+    return _Tableau(rows, basis, reduced, parent.banned, eps_col, slack)
 
 
-def _dual_simplex(tableau, basis, reduced, banned: set[int]) -> bool:
+def _dual_simplex(tableau: list[Row], basis: list[int], reduced: Row, banned: set[int]) -> bool:
     """Dual simplex (maximisation) with Bland's rule: pivot until every
     right-hand side is >= 0, keeping the reduced costs <= 0; mutates in
     place.  False when a row shows the problem infeasible."""
-    n_cols = len(reduced) - 1
     while True:
         # Leave: the infeasible row with the smallest basic column.
         leaving = -1
         for i, row in enumerate(tableau):
-            if row[n_cols] < 0 and (leaving == -1 or basis[i] < basis[leaving]):
+            if row.get(RHS, 0) < 0 and (leaving == -1 or basis[i] < basis[leaving]):
                 leaving = i
         if leaving == -1:
             return True
@@ -287,46 +295,55 @@ def _dual_simplex(tableau, basis, reduced, banned: set[int]) -> bool:
         # value.
         row = tableau[leaving]
         entering = -1
-        for j in range(n_cols):
-            a = row[j]
-            if a < 0 and j not in banned:
-                if entering == -1 or reduced[j] * row[entering] < reduced[entering] * a:
+        for j, a in row.items():
+            if a < 0 and j != RHS and j not in banned:
+                if entering == -1:
+                    entering = j
+                    continue
+                x, y = reduced.get(j, 0) * row[entering], reduced.get(entering, 0) * a
+                if x < y or (x == y and j < entering):
                     entering = j
         if entering == -1:
             return False
         _pivot(tableau, basis, leaving, entering, reduced)
 
 
-def _simplex(tableau, basis, cost, n_cols, banned: set[int] | None = None) -> list[int]:
+def _simplex(
+    tableau: list[Row],
+    basis: list[int],
+    cost: Row,
+    banned: set[int] | frozenset[int] = frozenset(),
+) -> Row:
     """Primal simplex (maximisation) with Bland's rule; mutates in place and
     returns the final reduced costs, up to a positive factor."""
-    banned = banned or set()
     # Reduced costs c_j - c_B . T[:, j], up to a positive factor: each
     # basic column is eliminated from the cost row with its own row, as a
-    # pivot does.  Entry n_cols carries minus the objective value.  A basic
-    # column's entry is exactly 0, so it is never chosen to enter and the
+    # pivot does.  Key RHS carries minus the objective value.  A basic
+    # column is absent from the row, so it is never chosen to enter and the
     # basis needs no membership test.
-    reduced = list(cost) + [0]
+    reduced = cost
     for row, b in zip(tableau, basis):
-        if reduced[b]:
-            reduced = _eliminate(reduced, reduced[b], _support(row), row[b])
+        f = reduced.get(b)
+        if f:
+            reduced = _eliminate(reduced, f, row, row[b])
     while True:
-        entering = next(
-            (j for j in range(n_cols) if reduced[j] > 0 and j not in banned), -1
-        )
+        entering = -1
+        for j, k in reduced.items():
+            if k > 0 and j != RHS and j not in banned and (entering == -1 or j < entering):
+                entering = j
         if entering == -1:
             return reduced
         # Leave: least ratio rhs/entry over positive entries, ties to the
         # smallest basic column, compared by cross-multiplying.
         leaving = -1
         for i, row in enumerate(tableau):
-            a = row[entering]
+            a = row.get(entering, 0)
             if a > 0:
                 if leaving == -1:
                     leaving = i
                     continue
                 best = tableau[leaving]
-                x, y = row[n_cols] * best[entering], best[n_cols] * a
+                x, y = row.get(RHS, 0) * best[entering], best.get(RHS, 0) * a
                 if x < y or (x == y and basis[i] < basis[leaving]):
                     leaving = i
         if leaving == -1:
@@ -334,62 +351,63 @@ def _simplex(tableau, basis, cost, n_cols, banned: set[int] | None = None) -> li
         _pivot(tableau, basis, leaving, entering, reduced)
 
 
-def _pivot(tableau, basis, row, col, reduced: list[int] | None = None) -> None:
-    """Pivot on (row, col) in place: make the pivot entry positive, then
-    clear ``col`` from every other row and from ``reduced``."""
+def _pivot(
+    tableau: list[Row], basis: list[int], row: int, col: int, reduced: Row | None = None
+) -> None:
+    """Pivot on (row, col): make the pivot entry positive, then clear
+    ``col`` from every other row and from ``reduced``.  Rows are replaced
+    in ``tableau``, never changed; ``reduced`` is updated in place."""
     pivot_row = tableau[row]
     p = pivot_row[col]
     if p < 0:
         p = -p
-        pivot_row = tableau[row] = [-k for k in pivot_row]
-    support = _support(pivot_row)
+        pivot_row = tableau[row] = {j: -k for j, k in pivot_row.items()}
     for i, other in enumerate(tableau):
-        f = other[col]
+        f = other.get(col)
         if f and i != row:
-            tableau[i] = _eliminate(other, f, support, p)
-    if reduced is not None and reduced[col]:
-        reduced[:] = _eliminate(reduced, reduced[col], support, p)
+            tableau[i] = _eliminate(other, f, pivot_row, p)
+    if reduced is not None:
+        f = reduced.get(col)
+        if f:
+            new = _eliminate(reduced, f, pivot_row, p)
+            reduced.clear()
+            reduced.update(new)
     basis[row] = col
 
 
-def _support(row: list[int]) -> list[tuple[int, int]]:
-    """The non-zero entries of ``row`` with their columns."""
-    return [(j, k) for j, k in enumerate(row) if k]
-
-
-def _eliminate(other: list[int], f: int, support: list[tuple[int, int]], p: int) -> list[int]:
-    """``p * other - f * pivot_row`` (``p > 0``) divided by the gcd of its
-    entries, where ``support`` is ``_support(pivot_row)``.  Dividing ``p``
-    and ``f`` by their gcd first keeps the numbers small; when that leaves
-    ``p`` at 1, only the columns in ``support`` change."""
+def _eliminate(other: Row, f: int, pivot_row: Row, p: int) -> Row:
+    """A new row ``p * other - f * pivot_row`` (``p > 0``) divided by the
+    gcd of its entries.  Dividing ``p`` and ``f`` by their gcd first keeps
+    the numbers small; when that leaves ``p`` at 1, only the columns of
+    ``pivot_row`` change.  Entries that cancel are removed."""
     g = math.gcd(p, f)
     if g == p:
-        new = other[:]
+        new = other.copy()
         f //= p
     else:
         p //= g
         f //= g
-        new = [p * a for a in other]
-    for j, k in support:
-        new[j] -= f * k
-    g = math.gcd(*new)
-    return [k // g for k in new] if g > 1 else new
+        new = {j: p * a for j, a in other.items()}
+    for j, k in pivot_row.items():
+        a = new.get(j, 0) - f * k
+        if a:
+            new[j] = a
+        else:
+            del new[j]
+    g = math.gcd(*new.values())
+    return {j: k // g for j, k in new.items()} if g > 1 else new
 
 
-def _drive_out_artificials(tableau, basis, artificials, n_cols) -> None:
+def _drive_out_artificials(tableau: list[Row], basis: list[int], artificials: set[int]) -> None:
     """Pivot basic artificials (at value 0) out, or drop redundant rows."""
     i = 0
     while i < len(tableau):
         if basis[i] in artificials:
-            pivot_col = next(
-                (
-                    j
-                    for j in range(n_cols)
-                    if j not in artificials and tableau[i][j] != 0
-                ),
-                None,
-            )
-            if pivot_col is None:
+            pivot_col = -1
+            for j in tableau[i]:
+                if j != RHS and j not in artificials and (pivot_col == -1 or j < pivot_col):
+                    pivot_col = j
+            if pivot_col == -1:
                 del tableau[i]
                 del basis[i]
                 continue

@@ -231,7 +231,7 @@ def test_c3_end_to_end_falsified_run(workspace, capsys, controller_spec, control
         oracle_hits = [grid_oracle(q, ctx, resolution=2) for q in plan.queries]
         assert any(hit is not None for hit in oracle_hits)
         hit = next(h for h in oracle_hits if h is not None)
-        hit_values = hit.as_dict()
+        hit_values = dict(hit.witness)
         two_x_minus_y = 2 * hit_values[QVar("x", 0)] - hit_values[QVar("x", 1)]
         assert abs(two_x_minus_y) > Fraction(5, 4)
 
@@ -294,7 +294,7 @@ def test_c4_verifier_oracle_agreement():
                 disagreements += 1
             if isinstance(verdict, Sat):
                 sat_checked += 1
-                values = verdict.as_dict()
+                values = dict(verdict.witness)
                 assert all(constraint_holds(c, values) for c in query.constraints)
                 inputs = [values[QVar("x", i)] for i in range(n_in)]
                 assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]

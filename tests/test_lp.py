@@ -1,10 +1,11 @@
+import copy
 import hashlib
 import math
 import random
 from fractions import Fraction
 
 from oracles import fm_feasible
-from vspec.verifier.lp import LPConstraint, LPProblem, feasible
+from vspec.verifier.lp import RHS, LPConstraint, LPProblem, feasible
 
 
 def c(terms, rel, rhs):
@@ -294,26 +295,37 @@ def test_pinned_warm_witnesses():
 
 
 def check_tableau(tableau) -> None:
-    """The integer tableau's invariants (see ``lp``'s module docstring)."""
+    """The integer tableau's invariants (see ``lp``'s module docstring):
+    every row, and the reduced-cost row, stores integers and no zero;
+    each row is primitive, right-hand side (key ``RHS``) included; its
+    basic entry is positive, and its basic column is absent from every
+    other row and from the reduced costs, which are <= 0 outside
+    ``banned``."""
     for row, b in zip(tableau.rows, tableau.basis):
-        assert all(type(k) is int for k in row)
-        assert math.gcd(*row) == 1
+        assert all(type(k) is int and k != 0 for k in row.values())
+        assert all(j == RHS or 0 <= j < tableau.n_cols for j in row)
+        assert math.gcd(*row.values()) == 1
         assert row[b] > 0
-        assert all(other[b] == 0 for other in tableau.rows if other is not row)
-    assert all(type(k) is int for k in tableau.reduced)
-    assert all(tableau.reduced[b] == 0 for b in tableau.basis)
-    n_cols = len(tableau.reduced) - 1
-    assert all(tableau.reduced[j] <= 0 for j in range(n_cols) if j not in tableau.banned)
+        assert all(b not in other for other in tableau.rows if other is not row)
+    assert all(type(k) is int and k != 0 for k in tableau.reduced.values())
+    assert all(b not in tableau.reduced for b in tableau.basis)
+    assert all(
+        k <= 0 for j, k in tableau.reduced.items() if j != RHS and j not in tableau.banned
+    )
 
 
 def test_tableaux_are_primitive_integer_rows():
+    """Cold and warm tableaux keep the invariants, and solving a child
+    leaves its parent's tableau, whose rows it shares, as it was."""
     rng = random.Random(7)
     for index in range(150):
         parent = pinned_problem(rng, index)
         if feasible(parent) is None:
             continue
         check_tableau(parent.tableau)
+        before = copy.deepcopy(parent.tableau)
         added = added_group(rng, parent.num_vars, index % 5 == 4)
         child = LPProblem(parent.num_vars, parent.constraints + added, parent=parent)
         if feasible(child) is not None:
             check_tableau(child.tableau)
+        assert parent.tableau == before

@@ -1,19 +1,13 @@
 import hashlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import run_network_by_hand
-from vspec import core
+from vspec import core, networks
 from vspec.errors import NetworkError
-from vspec.networks import (
-    Affine,
-    Relu,
-    analyze_network_types,
-    hash_file,
-    load_network,
-    parse_vnet,
-)
+from vspec.networks import Affine, NetworkModel, Relu, analyze_network_types, hash_file, parse_vnet
 from vspec.surface import parse
 from vspec.typecheck import typecheck
 from vspec.types import RAT, FunT, TensorT
@@ -30,6 +24,12 @@ affine 1 2
 1 -1
 0
 """
+
+
+def load_network(path: Path) -> NetworkModel:
+    """Read and decode a network file as ``analyze_network_types`` does,
+    named after the file's stem."""
+    return networks._decode_network(networks._read_network_file(path), path.stem, path)
 
 
 def test_identity_trick_network(tmp_path):

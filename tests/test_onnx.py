@@ -15,8 +15,9 @@ from oracles import (
     run_network_by_hand,
     simple_gemm_model,
 )
+from test_networks import load_network
 from vspec.errors import NetworkError
-from vspec.networks import Affine, Relu, load_network
+from vspec.networks import Affine, Relu
 from vspec.onnx_decode import decode_onnx_subset
 
 

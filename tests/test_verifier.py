@@ -19,7 +19,7 @@ from vspec.networks import Affine, NetworkInfo, NetworkModel, Relu, parse_vnet
 from vspec.queries import LinearConstraint, LinearQuery, MetaNetwork, QVar
 from vspec.types import RAT, FunT, TensorT
 from vspec.verdicts import Sat, Unsat
-from vspec.verifier import check_query, propagate_bounds, unroll_meta_network
+from vspec.verifier import LPProblem, check_query, propagate_bounds, unroll_meta_network
 
 IDENTITY_VNET = """\
 vnet 1
@@ -170,7 +170,7 @@ def test_identity_network_sat_query_with_witness():
     )
     verdict = check_query(query, ctx)
     assert isinstance(verdict, Sat)
-    values = verdict.as_dict()
+    values = dict(verdict.witness)
     assert values[QVar("y", 0)] == values[QVar("x", 0)]
     assert values[QVar("x", 0)] >= 1
 
@@ -208,7 +208,7 @@ def test_zero_controller_is_falsified_and_witness_checks(controller_zero_net):
         verdict = check_query(query, ctx)
         if isinstance(verdict, Sat):
             sat_any = True
-            values = verdict.as_dict()
+            values = dict(verdict.witness)
             assert all(constraint_holds(c, values) for c in query.constraints)
             inputs = [values[QVar("x", 0)], values[QVar("x", 1)]]
             assert run_network_by_hand(model.layers, inputs) == [values[QVar("y", 0)]]
@@ -257,7 +257,7 @@ def test_agreement_with_grid_oracle():
         if oracle is not None:
             assert isinstance(verdict, Sat), "oracle found a witness but solver said UNSAT"
         if isinstance(verdict, Sat):
-            values = verdict.as_dict()
+            values = dict(verdict.witness)
             assert all(constraint_holds(c, values) for c in query.constraints)
             model = ctx["f"].model
             inputs = [values[QVar("x", i)] for i in range(model.input_size)]
@@ -478,6 +478,23 @@ def count_pivots(monkeypatch) -> list:
     return pivots
 
 
+def count_row_operations(monkeypatch) -> list:
+    """Record every tableau row operation (``lp._eliminate``): one per row
+    a pivot changes, and one per basic column cleared from an added row or
+    from a new cost row."""
+    from vspec.verifier import lp
+
+    operations = []
+    original = lp._eliminate
+
+    def counting(*args):
+        operations.append(args[1])  # the factor of the pivot row
+        return original(*args)
+
+    monkeypatch.setattr(lp, "_eliminate", counting)
+    return operations
+
+
 def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     # Each of the two UNSAT queries has four free ReLUs: one root LP from
     # scratch and 22 warm ones (the flat search took 16 per query).
@@ -485,6 +502,7 @@ def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     ctx, q1, q2 = controller_queries(model)
     calls = count_lp_calls(monkeypatch)
     pivots = count_pivots(monkeypatch)
+    operations = count_row_operations(monkeypatch)
     assert isinstance(check_query(q1, ctx), Unsat)
     assert isinstance(check_query(q2, ctx), Unsat)
     assert len(calls) == 46
@@ -495,25 +513,89 @@ def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     assert [root.num_vars for root in roots] == [6, 6]
     assert all(c.relation != "=" for root in roots for c in root.constraints)
     assert len(pivots) == 78
+    # A child adds one branch row; with three phase rows per child it made
+    # 695 row operations.
+    assert len(operations) == 507
+
+
+def four_relu_query(four_relu_net):
+    ctx = make_ctx(net=parse_vnet(four_relu_net.read_text(), "net"))
+    meta = MetaNetwork((("net", 2, 1),))
+    query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", Fraction(21, 2))])
+    return ctx, query
 
 
 def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
-    model = parse_vnet(four_relu_net.read_text(), "net")
-    ctx = make_ctx(net=model)
-    meta = MetaNetwork((("net", 2, 1),))
-    query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", Fraction(21, 2))])
-    skeleton = unroll_meta_network(meta, ctx)
+    ctx, query = four_relu_query(four_relu_net)
+    skeleton = unroll_meta_network(query.meta, ctx)
     assert propagate_bounds(skeleton, query)[1] == {}
     calls = count_lp_calls(monkeypatch)
     pivots = count_pivots(monkeypatch)
+    operations = count_row_operations(monkeypatch)
     assert isinstance(check_query(query, ctx), Unsat)
     # One root LP from scratch, then 8 warm ones, against 16 leaves.
     assert len(calls) == 9
     assert [problem.parent is None for problem in calls] == [True] + [False] * 8
-    # Over the network's 11 variables and 5 equalities: 47 pivots.
+    # Over the network's 11 variables and 5 equalities: 47 pivots.  With
+    # three phase rows per child: 34 pivots and 317 row operations.
     assert calls[0].num_vars == 6
     assert all(c.relation != "=" for c in calls[0].constraints)
-    assert len(pivots) == 34
+    assert len(pivots) == 40
+    assert len(operations) == 286
+
+
+def test_one_branch_row_agrees_with_the_three_phase_rows(
+    monkeypatch, controller_net, four_relu_net
+):
+    """At every search node, the child LP, whose branch rows are one row
+    per ReLU (``post <= 0`` or ``post <= pre``) on top of the root's
+    triangle lower faces, is feasible exactly when the LP with each branch
+    row replaced by the phase's sign row and ``post = 0`` or ``post = pre``
+    is.  Over both fixtures and seeded nets with one or two hidden layers."""
+    from vspec.verifier import engine
+
+    phase_rows = {}
+    branch_row = engine._branch_row
+
+    def recording(pre, post, phase):
+        row = branch_row(pre, post, phase)
+        phase_rows[row] = phase, engine._phase_rows(pre, post, phase)
+        return row
+
+    monkeypatch.setattr(engine, "_branch_row", recording)
+    ctx, q1, q2 = controller_queries(parse_vnet(controller_net.read_text(), "controller"))
+    instances = [(ctx, q1), (ctx, q2), four_relu_query(four_relu_net)]
+    rng = random.Random(20261021)
+    while len(instances) < 120:
+        ctx, query = random_search_instance(rng)
+        skeleton = unroll_meta_network(query.meta, ctx)
+        free = len(skeleton.relu_nodes) - len(propagate_bounds(skeleton, query)[1])
+        if 0 < free <= 7:
+            instances.append((ctx, query))
+    calls = count_lp_calls(monkeypatch)
+    seen = dict.fromkeys(("feasible", "infeasible", "inactive", "active", "one hidden layer",
+                          "two hidden layers"), 0)  # fmt: skip
+    for ctx, query in instances:
+        calls.clear()
+        check_query(query, ctx)
+        children = [problem for problem in calls if problem.parent is not None]
+        if not children:
+            continue
+        root = children[0].parent
+        for child in children:
+            rows = list(root.constraints)
+            for row in child.constraints[len(root.constraints) :]:
+                phase, three_rows = phase_rows[row]
+                rows += three_rows
+            three = verifier.feasible(LPProblem(child.num_vars, rows))
+            assert (three is not None) == (child.tableau is not None)
+            seen["feasible" if three is not None else "infeasible"] += 1
+            seen[phase] += 1  # the phase of the child's own row
+        models = [ctx[name].model for name, _, _ in query.meta.applications]
+        depths = {sum(isinstance(x, Relu) for x in model.layers) for model in models}
+        seen["one hidden layer"] += 1 in depths
+        seen["two hidden layers"] += 2 in depths
+    assert min(seen.values()) >= 20, seen
 
 
 def verify_calls(argv) -> int:
@@ -540,9 +622,9 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 9 LPs: 5,341 calls; a tableau of Fractions made 68,325.
+        # 9 LPs: 4,744 calls; a tableau of Fractions made 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 46 LPs: 12,665 calls; a tableau of Fractions made 190,219.
+        # 46 LPs: 10,465 calls; a tableau of Fractions made 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
@@ -590,7 +672,7 @@ def test_grid_oracle_finds_seeded_witness():
     query = box_query(meta, [(0, 4)], [constraint({("y", 0): 1}, ">=", 3)])
     oracle = grid_oracle(query, ctx, resolution=4)
     assert oracle is not None
-    values = oracle.as_dict()
+    values = dict(oracle.witness)
     assert all(constraint_holds(c, values) for c in query.constraints)
     assert isinstance(check_query(query, ctx), Sat)
 
