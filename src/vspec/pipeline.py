@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import core, surface
 from .errors import LexError, VspecError
-from .networks import NetworkContext, analyze_network_types, hash_file
+# hash_file is unused here, but perfbench/tracing.py wraps pipeline.hash_file.
+from .networks import NetworkContext, analyze_network_types, hash_file  # noqa: F401
 from .normalise import prune_non_prop
 from .queries import PropertyPlan, compile_property
 from .typecheck import TypedProgram, typecheck
@@ -26,10 +28,21 @@ class CompiledSpec:
 def load_program(spec_path: str | Path) -> TypedProgram:
     """Parse and type-check a specification file."""
     path = Path(spec_path)
+    return _parse_spec(_read_spec(path), path)
+
+
+def _read_spec(path: Path) -> bytes:
     try:
-        source = path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as exc:
         raise VspecError("IoError", f"cannot read {path}: {exc}", path=str(path)) from None
+
+
+def _parse_spec(data: bytes, path: Path) -> TypedProgram:
+    """Parse and type-check the bytes of a specification file, decoded as
+    ``Path.read_text`` decodes them: UTF-8 with universal newlines."""
+    try:
+        source = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except UnicodeDecodeError as exc:
         raise LexError(f"file is not valid UTF-8: {exc}", path=str(path)) from None
     decls = surface.parse(source, str(path))
@@ -45,9 +58,12 @@ def compile_spec(
 
     An error that names no file (a query, normalisation or network-use
     error) is reported against the spec; a network file's own errors keep
-    that file's path."""
+    that file's path.  The spec is read once: the digest recorded is that of
+    the bytes compiled."""
+    path = Path(spec_path)
     try:
-        program = load_program(spec_path)
+        data = _read_spec(path)
+        program = _parse_spec(data, path)
         analysed, ctx = analyze_network_types(program, network_files)
         properties = prune_non_prop(analysed)
         if property_filter:
@@ -66,7 +82,7 @@ def compile_spec(
         raise
     return CompiledSpec(
         str(spec_path),
-        hash_file(spec_path),
+        hashlib.sha256(data).hexdigest(),
         program,
         ctx,
         properties,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import shlex
 import tempfile
 from dataclasses import dataclass
@@ -36,6 +37,10 @@ from .rational import render_ratio
 from .verdicts import PropertyStatus
 
 FORMAT_VERSION = 1
+
+# A word between runs of shlex's whitespace; ``str.split`` also splits on
+# ``\x0b``, ``\xa0`` and other Unicode spaces.
+_SHLEX_WORD = re.compile(r"[^ \t\r\n]+")
 
 
 @dataclass
@@ -134,6 +139,17 @@ def _parse_witness(parts: list[str], path: str) -> tuple[tuple[QVar, Fraction], 
     return tuple(pairs)
 
 
+def _split(line: str, path: Path) -> list[str]:
+    """``shlex.split(line)``; a line with no quote or escape, which shlex
+    splits on its whitespace alone, skips its per-character lexer."""
+    if "'" not in line and '"' not in line and "\\" not in line:
+        return _SHLEX_WORD.findall(line)
+    try:
+        return shlex.split(line)
+    except ValueError as exc:
+        raise CacheError("MalformedProofFile", str(exc), path=str(path)) from None
+
+
 def read_proof_file(path: str | Path) -> ProofCacheFile:
     path = Path(path)
     try:
@@ -153,10 +169,7 @@ def read_proof_file(path: str | Path) -> ProofCacheFile:
             "MalformedProofFile", "missing or unsupported 'vclp 1' header", path=str(path)
         )
     for line in lines[1:]:
-        try:
-            parts = shlex.split(line)
-        except ValueError as exc:
-            raise CacheError("MalformedProofFile", str(exc), path=str(path)) from None
+        parts = _split(line, path)
         keyword, args = parts[0], parts[1:]
         if keyword == "spec" and len(args) == 2:
             spec_path = args[0]

@@ -7,31 +7,43 @@ post = pre).  Interval bound propagation over the query's input box fixes
 phases whose pre-activation cannot straddle zero.
 
 The remaining ("free") ReLUs are decided by a depth-first branch-and-bound
-search: branch on them in order, Inactive before Active.  The search runs
-in free coordinates, the network inputs and the outputs of the free ReLUs:
-every other variable is an affine form over them (``free_coordinate_forms``),
-so the search LPs carry none of the network's equalities.  Each equality
-defines its variable uniquely, so a node's LP is feasible exactly when the
-LP over all variables is.  The root LP is the query rows and the fixed
-phases' sign rows plus the triangle relaxation of every free ReLU (Ehlers
-2017): ``post >= 0``, ``post >= pre`` and, when both interval bounds
-``l < 0 < u`` are known, ``post <= u (pre - l) / (u - l)``.  A child adds
-one row to its parent's LP, its ReLU's upper face for the phase:
-``post <= 0`` (Inactive) or ``post <= pre`` (Active).  With the lower
-faces every node already holds, that row gives exactly the phase's
-region: ``0 <= post <= 0`` and ``pre <= post`` is ``post = 0, pre <= 0``;
-``pre <= post <= pre`` and ``0 <= post`` is ``post = pre, pre >= 0``.  The
-child is solved warm from the parent's final tableau; an infeasible node
-prunes its subtree.  Every point of a leaf's phase region satisfies the
-triangle rows, so a leaf is feasible exactly when the flat leaf LP (base
-plus the sign row and ``post = 0`` or ``post = pre`` per ReLU) is, and
-the first feasible leaf is the lexicographically least satisfiable phase
-assignment.  It is re-solved from scratch on the flat leaf constraint list
-over all variables, so the witness depends only on that list (Bland's
-rule is deterministic), not on the search; that LP is solved only for a
-feasible leaf, so it is always feasible.  A query with no free ReLU is the
-search with zero branches: its root, over the inputs alone, is its only
-leaf.
+search (``_search``) whose branching rule is an argument.  It runs twice at
+most.  The refutation search (``_loosest_gap``) branches on the unbranched
+ReLU whose output exceeds ``max(pre, 0)`` most at the point its node's LP
+returned, trying first the phase of ``pre``'s sign there (the idea of
+BaBSR, Bunel et al. 2020).  When no such gap is positive, the point is an
+exact network point that satisfies the query, so a feasible leaf exists
+and that search stops.  When it runs out, the query is unsatisfiable:
+every branching order refutes the same phase regions.  Only a satisfiable
+query runs the second, ordered search (``_node_order``): branch in node
+order, Inactive before Active, warm from the same root.  Its first
+feasible leaf fixes the witness, so verdicts and witnesses do not depend
+on the refutation order.
+
+The search runs in free coordinates, the network inputs and the outputs
+of the free ReLUs: every other variable is an affine form over them
+(``free_coordinate_forms``), so the search LPs carry none of the
+network's equalities.  Each equality defines its variable uniquely, so a
+node's LP is feasible exactly when the LP over all variables is.  The root
+LP is the query rows and the fixed phases' sign rows plus the triangle
+relaxation of every free ReLU (Ehlers 2017): ``post >= 0``, ``post >= pre``
+and, when both interval bounds ``l < 0 < u`` are known,
+``post <= u (pre - l) / (u - l)``.  A child adds one row to its parent's
+LP, its ReLU's upper face for the phase: ``post <= 0`` (Inactive) or
+``post <= pre`` (Active).  With the lower faces every node already holds,
+that row gives exactly the phase's region: ``0 <= post <= 0`` and
+``pre <= post`` is ``post = 0, pre <= 0``; ``pre <= post <= pre`` and
+``0 <= post`` is ``post = pre, pre >= 0``.  The child is solved warm from
+the parent's final tableau; an infeasible node prunes its subtree.  Every
+point of a leaf's phase region satisfies the triangle rows, so a leaf is
+feasible exactly when the flat leaf LP (base plus the sign row and
+``post = 0`` or ``post = pre`` per ReLU) is, and in node order the first
+feasible leaf is the lexicographically least satisfiable phase assignment.
+It is re-solved from scratch on the flat leaf constraint list over all
+variables, so the witness depends only on that list (Bland's rule is
+deterministic), not on the search; that LP is solved only for a feasible
+leaf, so it is always feasible.  A query with no free ReLU is the search
+with zero branches: its root, over the inputs alone, is its only leaf.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -40,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from ..errors import VerifyError
 from ..networks import Affine, NetworkContext
@@ -340,6 +353,20 @@ def _triangle_rows(pre: Form, post: int, bounds: Interval) -> list[LPConstraint]
     return rows
 
 
+class _FreeRelu(NamedTuple):
+    """A free ReLU in free coordinates: the form of its pre-activation,
+    the coordinate of its output and its branch row per phase."""
+
+    pre: Form
+    post: int
+    rows: dict[str, LPConstraint]
+
+
+# (relus, point, unbranched) -> (ReLU to branch on, its phases in order) or
+# None to end the search at this node; see ``_search``.
+Rule = Callable[[list[_FreeRelu], list[Fraction], tuple[int, ...]], tuple[int, tuple] | None]
+
+
 def check_query(
     query: LinearQuery,
     ctx: NetworkContext,
@@ -371,44 +398,87 @@ def check_query(
     relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
     for node_id, phase in fixed.items():
         relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
-    branches = []
+    relus = []
     for node in free_nodes:
         pre = forms[node.pre_var]
         (post,) = forms[node.post_var][0]  # the output's coordinate
         bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
         relaxation.extend(_triangle_rows(pre, post, bounds))
-        branches.append(tuple(_branch_row(pre, post, phase) for phase in PHASES))
+        rows = {phase: _branch_row(pre, post, phase) for phase in PHASES}
+        relus.append(_FreeRelu(pre, post, rows))
     root = LPProblem(num_coords, relaxation)
-    if feasible(root) is None:
+    point = feasible(root)
+    unbranched = tuple(range(len(relus)))
+    if point is None or _search(root, point, relus, unbranched, _loosest_gap) is None:
         return Unsat()
-    phases = _first_feasible_leaf(root, branches)
-    if phases is None:
-        return Unsat()
+    # A feasible leaf exists; the first in node order gives the witness.
+    phases = _search(root, point, relus, unbranched, _node_order)
     leaf = skeleton.equalities + query_rows
     for node_id, phase in fixed.items():
         leaf.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
-    for node, phase in zip(free_nodes, phases):
-        leaf.extend(_phase_constraints(node, phase))
+    for i, node in enumerate(free_nodes):
+        leaf.extend(_phase_constraints(node, phases[i]))
     witness = feasible(LPProblem(skeleton.num_vars, leaf))
     assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
     return _restrict(witness, skeleton)
 
 
-def _first_feasible_leaf(
-    problem: LPProblem, branches: list[tuple[LPConstraint, ...]]
-) -> list[str] | None:
-    """Phases of the first leaf below the feasible ``problem`` whose LP is
-    feasible, branching first on the node whose row per phase is in
-    ``branches[0]``; None if there is none."""
-    if not branches:
-        return []
-    for phase, row in zip(PHASES, branches[0]):
-        child = LPProblem(problem.num_vars, problem.constraints + [row], parent=problem)
-        if feasible(child) is not None:
-            phases = _first_feasible_leaf(child, branches[1:])
-            if phases is not None:
-                return [phase] + phases
+def _search(
+    problem: LPProblem,
+    point: list[Fraction],
+    relus: list[_FreeRelu],
+    unbranched: tuple[int, ...],
+    rule: Rule,
+) -> dict[int, str] | None:
+    """The phases branched on down to a feasible leaf below the feasible
+    ``problem``, whose LP gave ``point``, by index into ``relus``; None if
+    every leaf below it is infeasible.  ``rule(relus, point, unbranched)``
+    picks the ReLU to branch on among those ``unbranched`` and the order
+    of its phases, or returns None when ``problem``'s region is known to
+    hold a leaf point, which ends the search there."""
+    pick = rule(relus, point, unbranched)
+    if pick is None:
+        return {}
+    i, phases = pick
+    rest = tuple(j for j in unbranched if j != i)
+    for phase in phases:
+        rows = problem.constraints + [relus[i].rows[phase]]
+        child = LPProblem(problem.num_vars, rows, parent=problem)
+        child_point = feasible(child)
+        if child_point is not None:
+            found = _search(child, child_point, relus, rest, rule)
+            if found is not None:
+                found[i] = phase
+                return found
     return None
+
+
+def _node_order(relus, point, unbranched):
+    """The first unbranched ReLU, Inactive before Active: the first leaf
+    found is the lexicographically least feasible one."""
+    return (unbranched[0], PHASES) if unbranched else None
+
+
+def _loosest_gap(relus, point, unbranched):
+    """The unbranched ReLU whose output most exceeds ``max(pre, 0)`` at
+    ``point`` (ties to the first), its phase of ``pre``'s sign there
+    first.  None when no gap is positive: every ReLU then holds exactly at
+    ``point``, a leaf point."""
+    best, best_gap, active = None, ZERO, False
+    for i in unbranched:
+        relu = relus[i]
+        post = point[relu.post]
+        if not post:  # post >= max(pre, 0) >= 0: no gap
+            continue
+        coeffs, pre = relu.pre
+        for c, k in coeffs.items():
+            pre += k * point[c]
+        gap = post - pre if pre > 0 else post
+        if gap > best_gap:
+            best, best_gap, active = i, gap, pre > 0
+    if best is None:
+        return None
+    return best, (("active", "inactive") if active else PHASES)
 
 
 def _restrict(witness: list[Fraction], skeleton: Skeleton) -> Sat:

@@ -79,7 +79,7 @@ def test_tracer_sees_every_emit_layer(tmp_path, monkeypatch, controller_spec, co
 
 
 def test_tracer_counts_every_warm_lp(tmp_path, monkeypatch, four_relu_spec, four_relu_net):
-    # An all-UNSAT query with four free ReLUs: the root LP and the eight warm
+    # An all-UNSAT query with four free ReLUs: the root LP and the two warm
     # LPs of the search must all go through ``engine.feasible``, or the
     # benchmark's ``verifier.lp`` counters undercount them.
     tracing = load_tracing()
@@ -98,8 +98,8 @@ def test_tracer_counts_every_warm_lp(tmp_path, monkeypatch, four_relu_spec, four
     assert code == 0
     tracing.check_complete(tracer, ("verifier.engine", "verifier.lp"), "four-relu")
     assert tracer.counts["verifier.engine.free_relus"] == 4
-    assert tracer.counts["verifier.lp.calls"] == 9
-    assert tracer.counts["verifier.lp.feasible"] == 4
+    assert tracer.counts["verifier.lp.calls"] == 3
+    assert tracer.counts["verifier.lp.feasible"] == 1
 
 
 def test_tracer_counts_the_queries_solved(

@@ -159,6 +159,40 @@ def test_network_digest_is_of_the_decoded_bytes(
     assert compiled.ctx["controller"].digest == hash_file(controller_net)
 
 
+def test_spec_digest_is_of_the_compiled_bytes(
+    tmp_path, monkeypatch, controller_spec, controller_net
+):
+    # The spec is replaced right after its first read, by one whose property
+    # has another name.  A second read for the digest would record the bytes
+    # of a spec that was never compiled.
+    from vspec.pipeline import compile_spec
+
+    spec = tmp_path / "spec.vcl"
+    original = controller_spec.read_bytes()
+    spec.write_bytes(original)
+    reads = []
+    read_bytes, read_text = Path.read_bytes, Path.read_text
+
+    def replacing(self):
+        data = read_bytes(self)
+        if self == spec:
+            reads.append("bytes")
+            spec.write_bytes(original.replace(b"safe ", b"other "))
+        return data
+
+    def counting(self, *args, **kwargs):
+        if self == spec:
+            reads.append("text")
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_bytes", replacing)
+    monkeypatch.setattr(Path, "read_text", counting)
+    compiled = compile_spec(spec, {"controller": str(controller_net)})
+    assert reads == ["bytes"]
+    assert [name for name, _ in compiled.properties] == ["safe"]
+    assert compiled.spec_digest == hashlib.sha256(original).hexdigest()
+
+
 # -- network type analysis ---------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 import random
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from vspec import cli
+from vspec import cli, proofcache
 from vspec.errors import CacheError
 from vspec.networks import hash_file
 from vspec.proofcache import (
@@ -160,6 +161,30 @@ def test_malformed_file_rejected(tmp_path):
     with pytest.raises(CacheError) as err:
         read_proof_file(path)
     assert err.value.code == "MalformedProofFile"
+
+
+def test_line_split_agrees_with_shlex(tmp_path):
+    """Seeded random lines, with and without quotes and escapes, split into
+    the tokens ``shlex.split`` gives, or fail where it fails.  The alphabet
+    holds shlex's whitespace and the spaces it does not split on."""
+    rng = random.Random(20261019)
+    plain = "ab=/#.:-x0 \t\r\x0b\x0c\xa0\u2028"
+    path = tmp_path / "p.vclp"
+    seen = dict.fromkeys(("unquoted", "quoted", "error"), 0)
+    for _ in range(20_000):
+        alphabet = plain + "'\"\\" if rng.random() < 0.5 else plain
+        line = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        try:
+            expected = shlex.split(line)
+        except ValueError:
+            with pytest.raises(CacheError) as err:
+                proofcache._split(line, path)
+            assert err.value.code == "MalformedProofFile"
+            seen["error"] += 1
+            continue
+        assert proofcache._split(line, path) == expected, repr(line)
+        seen["quoted" if set(line) & set("'\"\\") else "unquoted"] += 1
+    assert min(seen.values()) >= 1_000, seen
 
 
 def test_not_checked_and_empty_property_lists(tmp_path, controller_net):

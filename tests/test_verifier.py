@@ -385,6 +385,116 @@ def test_search_matches_the_flat_phase_search():
     assert min(seen.values()) >= 25, seen
 
 
+def random_layered_model(rng: random.Random, widths, name="f"):
+    """A net of 2 inputs, ReLU layers of ``widths`` and one output, with
+    weights and biases in steps of 1/4 in [-2, 2]."""
+
+    def quarter():
+        return Fraction(rng.randint(-8, 8), 4)
+
+    layers, width = [], 2
+    for out in widths:
+        w = tuple(tuple(quarter() for _ in range(width)) for _ in range(out))
+        layers += [Affine(w, tuple(quarter() for _ in range(out))), Relu(out)]
+        width = out
+    last = Affine((tuple(quarter() for _ in range(width)),), (quarter(),))
+    return NetworkModel(name, 2, 1, tuple(layers) + (last,))
+
+
+def random_layered_instance(rng: random.Random):
+    """A random two- or three-hidden-layer net over [-1, 1]^2, with one
+    output row of any relation or a strict band ``c < y < c + d``."""
+    model = random_layered_model(rng, [rng.randint(2, 4) for _ in range(rng.randint(2, 3))])
+    c = Fraction(rng.randint(-12, 12), 4)
+    rows = [constraint({("y", 0): 1}, rng.choice(["<=", "<", ">=", ">", "="]), c)]
+    if rng.random() < 0.5:
+        d = Fraction(rng.randint(1, 4), 8)
+        rows = [constraint({("y", 0): 1}, ">", c), constraint({("y", 0): 1}, "<", c + d)]
+    meta = MetaNetwork((("f", 2, 1),))
+    return make_ctx(f=model), box_query(meta, [(-1, 1), (-1, 1)], rows)
+
+
+def relu_outputs_by_hand(query, ctx, inputs: list[Fraction]) -> list[Fraction]:
+    """The output of every ReLU unit, application by application and layer
+    by layer: the order in which unrolling numbers the ReLU nodes."""
+    outputs = []
+    in_off = query.meta.input_offsets
+    for a, (name, m, _) in enumerate(query.meta.applications):
+        values = inputs[in_off[a] : in_off[a] + m]
+        for layer in ctx[name].model.layers:
+            values = run_network_by_hand((layer,), values)
+            if isinstance(layer, Relu):
+                outputs += values
+    return outputs
+
+
+def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
+    """The loosest-ReLU search finds a feasible leaf exactly when the
+    node-order search does, and a query it refutes never runs the ordered
+    search.  Where it stops early because no gap is positive, its point is
+    a network point: the ReLU outputs computed from the point's inputs are
+    its free ReLU coordinates, and the query holds there."""
+    from vspec.verifier import engine
+
+    search, loosest = engine._search, engine._loosest_gap
+    stops = []  # (point, ReLUs left unbranched) where the loosest rule ends
+
+    def recording(relus, point, unbranched):
+        pick = loosest(relus, point, unbranched)
+        if pick is None:
+            stops.append((point, unbranched))
+        return pick
+
+    roots = []  # (rule, feasible leaf found) per search from a root
+
+    def recording_roots(problem, point, relus, unbranched, rule):
+        found = search(problem, point, relus, unbranched, rule)
+        if problem.parent is None:
+            roots.append((rule, found is not None))
+            if rule is recording and found is None:  # check_query stops here
+                assert search(problem, point, relus, unbranched, engine._node_order) is None
+        return found
+
+    monkeypatch.setattr(engine, "_loosest_gap", recording)
+    monkeypatch.setattr(engine, "_search", recording_roots)
+    rng = random.Random(20261019)
+    generators = (random_instance, random_search_instance) * 2 + (random_layered_instance,)
+    seen = dict.fromkeys(("refuted by the search", "sat by no positive gap", "sat at a leaf",
+                          "two hidden layers", "three hidden layers", "9-12 free"), 0)  # fmt: skip
+    for n in range(2_000):
+        while True:
+            ctx, query = generators[n % 5](rng)
+            skeleton = unroll_meta_network(query.meta, ctx)
+            fixed = propagate_bounds(skeleton, query)[1]
+            free = [node for node in skeleton.relu_nodes if node.node_id not in fixed]
+            if 0 < len(free) <= 12:
+                break
+        roots.clear()
+        stops.clear()
+        verdict = check_query(query, ctx)
+        if isinstance(verdict, Unsat):
+            # An infeasible root LP runs no search.
+            assert roots in ([], [(recording, False)])
+            seen["refuted by the search"] += bool(roots)
+        else:
+            assert roots == [(recording, True), (engine._node_order, True)]
+            point, unbranched = stops[-1]
+            seen["sat by no positive gap" if unbranched else "sat at a leaf"] += 1
+            num_inputs = query.meta.total_inputs
+            inputs = point[:num_inputs]
+            outputs = relu_outputs_by_hand(query, ctx, inputs)
+            for j, node in enumerate(free):
+                assert point[num_inputs + j] == outputs[node.node_id]
+            values = evaluate_networks(query, ctx, inputs)
+            assert all(constraint_holds(c, values) for c in query.constraints)
+        depths = {sum(isinstance(x, Relu) for x in ctx[name].model.layers)
+                  for name, _, _ in query.meta.applications}  # fmt: skip
+        seen["two hidden layers"] += 2 in depths
+        seen["three hidden layers"] += 3 in depths
+        seen["9-12 free"] += len(free) >= 9
+    assert min(seen.values()) >= 25, seen
+
+
 def test_pinned_search_outputs(monkeypatch):
     """The outputs of 400 seeded search instances, pinned by digest so that
     a refactor of the engine or the LP cannot move them unseen: the verdicts
@@ -417,7 +527,7 @@ def test_pinned_search_outputs(monkeypatch):
     assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
     assert verdicts.hexdigest() == "4c7437dc21e21ed96954fb0aa6e5c4e49e1f9fc63862e9e6e1f831768c748662"
     assert witness_lps.hexdigest() == "56d95ad0cbde6aa536bf20de032c6d22b8ad8480da1002a0af659425b5839848"
-    assert counts.hexdigest() == "36615960e5283789bb7171e437dfc745612a5cdd0c57fcc1f4d3016cc071a6d8"
+    assert counts.hexdigest() == "8c133d251cba9261e98acf40ee7cc43aa5d92f28ed6a1d15df24eb8a76a96caa"
 
 
 def test_pruning_neutrality(monkeypatch):
@@ -497,7 +607,8 @@ def count_row_operations(monkeypatch) -> list:
 
 def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     # Each of the two UNSAT queries has four free ReLUs: one root LP from
-    # scratch and 22 warm ones (the flat search took 16 per query).
+    # scratch and 6 warm ones, branching on the loosest ReLU first.  In
+    # node order the search took 22 warm LPs per query, the flat search 16.
     model = parse_vnet(controller_net.read_text(), "controller")
     ctx, q1, q2 = controller_queries(model)
     calls = count_lp_calls(monkeypatch)
@@ -505,17 +616,18 @@ def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     operations = count_row_operations(monkeypatch)
     assert isinstance(check_query(q1, ctx), Unsat)
     assert isinstance(check_query(q2, ctx), Unsat)
-    assert len(calls) == 46
+    assert len(calls) == 14
     assert sum(problem.parent is None for problem in calls) == 2
     # The search runs over 2 inputs and 4 free ReLU outputs.  With the
-    # network's 11 variables and 5 equalities in every LP it made 123 pivots.
+    # network's 11 variables and 5 equalities in every LP it made 123 pivots;
+    # branching in node order, 78.
     roots = [problem for problem in calls if problem.parent is None]
     assert [root.num_vars for root in roots] == [6, 6]
     assert all(c.relation != "=" for root in roots for c in root.constraints)
-    assert len(pivots) == 78
-    # A child adds one branch row; with three phase rows per child it made
-    # 695 row operations.
-    assert len(operations) == 507
+    assert len(pivots) == 40
+    # A child adds one branch row; with three phase rows per child and in
+    # node order it made 695 row operations, with one row in node order 507.
+    assert len(operations) == 246
 
 
 def four_relu_query(four_relu_net):
@@ -533,15 +645,18 @@ def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     pivots = count_pivots(monkeypatch)
     operations = count_row_operations(monkeypatch)
     assert isinstance(check_query(query, ctx), Unsat)
-    # One root LP from scratch, then 8 warm ones, against 16 leaves.
-    assert len(calls) == 9
-    assert [problem.parent is None for problem in calls] == [True] + [False] * 8
-    # Over the network's 11 variables and 5 equalities: 47 pivots.  With
-    # three phase rows per child: 34 pivots and 317 row operations.
+    # One root LP from scratch, then 2 warm ones: both phases of the
+    # loosest ReLU are infeasible.  Branching in node order took 8 warm
+    # LPs, the flat search 16 leaves.
+    assert len(calls) == 3
+    assert [problem.parent is None for problem in calls] == [True, False, False]
+    # In node order: over the network's 11 variables and 5 equalities, 47
+    # pivots; with three phase rows per child, 34 pivots and 317 row
+    # operations; with one branch row, 40 pivots and 286 row operations.
     assert calls[0].num_vars == 6
     assert all(c.relation != "=" for c in calls[0].constraints)
-    assert len(pivots) == 40
-    assert len(operations) == 286
+    assert len(pivots) == 14
+    assert len(operations) == 121
 
 
 def test_one_branch_row_agrees_with_the_three_phase_rows(
@@ -622,9 +737,11 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 9 LPs: 4,744 calls; a tableau of Fractions made 68,325.
+        # 3 LPs: 4,163 calls; 9 LPs in node order made 4,741, and a
+        # tableau of Fractions 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 46 LPs: 10,465 calls; a tableau of Fractions made 190,219.
+        # 14 LPs: 8,388 calls; 46 LPs in node order made 10,922, and a
+        # tableau of Fractions 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
@@ -636,6 +753,26 @@ def test_verify_work_is_bounded(request, tmp_path, monkeypatch, spec, net, bindi
     argv = ["verify", "--spec", str(spec_path), "--network", f"{binding}:{net_path}",
             "--proof-file", "p.vclp"]  # fmt: skip
     assert verify_calls(argv) <= bound
+
+
+def test_lp_count_of_deep_verified_nets(monkeypatch):
+    """Verified queries on nets of two and three hidden layers, 14, 14 and
+    15 free ReLUs, at a bound 1/100 above the net's maximum over a 41 x 41
+    grid of the box: the search runs close to the true maximum.  Branching
+    in node order took 305, 175 and 357 LPs."""
+    rng = random.Random(7)
+    nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
+    calls = count_lp_calls(monkeypatch)
+    meta = MetaNetwork((("f", 2, 1),))
+    for net, bound, lps in [
+        (nets[0], Fraction(1479, 400), 21),
+        (nets[2], Fraction(7483, 800), 37),
+        (nets[5], Fraction(-767, 800), 19),
+    ]:
+        query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", bound)])
+        calls.clear()
+        assert isinstance(check_query(query, make_ctx(f=net), phase_budget=64), Unsat)
+        assert len(calls) == lps
 
 
 def test_phase_budget_exceeded():
