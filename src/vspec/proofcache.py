@@ -153,7 +153,9 @@ def _split(line: str, path: Path) -> list[str]:
 def read_proof_file(path: str | Path) -> ProofCacheFile:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        # No newline translation: a quoted field may hold a ``\r``.
+        with open(path, encoding="utf-8", newline="") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CacheError(
             "MalformedProofFile", f"cannot read {path}: {exc}", path=str(path)
@@ -163,7 +165,10 @@ def read_proof_file(path: str | Path) -> ProofCacheFile:
     networks: list[tuple[str, str, str]] = []
     properties: list[PropertyRecord] = []
     itp_digest: str | None = None
-    lines = [line for line in text.splitlines() if line.strip()]
+    # Lines end at ``\n`` alone: ``str.splitlines`` would also break a quoted
+    # field at ``\x0b``, ``\x0c``, ``\x85``, ``\u2028`` and the like.  A
+    # CRLF line's ``\r`` is shlex whitespace.
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines or lines[0].split() != ["vclp", str(FORMAT_VERSION)]:
         raise CacheError(
             "MalformedProofFile", "missing or unsupported 'vclp 1' header", path=str(path)

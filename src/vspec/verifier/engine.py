@@ -24,26 +24,35 @@ The search runs in free coordinates, the network inputs and the outputs
 of the free ReLUs: every other variable is an affine form over them
 (``free_coordinate_forms``), so the search LPs carry none of the
 network's equalities.  Each equality defines its variable uniquely, so a
-node's LP is feasible exactly when the LP over all variables is.  The root
-LP is the query rows and the fixed phases' sign rows plus the triangle
-relaxation of every free ReLU (Ehlers 2017): ``post >= 0``, ``post >= pre``
-and, when both interval bounds ``l < 0 < u`` are known,
-``post <= u (pre - l) / (u - l)``.  A child adds one row to its parent's
-LP, its ReLU's upper face for the phase: ``post <= 0`` (Inactive) or
-``post <= pre`` (Active).  With the lower faces every node already holds,
-that row gives exactly the phase's region: ``0 <= post <= 0`` and
-``pre <= post`` is ``post = 0, pre <= 0``; ``pre <= post <= pre`` and
-``0 <= post`` is ``post = pre, pre >= 0``.  The child is solved warm from
-the parent's final tableau; an infeasible node prunes its subtree.  Every
-point of a leaf's phase region satisfies the triangle rows, so a leaf is
-feasible exactly when the flat leaf LP (base plus the sign row and
-``post = 0`` or ``post = pre`` per ReLU) is, and in node order the first
-feasible leaf is the lexicographically least satisfiable phase assignment.
-It is re-solved from scratch on the flat leaf constraint list over all
-variables, so the witness depends only on that list (Bland's rule is
-deterministic), not on the search; that LP is solved only for a feasible
-leaf, so it is always feasible.  A query with no free ReLU is the search
-with zero branches: its root, over the inputs alone, is its only leaf.
+node's LP is feasible exactly when the LP over all variables is.  The
+coordinates are nonnegative where the query allows it, so that the LP
+gives each of them one tableau column, not a ``+``/``-`` pair
+(``LPProblem.nonneg``): a free ReLU's output is ``>= 0``, and an input
+whose box has a lower bound ``l`` is shifted to the coordinate
+``x - l``, whose form is the coordinate plus the constant ``l``.  An
+input with no lower bound stays free.  The root LP is the query rows and
+the fixed phases' sign rows plus the triangle relaxation of every free
+ReLU (Ehlers 2017): ``post >= 0``, ``post >= pre`` and, when both
+interval bounds ``l < 0 < u`` are known, ``post <= u (pre - l) / (u -
+l)``.  A non-strict row over one nonnegative coordinate that its sign
+already implies, such as ``post >= 0`` and the shifted ``x - l >= 0``,
+is dropped; a strict ``x > l`` stays.  A child adds one row to its
+parent's LP, its ReLU's upper face for the phase: ``post <= 0``
+(Inactive) or ``post <= pre`` (Active).  With the lower faces every node
+already holds, that row gives exactly the phase's region: ``0 <= post <=
+0`` and ``pre <= post`` is ``post = 0, pre <= 0``; ``pre <= post <= pre``
+and ``0 <= post`` is ``post = pre, pre >= 0``.  The child is solved warm
+from the parent's final tableau; an infeasible node prunes its subtree.
+Every point of a leaf's phase region satisfies the triangle rows, so a
+leaf is feasible exactly when the flat leaf LP (base plus the sign row
+and ``post = 0`` or ``post = pre`` per ReLU) is, and in node order the
+first feasible leaf is the lexicographically least satisfiable phase
+assignment.  It is re-solved from scratch on the flat leaf constraint
+list over all variables, all free, so the witness depends only on that
+list (Bland's rule is deterministic), not on the search or its
+coordinates; that LP is solved only for a feasible leaf, so it is always
+feasible.  A query with no free ReLU is the search with zero branches:
+its root, over the inputs alone, is its only leaf.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -231,19 +240,22 @@ Form = tuple[dict[int, Fraction], Fraction]  # coefficient per coordinate, const
 
 
 def free_coordinate_forms(
-    skeleton: Skeleton, fixed: dict[int, str]
+    skeleton: Skeleton, fixed: dict[int, str], lower: dict[int, Fraction]
 ) -> tuple[int, dict[int, Form]]:
     """The number of free coordinates, and every variable as an affine form
     over them.
 
     The free coordinates are the network inputs (coordinate ``v`` is input
-    variable ``v``; unrolling numbers the inputs first) and then the
-    outputs of the ReLUs that ``fixed`` leaves free, in node order.  The
-    equalities and the fixed phases determine every other variable.  A
-    form holds no zero coefficient.
+    variable ``v`` minus its lower bound ``lower[v]``, or ``v`` itself
+    without one; unrolling numbers the inputs first) and then the outputs
+    of the ReLUs that ``fixed`` leaves free, in node order.  The equalities
+    and the fixed phases determine every other variable.  A form holds no
+    zero coefficient.
     """
     forms: dict[int, Form] = {
-        vid: ({vid: ONE}, ZERO) for qv, vid in skeleton.qvar_ids.items() if qv.kind == "x"
+        vid: ({vid: ONE}, lower.get(vid, ZERO))
+        for qv, vid in skeleton.qvar_ids.items()
+        if qv.kind == "x"
     }
     count = len(forms)
     for event in skeleton.events:
@@ -279,8 +291,9 @@ def _combine(terms, constant: Fraction, forms: dict[int, Form]) -> Form:
 def _in_free_coordinates(
     c: LPConstraint, forms: dict[int, Form], num_inputs: int
 ) -> LPConstraint:
-    """``c`` over the free coordinates; a row over inputs alone already is."""
-    if all(v < num_inputs for v, _ in c.terms):
+    """``c`` over the free coordinates; a row over unshifted inputs alone
+    already is."""
+    if all(v < num_inputs and not forms[v][1] for v, _ in c.terms):
         return c
     coeffs, constant = _combine(c.terms, ZERO, forms)
     return LPConstraint(tuple(coeffs.items()), c.relation, c.rhs - constant)
@@ -327,8 +340,8 @@ def _phase_rows(pre: Form, post: int, phase: str) -> list[LPConstraint]:
 
 def _branch_row(pre: Form, post: int, phase: str) -> LPConstraint:
     """``post <= 0`` (Inactive) or ``post <= pre`` (Active): with the
-    triangle's lower faces ``post >= 0`` and ``post >= pre``, the region
-    of ``_phase_rows``."""
+    triangle's lower faces ``post >= 0`` (the coordinate's sign) and
+    ``post >= pre``, the region of ``_phase_rows``."""
     if phase == "inactive":
         return LPConstraint(((post, ONE),), "<=", ZERO)
     return LPConstraint(_minus_pre(post, pre), "<=", pre[1])
@@ -339,12 +352,10 @@ def _phase_constraints(node: ReluNode, phase: str) -> list[LPConstraint]:
 
 
 def _triangle_rows(pre: Form, post: int, bounds: Interval) -> list[LPConstraint]:
-    """The convex hull of post = max(pre, 0) over l <= pre <= u; without
-    both bounds only its two lower faces."""
-    rows = [
-        LPConstraint(((post, ONE),), ">=", ZERO),
-        LPConstraint(_minus_pre(post, pre), ">=", pre[1]),
-    ]
+    """The convex hull of post = max(pre, 0) over l <= pre <= u, but for
+    the face ``post >= 0`` that the nonnegative coordinate ``post`` holds;
+    without both bounds only the lower face ``post >= pre``."""
+    rows = [LPConstraint(_minus_pre(post, pre), ">=", pre[1])]
     lo, hi = bounds
     if lo is not None and hi is not None:
         # (u - l) post - u pre <= -u l, where pre is its terms plus b
@@ -391,13 +402,20 @@ def check_query(
             f"of {phase_budget}",
         )
     # The search runs in free coordinates: the equalities and the fixed
-    # phases' definition rows become 0 = 0 there and are dropped.
-    num_coords, forms = free_coordinate_forms(skeleton, fixed)
-    query_rows = _query_constraints(query, skeleton)
+    # phases' definition rows become 0 = 0 there and are dropped.  An input
+    # with a lower bound is searched as its offset from it; a variable that
+    # ``intervals`` lacks is unbounded.
     num_inputs = query.meta.total_inputs
+    lower = {
+        v: lo for v in range(num_inputs) if (lo := intervals.get(v, (None, None))[0]) is not None
+    }
+    num_coords, forms = free_coordinate_forms(skeleton, fixed, lower)
+    nonneg = frozenset(lower).union(range(num_inputs, num_coords))
+    query_rows = _query_constraints(query, skeleton)
     relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
     for node_id, phase in fixed.items():
         relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
+    relaxation = [c for c in relaxation if not _implied_by_sign(c, nonneg)]
     relus = []
     for node in free_nodes:
         pre = forms[node.pre_var]
@@ -406,7 +424,7 @@ def check_query(
         relaxation.extend(_triangle_rows(pre, post, bounds))
         rows = {phase: _branch_row(pre, post, phase) for phase in PHASES}
         relus.append(_FreeRelu(pre, post, rows))
-    root = LPProblem(num_coords, relaxation)
+    root = LPProblem(num_coords, relaxation, nonneg=nonneg)
     point = feasible(root)
     unbranched = tuple(range(len(relus)))
     if point is None or _search(root, point, relus, unbranched, _loosest_gap) is None:
@@ -421,6 +439,18 @@ def check_query(
     witness = feasible(LPProblem(skeleton.num_vars, leaf))
     assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
     return _restrict(witness, skeleton)
+
+
+def _implied_by_sign(c: LPConstraint, nonneg: frozenset[int]) -> bool:
+    """Whether ``c`` only bounds one coordinate in ``nonneg`` below by a
+    value ``<= 0``, which the coordinate's sign implies: ``k * v >= r``
+    with ``k > 0``, or ``k * v <= r`` with ``k < 0``, and ``r / k <= 0``.
+    A strict row is never implied."""
+    if len(c.terms) != 1:
+        return False
+    ((v, k),) = c.terms
+    bounds_below = (k > 0 and c.relation == ">=") or (k < 0 and c.relation == "<=")
+    return bounds_below and v in nonneg and c.rhs * k <= 0
 
 
 def _search(
@@ -443,7 +473,7 @@ def _search(
     rest = tuple(j for j in unbranched if j != i)
     for phase in phases:
         rows = problem.constraints + [relus[i].rows[phase]]
-        child = LPProblem(problem.num_vars, rows, parent=problem)
+        child = LPProblem(problem.num_vars, rows, parent=problem, nonneg=problem.nonneg)
         child_point = feasible(child)
         if child_point is not None:
             found = _search(child, child_point, relus, rest, rule)

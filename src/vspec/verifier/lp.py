@@ -1,9 +1,13 @@
 """Exact rational LP feasibility via a fraction-free simplex, from scratch or warm.
 
-Decides feasibility of a system of linear constraints over free rational
-variables, with mixed strict and non-strict relations, exactly:
+Decides feasibility of a system of linear constraints over rational
+variables, each free or nonnegative, with mixed strict and non-strict
+relations, exactly:
 
-* free variables split into nonnegative pairs,
+* a free variable ``v`` splits into the nonnegative pair of columns ``2v``
+  and ``2v + 1`` (``v`` is their difference); a variable the problem
+  declares nonnegative is the single column ``2v``, and ``2v + 1`` stays
+  empty, so it never enters,
 * each strict constraint ``a.v < c`` becomes ``a.v + eps <= c`` and the
   objective maximises ``eps`` (capped at 1),
 * optimum ``eps > 0`` means strictly feasible (witness extracted from the
@@ -86,14 +90,18 @@ class LPConstraint:
 class LPProblem:
     """Feasibility problem: named rational variables and mixed constraints.
 
+    The variables in ``nonneg`` are constrained ``>= 0`` by their columns,
+    not by rows; the others are free.
+
     ``parent``, if given, is a problem already passed to ``feasible`` whose
-    constraints are a prefix of this one's.  When the parent was feasible,
-    ``feasible`` starts from the parent's final tableau (see the module
-    docstring)."""
+    constraints are a prefix of this one's and whose ``nonneg`` is this
+    one's.  When the parent was feasible, ``feasible`` starts from the
+    parent's final tableau (see the module docstring)."""
 
     num_vars: int
     constraints: list[LPConstraint]
     parent: LPProblem | None = None
+    nonneg: frozenset[int] = frozenset()
     # Set by ``feasible`` when the problem is feasible.
     tableau: _Tableau | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -135,10 +143,11 @@ def feasible(problem: LPProblem) -> list[Fraction] | None:
     warm = parent is not None and parent.tableau is not None
     if warm:
         assert problem.constraints[: len(parent.constraints)] == parent.constraints
+        assert problem.nonneg == parent.nonneg
         added = problem.constraints[len(parent.constraints) :]
         strict = any(c.relation in ("<", ">") for c in added)
         warm = parent.tableau.eps_col is not None or not strict
-    tableau = _extend(parent.tableau, added) if warm else _solve(problem)
+    tableau = _extend(parent.tableau, added, problem.nonneg) if warm else _solve(problem)
     if tableau is None:
         return None
     # Non-basic columns are at 0; a basic one at rhs / basic entry.
@@ -162,7 +171,7 @@ def _normalise(c: LPConstraint) -> tuple[dict[int, int], str, int, bool, int]:
     lcm of its denominators) it was multiplied by."""
     merged: dict[int, Fraction] = {}
     for v, k in c.terms:
-        merged[v] = merged.get(v, 0) + k
+        merged[v] = merged[v] + k if v in merged else k
     rel, rhs = c.relation, c.rhs
     sign = -1 if rel in (">=", ">") else 1
     scale = math.lcm(rhs.denominator, *(k.denominator for k in merged.values()))
@@ -174,15 +183,22 @@ def _normalise(c: LPConstraint) -> tuple[dict[int, int], str, int, bool, int]:
 
 
 def _columns(
-    terms: dict[int, int], rhs: int, strict: bool, eps_col: int | None, scale: int
+    terms: dict[int, int],
+    rhs: int,
+    strict: bool,
+    eps_col: int | None,
+    scale: int,
+    nonneg: frozenset[int],
 ) -> Row:
     """A normalised row's entries by tableau column: variable ``v`` is
-    column ``2v`` minus column ``2v + 1``, a strict row adds ``eps`` with
-    the row's scale, and a non-zero ``rhs`` sits under ``RHS``."""
+    column ``2v``, minus column ``2v + 1`` unless ``v`` is in ``nonneg``; a
+    strict row adds ``eps`` with the row's scale, and a non-zero ``rhs``
+    sits under ``RHS``."""
     row: Row = {}
     for v, k in terms.items():
         row[2 * v] = k
-        row[2 * v + 1] = -k
+        if v not in nonneg:
+            row[2 * v + 1] = -k
     if strict:
         row[eps_col] = scale  # type: ignore[index]
     if rhs:
@@ -209,7 +225,7 @@ def _solve(problem: LPProblem) -> _Tableau | None:
     tableau: list[Row] = []
     basis: list[int] = []
     for terms, rel, rhs, strict, scale in rows:
-        row = _columns(terms, rhs, strict, eps_col, scale)
+        row = _columns(terms, rhs, strict, eps_col, scale, problem.nonneg)
         if rel == "<=":
             row[slack] = scale
             basic, slack = slack, slack + 1
@@ -236,7 +252,9 @@ def _solve(problem: LPProblem) -> _Tableau | None:
     return _Tableau(tableau, basis, reduced, artificials, eps_col, n_cols)
 
 
-def _extend(parent: _Tableau, added: list[LPConstraint]) -> _Tableau | None:
+def _extend(
+    parent: _Tableau, added: list[LPConstraint], nonneg: frozenset[int]
+) -> _Tableau | None:
     """``parent``'s optimal tableau with ``added`` as new rows, re-optimised
     by dual simplex; None when the rows make it infeasible.  The parent's
     row objects are shared, not copied: a pivot replaces a row, never
@@ -251,7 +269,7 @@ def _extend(parent: _Tableau, added: list[LPConstraint]) -> _Tableau | None:
     new_rows: list[tuple[Row, int]] = []  # entries with rhs, scale
     for c in added:
         terms, rel, rhs, strict, scale = _normalise(c)
-        row = _columns(terms, rhs, strict, eps_col, scale)
+        row = _columns(terms, rhs, strict, eps_col, scale, nonneg)
         new_rows.append((row, scale))
         if rel == "=":
             new_rows.append(({j: -k for j, k in row.items()}, scale))

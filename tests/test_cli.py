@@ -188,6 +188,20 @@ def test_verify_creates_the_proof_file_directory(workspace):
     assert run(["check", "--proof-file", "sub/deeper/p.vclp"]) == 0
 
 
+@pytest.mark.parametrize("spec", ["c\x0bs.vcl", "c\u2028s.vcl"])
+def test_check_reads_a_spec_name_holding_a_line_break_of_str_splitlines(
+    workspace, capsys, spec
+):
+    # ``str.splitlines`` breaks lines at these characters, though the proof
+    # file keeps them inside one quoted field; only ``\n`` ends a line.
+    shutil.copy("controller-spec.vcl", spec)
+    verify = ["verify", "--spec", spec, "--network", "controller:controller.vnet"]
+    assert run(verify + ["--proof-file", "p.vclp"]) == 0
+    assert run(["check", "--proof-file", "p.vclp"]) == 0
+    assert "safe: Verified" in capsys.readouterr().out
+    assert read_proof_file("p.vclp").spec_path == spec
+
+
 def test_proof_file_under_a_regular_file_is_an_io_error(workspace, capsys):
     (workspace / "sub").write_text("not a directory")
     code = run(

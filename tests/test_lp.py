@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from oracles import fm_feasible
 from vspec.verifier.lp import RHS, LPConstraint, LPProblem, feasible
 
@@ -168,6 +170,54 @@ def test_warm_start_agrees_with_cold_solves_and_fourier_motzkin():
             assert all(holds(c, witness) for c in child.constraints)
             parent = child
     assert min(seen.values()) >= 100, seen
+
+
+def test_nonneg_columns_agree_with_explicit_sign_rows():
+    """A variable declared nonnegative gets one column instead of a pair:
+    cold and warm, the problem is feasible exactly when the same rows plus
+    an explicit ``v >= 0`` row per such variable, over free variables, are,
+    and its witness satisfies every row and is >= 0 there.  A warm child
+    must keep its parent's ``nonneg``."""
+    rng = random.Random(20261019)
+    seen = {"cold feasible": 0, "cold infeasible": 0, "warm feasible": 0,
+            "warm infeasible": 0, "negative at a free variable": 0}  # fmt: skip
+
+    def check(problem: LPProblem) -> bool:
+        witness = feasible(problem)
+        signs = [c({v: 1}, ">=", 0) for v in sorted(problem.nonneg)]
+        explicit = feasible(LPProblem(problem.num_vars, problem.constraints + signs))
+        assert (witness is None) == (explicit is None)
+        if witness is not None:
+            assert all(holds(row, witness) for row in problem.constraints)
+            assert all(witness[v] >= 0 for v in problem.nonneg)
+            check_tableau(problem.tableau)
+            columns = {j for row in problem.tableau.rows for j in row}
+            assert not columns & {2 * v + 1 for v in problem.nonneg}
+            seen["negative at a free variable"] += any(
+                x < 0 for v, x in enumerate(witness) if v not in problem.nonneg
+            )
+        return witness is not None
+
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        nonneg = frozenset(v for v in range(n) if rng.random() < 0.6)
+        rows = [random_row(rng, n, RELATIONS) for _ in range(rng.randint(0, 5))]
+        parent = LPProblem(n, rows, nonneg=nonneg)
+        feasible_parent = check(parent)
+        seen["cold feasible" if feasible_parent else "cold infeasible"] += 1
+        while feasible_parent:
+            relations = RELATIONS if rng.random() < 0.3 else ("<=", ">=", "=")
+            added = [random_row(rng, n, relations) for _ in range(rng.randint(1, 2))]
+            child = LPProblem(n, parent.constraints + added, parent=parent, nonneg=nonneg)
+            feasible_parent = check(child)
+            seen["warm feasible" if feasible_parent else "warm infeasible"] += 1
+            parent = child
+    assert min(seen.values()) >= 100, seen
+
+    parent = LPProblem(1, [c({0: 1}, "<=", 1)], nonneg=frozenset({0}))
+    assert feasible(parent) is not None
+    with pytest.raises(AssertionError):
+        feasible(LPProblem(1, parent.constraints + [c({0: 1}, ">=", -1)], parent=parent))
 
 
 # sha256 of repr() of the witnesses of test_pinned_witnesses; see its docstring.

@@ -42,6 +42,20 @@ def test_read_after_write_round_trip(tmp_path, controller_net):
     assert read_proof_file(path) == cache
 
 
+def test_crlf_file_and_carriage_return_in_a_quoted_field(tmp_path, controller_net):
+    # The file is read without newline translation: a ``\r`` inside a
+    # quoted path survives, and a CRLF file still parses, since ``\r`` is
+    # shlex whitespace.
+    cache = sample_cache(tmp_path, controller_net)
+    cache.spec_path = "a\rb.vcl"
+    path = tmp_path / "proof.vclp"
+    write_proof_file(cache, path)
+    assert read_proof_file(path) == cache
+    cache.spec_path = "spec.vcl"
+    path.write_bytes(render_proof_file(cache).replace("\n", "\r\n").encode())
+    assert read_proof_file(path) == cache
+
+
 def test_serialisation_is_canonical(tmp_path, controller_net):
     cache = sample_cache(tmp_path, controller_net)
     cache.networks = [

@@ -364,7 +364,8 @@ def test_search_matches_the_flat_phase_search():
         models = [ctx[name].model for name, _, _ in query.meta.applications]
         shapes = {"".join("R" if isinstance(x, Relu) else "A" for x in m.layers) for m in models}
         affine = [x for m in models for x in m.layers if isinstance(x, Affine)]
-        _, forms = engine.free_coordinate_forms(skeleton, fixed)
+        # Shifting the inputs by their lower bounds moves only the constants.
+        _, forms = engine.free_coordinate_forms(skeleton, fixed, {})
         rows = engine._query_constraints(query, skeleton)
         outputs = {vid for qv, vid in skeleton.qvar_ids.items() if qv.kind == "y"}
         seen["layerless"] += "" in shapes
@@ -465,7 +466,7 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
         while True:
             ctx, query = generators[n % 5](rng)
             skeleton = unroll_meta_network(query.meta, ctx)
-            fixed = propagate_bounds(skeleton, query)[1]
+            intervals, fixed = propagate_bounds(skeleton, query)
             free = [node for node in skeleton.relu_nodes if node.node_id not in fixed]
             if 0 < len(free) <= 12:
                 break
@@ -481,7 +482,8 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
             point, unbranched = stops[-1]
             seen["sat by no positive gap" if unbranched else "sat at a leaf"] += 1
             num_inputs = query.meta.total_inputs
-            inputs = point[:num_inputs]
+            # An input with a lower bound is searched as its offset from it.
+            inputs = [p + (intervals[v][0] or 0) for v, p in enumerate(point[:num_inputs])]
             outputs = relu_outputs_by_hand(query, ctx, inputs)
             for j, node in enumerate(free):
                 assert point[num_inputs + j] == outputs[node.node_id]
@@ -527,7 +529,7 @@ def test_pinned_search_outputs(monkeypatch):
     assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
     assert verdicts.hexdigest() == "4c7437dc21e21ed96954fb0aa6e5c4e49e1f9fc63862e9e6e1f831768c748662"
     assert witness_lps.hexdigest() == "56d95ad0cbde6aa536bf20de032c6d22b8ad8480da1002a0af659425b5839848"
-    assert counts.hexdigest() == "8c133d251cba9261e98acf40ee7cc43aa5d92f28ed6a1d15df24eb8a76a96caa"
+    assert counts.hexdigest() == "d4ca1a3eaace8ad7e0fc86b815f44f73c8dc2f123587442c4cb4de9f1bafc641"
 
 
 def test_pruning_neutrality(monkeypatch):
@@ -620,14 +622,16 @@ def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     assert sum(problem.parent is None for problem in calls) == 2
     # The search runs over 2 inputs and 4 free ReLU outputs.  With the
     # network's 11 variables and 5 equalities in every LP it made 123 pivots;
-    # branching in node order, 78.
+    # branching in node order, 78; with a +/- column pair per coordinate, 40.
     roots = [problem for problem in calls if problem.parent is None]
     assert [root.num_vars for root in roots] == [6, 6]
     assert all(c.relation != "=" for root in roots for c in root.constraints)
-    assert len(pivots) == 40
+    assert [sorted(root.nonneg) for root in roots] == [[0, 1, 2, 3, 4, 5]] * 2
+    assert len(pivots) == 28
     # A child adds one branch row; with three phase rows per child and in
-    # node order it made 695 row operations, with one row in node order 507.
-    assert len(operations) == 246
+    # node order it made 695 row operations, with one row in node order 507,
+    # with column pairs 246.
+    assert len(operations) == 197
 
 
 def four_relu_query(four_relu_net):
@@ -653,10 +657,12 @@ def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     # In node order: over the network's 11 variables and 5 equalities, 47
     # pivots; with three phase rows per child, 34 pivots and 317 row
     # operations; with one branch row, 40 pivots and 286 row operations.
+    # Branching on the loosest ReLU with a +/- column pair per coordinate:
+    # 14 pivots and 121 row operations.
     assert calls[0].num_vars == 6
     assert all(c.relation != "=" for c in calls[0].constraints)
-    assert len(pivots) == 14
-    assert len(operations) == 121
+    assert len(pivots) == 12
+    assert len(operations) == 79
 
 
 def test_one_branch_row_agrees_with_the_three_phase_rows(
@@ -702,7 +708,7 @@ def test_one_branch_row_agrees_with_the_three_phase_rows(
             for row in child.constraints[len(root.constraints) :]:
                 phase, three_rows = phase_rows[row]
                 rows += three_rows
-            three = verifier.feasible(LPProblem(child.num_vars, rows))
+            three = verifier.feasible(LPProblem(child.num_vars, rows, nonneg=child.nonneg))
             assert (three is not None) == (child.tableau is not None)
             seen["feasible" if three is not None else "infeasible"] += 1
             seen[phase] += 1  # the phase of the child's own row
@@ -737,11 +743,12 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 3 LPs: 4,163 calls; 9 LPs in node order made 4,741, and a
-        # tableau of Fractions 68,325.
+        # 3 LPs: 4,019 calls (4,153 with a +/- column pair per
+        # coordinate); 9 LPs in node order made 4,741, and a tableau of
+        # Fractions 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 14 LPs: 8,388 calls; 46 LPs in node order made 10,922, and a
-        # tableau of Fractions 190,219.
+        # 14 LPs: 7,679 calls (7,940 with column pairs); 46 LPs in node
+        # order made 10,922, and a tableau of Fractions 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
@@ -759,20 +766,25 @@ def test_lp_count_of_deep_verified_nets(monkeypatch):
     """Verified queries on nets of two and three hidden layers, 14, 14 and
     15 free ReLUs, at a bound 1/100 above the net's maximum over a 41 x 41
     grid of the box: the search runs close to the true maximum.  Branching
-    in node order took 305, 175 and 357 LPs."""
+    in node order took 305, 175 and 357 LPs.  With a +/- column pair per
+    coordinate, branching on the loosest ReLU took 21, 37 and 19 LPs and
+    782, 1,439 and 683 pivots."""
     rng = random.Random(7)
     nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
     calls = count_lp_calls(monkeypatch)
+    pivots = count_pivots(monkeypatch)
     meta = MetaNetwork((("f", 2, 1),))
-    for net, bound, lps in [
-        (nets[0], Fraction(1479, 400), 21),
-        (nets[2], Fraction(7483, 800), 37),
-        (nets[5], Fraction(-767, 800), 19),
+    for net, bound, lps, pivot_count in [
+        (nets[0], Fraction(1479, 400), 25, 310),
+        (nets[2], Fraction(7483, 800), 25, 275),
+        (nets[5], Fraction(-767, 800), 35, 410),
     ]:
         query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", bound)])
         calls.clear()
+        pivots.clear()
         assert isinstance(check_query(query, make_ctx(f=net), phase_budget=64), Unsat)
         assert len(calls) == lps
+        assert len(pivots) == pivot_count
 
 
 def test_phase_budget_exceeded():
