@@ -6,53 +6,45 @@ ReLU node is a case split (Inactive: pre <= 0, post = 0; Active: pre >= 0,
 post = pre).  Interval bound propagation over the query's input box fixes
 phases whose pre-activation cannot straddle zero.
 
-The remaining ("free") ReLUs are decided by a depth-first branch-and-bound
-search (``_search``) whose branching rule is an argument.  It runs twice at
-most.  The refutation search (``_loosest_gap``) branches on the unbranched
-ReLU whose output exceeds ``max(pre, 0)`` most at the point its node's LP
-returned, trying first the phase of ``pre``'s sign there (the idea of
-BaBSR, Bunel et al. 2020).  When no such gap is positive, the point is an
-exact network point that satisfies the query, so a feasible leaf exists
-and that search stops.  When it runs out, the query is unsatisfiable:
-every branching order refutes the same phase regions.  Only a satisfiable
-query runs the second, ordered search (``_node_order``): branch in node
-order, Inactive before Active, warm from the same root.  Its first
-feasible leaf fixes the witness, so verdicts and witnesses do not depend
-on the refutation order.
+The remaining ("free") ReLUs are decided by one depth-first
+branch-and-bound search (``_search``).  It branches on the ReLU whose
+output exceeds ``max(pre, 0)`` most at the point of the node's LP,
+trying first the phase of ``pre``'s sign there (the idea of BaBSR, Bunel
+et al. 2020).  When no gap is positive, the point is an exact network
+point that satisfies the query, and the search stops.  When it runs out,
+the query is unsatisfiable: every branching order refutes the same phase
+regions.  The witness comes from the lexicographically least feasible
+phase assignment (Inactive before Active, in node order), which the walk
+(``_walk``) reaches from that point, so it does not depend on the
+branching order either.
 
 The search runs in free coordinates, the network inputs and the outputs
 of the free ReLUs: every other variable is an affine form over them
 (``free_coordinate_forms``), so the search LPs carry none of the
-network's equalities.  Each equality defines its variable uniquely, so a
-node's LP is feasible exactly when the LP over all variables is.  The
-coordinates are nonnegative where the query allows it, so that the LP
-gives each of them one tableau column, not a ``+``/``-`` pair
-(``LPProblem.nonneg``): a free ReLU's output is ``>= 0``, and an input
-whose box has a lower bound ``l`` is shifted to the coordinate
-``x - l``, whose form is the coordinate plus the constant ``l``.  An
-input with no lower bound stays free.  The root LP is the query rows and
-the fixed phases' sign rows plus the triangle relaxation of every free
-ReLU (Ehlers 2017): ``post >= 0``, ``post >= pre`` and, when both
-interval bounds ``l < 0 < u`` are known, ``post <= u (pre - l) / (u -
-l)``.  A non-strict row over one nonnegative coordinate that its sign
-already implies, such as ``post >= 0`` and the shifted ``x - l >= 0``,
-is dropped; a strict ``x > l`` stays.  A child adds one row to its
-parent's LP, its ReLU's upper face for the phase: ``post <= 0``
-(Inactive) or ``post <= pre`` (Active).  With the lower faces every node
-already holds, that row gives exactly the phase's region: ``0 <= post <=
-0`` and ``pre <= post`` is ``post = 0, pre <= 0``; ``pre <= post <= pre``
-and ``0 <= post`` is ``post = pre, pre >= 0``.  The child is solved warm
-from the parent's final tableau; an infeasible node prunes its subtree.
-Every point of a leaf's phase region satisfies the triangle rows, so a
-leaf is feasible exactly when the flat leaf LP (base plus the sign row
-and ``post = 0`` or ``post = pre`` per ReLU) is, and in node order the
-first feasible leaf is the lexicographically least satisfiable phase
-assignment.  It is re-solved from scratch on the flat leaf constraint
-list over all variables, all free, so the witness depends only on that
+network's equalities, and a node's LP is feasible exactly when the LP
+over all variables is.  A coordinate gets one tableau column, not a
+``+``/``-`` pair, where it is nonnegative (``LPProblem.nonneg``): a free
+ReLU's output, and an input whose box has a lower bound ``l``, shifted
+to ``x - l`` (its form is the coordinate plus ``l``).  The root LP is the
+query rows and the fixed phases' sign rows plus the triangle relaxation
+of every free ReLU (Ehlers 2017): ``post >= 0`` (the coordinate's sign),
+``post >= pre`` and, when both interval bounds ``l < 0 < u`` are known,
+``post <= u (pre - l) / (u - l)``.  A non-strict row that only restates a
+coordinate's sign, such as the shifted ``x - l >= 0``, is dropped; a
+strict ``x > l`` stays.  A child adds one row to its parent's LP, its
+ReLU's upper face for the phase: ``post <= 0`` (Inactive) or ``post <=
+pre`` (Active).  With the lower faces, that row gives exactly the
+phase's region: ``0 <= post <= 0`` and ``pre <= post`` is ``post = 0,
+pre <= 0``; ``pre <= post <= pre`` and ``0 <= post`` is ``post = pre,
+pre >= 0``.  The child is solved warm from the parent's final tableau;
+an infeasible node prunes its subtree.  Every point of a leaf's phase
+region satisfies the triangle rows, so a leaf is feasible exactly when
+the flat leaf LP (base plus the sign row and ``post = 0`` or ``post =
+pre`` per ReLU) is.  The walk's flat leaf LP is solved from scratch over
+all variables, all free, so the witness depends only on that constraint
 list (Bland's rule is deterministic), not on the search or its
-coordinates; that LP is solved only for a feasible leaf, so it is always
-feasible.  A query with no free ReLU is the search with zero branches:
-its root, over the inputs alone, is its only leaf.
+coordinates; it is always feasible.  A query with no free ReLU is the
+search with zero branches: its root is its only leaf.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -61,7 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from ..errors import VerifyError
 from ..networks import Affine, NetworkContext
@@ -373,11 +365,6 @@ class _FreeRelu(NamedTuple):
     rows: dict[str, LPConstraint]
 
 
-# (relus, point, unbranched) -> (ReLU to branch on, its phases in order) or
-# None to end the search at this node; see ``_search``.
-Rule = Callable[[list[_FreeRelu], list[Fraction], tuple[int, ...]], tuple[int, tuple] | None]
-
-
 def check_query(
     query: LinearQuery,
     ctx: NetworkContext,
@@ -425,17 +412,15 @@ def check_query(
         rows = {phase: _branch_row(pre, post, phase) for phase in PHASES}
         relus.append(_FreeRelu(pre, post, rows))
     root = LPProblem(num_coords, relaxation, nonneg=nonneg)
-    point = feasible(root)
-    unbranched = tuple(range(len(relus)))
-    if point is None or _search(root, point, relus, unbranched, _loosest_gap) is None:
+    point = _search(root, relus, tuple(range(len(relus))))
+    if point is None:
         return Unsat()
-    # A feasible leaf exists; the first in node order gives the witness.
-    phases = _search(root, point, relus, unbranched, _node_order)
+    phases = _walk(root, point, relus)
     leaf = skeleton.equalities + query_rows
     for node_id, phase in fixed.items():
         leaf.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
-    for i, node in enumerate(free_nodes):
-        leaf.extend(_phase_constraints(node, phases[i]))
+    for node, phase in zip(free_nodes, phases):
+        leaf.extend(_phase_constraints(node, phase))
     witness = feasible(LPProblem(skeleton.num_vars, leaf))
     assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
     return _restrict(witness, skeleton)
@@ -454,61 +439,75 @@ def _implied_by_sign(c: LPConstraint, nonneg: frozenset[int]) -> bool:
 
 
 def _search(
-    problem: LPProblem,
-    point: list[Fraction],
-    relus: list[_FreeRelu],
-    unbranched: tuple[int, ...],
-    rule: Rule,
-) -> dict[int, str] | None:
-    """The phases branched on down to a feasible leaf below the feasible
-    ``problem``, whose LP gave ``point``, by index into ``relus``; None if
-    every leaf below it is infeasible.  ``rule(relus, point, unbranched)``
-    picks the ReLU to branch on among those ``unbranched`` and the order
-    of its phases, or returns None when ``problem``'s region is known to
-    hold a leaf point, which ends the search there."""
-    pick = rule(relus, point, unbranched)
-    if pick is None:
-        return {}
-    i, phases = pick
-    rest = tuple(j for j in unbranched if j != i)
-    for phase in phases:
-        rows = problem.constraints + [relus[i].rows[phase]]
-        child = LPProblem(problem.num_vars, rows, parent=problem, nonneg=problem.nonneg)
-        child_point = feasible(child)
-        if child_point is not None:
-            found = _search(child, child_point, relus, rest, rule)
-            if found is not None:
-                found[i] = phase
-                return found
-    return None
-
-
-def _node_order(relus, point, unbranched):
-    """The first unbranched ReLU, Inactive before Active: the first leaf
-    found is the lexicographically least feasible one."""
-    return (unbranched[0], PHASES) if unbranched else None
-
-
-def _loosest_gap(relus, point, unbranched):
-    """The unbranched ReLU whose output most exceeds ``max(pre, 0)`` at
-    ``point`` (ties to the first), its phase of ``pre``'s sign there
-    first.  None when no gap is positive: every ReLU then holds exactly at
-    ``point``, a leaf point."""
+    problem: LPProblem, relus: list[_FreeRelu], unbranched: tuple[int, ...]
+) -> list[Fraction] | None:
+    """An exact network point in the region of the node ``problem``, whose
+    LP this solves, or None if every leaf below it is infeasible.  It
+    branches on the loosest ReLU among ``unbranched`` (ties to the first),
+    the sign of its ``pre`` first, and stops where no gap is positive."""
+    point = feasible(problem)
+    if point is None:
+        return None
     best, best_gap, active = None, ZERO, False
     for i in unbranched:
         relu = relus[i]
         post = point[relu.post]
         if not post:  # post >= max(pre, 0) >= 0: no gap
             continue
-        coeffs, pre = relu.pre
-        for c, k in coeffs.items():
-            pre += k * point[c]
+        pre = _value(relu.pre, point)
         gap = post - pre if pre > 0 else post
         if gap > best_gap:
             best, best_gap, active = i, gap, pre > 0
     if best is None:
-        return None
-    return best, (("active", "inactive") if active else PHASES)
+        return point
+    rest = tuple(j for j in unbranched if j != best)
+    for phase in ("active", "inactive") if active else PHASES:
+        found = _search(_child(problem, [relus[best].rows[phase]]), relus, rest)
+        if found is not None:
+            return found
+    return None
+
+
+def _walk(root: LPProblem, point: list[Fraction], relus: list[_FreeRelu]) -> list[str]:
+    """The phases of the least feasible leaf below the solved ``root``,
+    from the exact network point ``point`` in its region.  In node order:
+    a ReLU with ``pre <= 0`` at ``point`` is Inactive with no LP; otherwise
+    ``_search`` runs below the prefix plus Inactive, solved warm from the
+    prefix, and a point it finds fixes Inactive and replaces ``point``.  If
+    it refutes, ``point`` (``pre > 0``) lies in the Active region.  So
+    Inactive is fixed exactly when the prefix plus Inactive holds a leaf."""
+    phases: list[str] = []
+    base, pending = root, []  # the last solved prefix LP, the rows fixed since
+    for i, relu in enumerate(relus):
+        phases.append("inactive")
+        if _value(relu.pre, point) <= 0:
+            pending.append(relu.rows["inactive"])
+            continue
+        if pending:  # their region holds ``point``: solved at once, feasible
+            base, pending = _child(base, pending), []
+            feasible(base)
+        step = _child(base, [relu.rows["inactive"]])
+        found = _search(step, relus, tuple(range(i + 1, len(relus))))
+        if found is not None:
+            point, base = found, step
+        else:
+            phases[i] = "active"
+            pending.append(relu.rows["active"])
+    return phases
+
+
+def _child(problem: LPProblem, rows: list[LPConstraint]) -> LPProblem:
+    """``problem`` plus ``rows``, solved warm from it."""
+    rows = problem.constraints + rows
+    return LPProblem(problem.num_vars, rows, parent=problem, nonneg=problem.nonneg)
+
+
+def _value(form: Form, point: list[Fraction]) -> Fraction:
+    """``form`` at ``point``."""
+    coeffs, value = form
+    for c, k in coeffs.items():
+        value += k * point[c]
+    return value
 
 
 def _restrict(witness: list[Fraction], skeleton: Skeleton) -> Sat:

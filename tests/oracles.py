@@ -359,26 +359,45 @@ def grid_oracle(query, ctx, resolution: int = 8) -> Sat | None:
 # ---------------------------------------------------------------------------
 
 
-def flat_phase_search(query, ctx) -> Verdict:
-    """One LP from scratch per leaf of the 2^k assignments of the ReLUs
-    that bounds leave free, in lexicographic order (Inactive before
-    Active); the first feasible leaf gives the witness.  It calls
-    ``lp.feasible``, not ``engine.feasible``, so the engine's LP counters
-    never see it."""
+def least_feasible_leaf(query, ctx) -> tuple[list[str], Sat] | None:
+    """The phases of the ReLUs that bounds leave free at the
+    lexicographically least feasible leaf (Inactive before Active, in node
+    order), and the witness of that leaf's LP; None when no leaf is
+    feasible.  A depth-first search over flat LPs over all variables: a
+    prefix LP holds the phase rows of the first free ReLUs and leaves the
+    others unconstrained, so it relaxes every leaf below it, and an
+    infeasible prefix is not extended.  Each prefix LP is solved warm from
+    its parent prefix's; the least feasible leaf's rows are solved again
+    from scratch for the witness.  It calls ``lp.feasible``, not
+    ``engine.feasible``, so the engine's LP counters never see it."""
     skeleton = engine.unroll_meta_network(query.meta, ctx)
     _, fixed = engine.propagate_bounds(skeleton, query)
     base = skeleton.equalities + engine._query_constraints(query, skeleton)
     for node_id, phase in fixed.items():
         base.extend(engine._phase_constraints(skeleton.relu_nodes[node_id], phase))
     free_nodes = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
-    for assignment in itertools.product(("inactive", "active"), repeat=len(free_nodes)):
-        constraints = list(base)
-        for node, phase in zip(free_nodes, assignment):
-            constraints.extend(engine._phase_constraints(node, phase))
-        witness = lp.feasible(lp.LPProblem(skeleton.num_vars, constraints))
-        if witness is not None:
-            return engine._restrict(witness, skeleton)
-    return Unsat()
+
+    def below(problem, phases):
+        if lp.feasible(problem) is None:
+            return None
+        if len(phases) == len(free_nodes):
+            witness = lp.feasible(lp.LPProblem(skeleton.num_vars, problem.constraints))
+            return phases, engine._restrict(witness, skeleton)
+        node = free_nodes[len(phases)]
+        for phase in ("inactive", "active"):
+            rows = problem.constraints + engine._phase_constraints(node, phase)
+            found = below(lp.LPProblem(skeleton.num_vars, rows, parent=problem), phases + [phase])
+            if found is not None:
+                return found
+        return None
+
+    return below(lp.LPProblem(skeleton.num_vars, base), [])
+
+
+def flat_phase_search(query, ctx) -> Verdict:
+    """SAT with the witness of the least feasible leaf's LP, or UNSAT."""
+    found = least_feasible_leaf(query, ctx)
+    return Unsat() if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------

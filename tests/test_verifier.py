@@ -11,6 +11,7 @@ from oracles import (
     evaluate_networks,
     flat_phase_search,
     grid_oracle,
+    least_feasible_leaf,
     run_network_by_hand,
 )
 from vspec import cli, verifier
@@ -430,38 +431,44 @@ def relu_outputs_by_hand(query, ctx, inputs: list[Fraction]) -> list[Fraction]:
 
 
 def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
-    """The loosest-ReLU search finds a feasible leaf exactly when the
-    node-order search does, and a query it refutes never runs the ordered
-    search.  Where it stops early because no gap is positive, its point is
-    a network point: the ReLU outputs computed from the point's inputs are
-    its free ReLU coordinates, and the query holds there."""
+    """The walk fixes the phases of the lexicographically least feasible
+    leaf, which a depth-first search in node order over flat prefix LPs
+    finds (``least_feasible_leaf``), and a query the search refutes runs
+    no walk.  Every point ``_search`` returns, from the root or from a walk
+    step, is a network point: the ReLU outputs computed from the point's
+    inputs are its free ReLU coordinates, and the query holds there."""
     from vspec.verifier import engine
 
-    search, loosest = engine._search, engine._loosest_gap
-    stops = []  # (point, ReLUs left unbranched) where the loosest rule ends
+    search, walk = engine._search, engine._walk
+    depth = 0
+    nodes = []  # one per search node
+    tops = []  # whether a point was found, per search from the root or a walk step
+    points = {}  # id -> (point, ReLUs left unbranched at the node that found it)
+    walks = []
 
-    def recording(relus, point, unbranched):
-        pick = loosest(relus, point, unbranched)
-        if pick is None:
-            stops.append((point, unbranched))
-        return pick
-
-    roots = []  # (rule, feasible leaf found) per search from a root
-
-    def recording_roots(problem, point, relus, unbranched, rule):
-        found = search(problem, point, relus, unbranched, rule)
-        if problem.parent is None:
-            roots.append((rule, found is not None))
-            if rule is recording and found is None:  # check_query stops here
-                assert search(problem, point, relus, unbranched, engine._node_order) is None
+    def recording_search(problem, relus, unbranched):
+        nonlocal depth
+        nodes.append(problem)
+        depth += 1
+        found = search(problem, relus, unbranched)
+        depth -= 1
+        if found is not None and id(found) not in points:
+            points[id(found)] = found, unbranched
+        if not depth:
+            tops.append(found is not None)
         return found
 
-    monkeypatch.setattr(engine, "_loosest_gap", recording)
-    monkeypatch.setattr(engine, "_search", recording_roots)
+    def recording_walk(root, point, relus):
+        walks.append(walk(root, point, relus))
+        return walks[-1]
+
+    monkeypatch.setattr(engine, "_search", recording_search)
+    monkeypatch.setattr(engine, "_walk", recording_walk)
     rng = random.Random(20261019)
     generators = (random_instance, random_search_instance) * 2 + (random_layered_instance,)
     seen = dict.fromkeys(("refuted by the search", "sat by no positive gap", "sat at a leaf",
-                          "two hidden layers", "three hidden layers", "9-12 free"), 0)  # fmt: skip
+                          "walk step found", "walk step refuted", "two hidden layers",
+                          "three hidden layers", "9-12 free"), 0)  # fmt: skip
     for n in range(2_000):
         while True:
             ctx, query = generators[n % 5](rng)
@@ -470,25 +477,33 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
             free = [node for node in skeleton.relu_nodes if node.node_id not in fixed]
             if 0 < len(free) <= 12:
                 break
-        roots.clear()
-        stops.clear()
+        nodes.clear()
+        tops.clear()
+        points.clear()
+        walks.clear()
         verdict = check_query(query, ctx)
+        oracle = least_feasible_leaf(query, ctx)
         if isinstance(verdict, Unsat):
-            # An infeasible root LP runs no search.
-            assert roots in ([], [(recording, False)])
-            seen["refuted by the search"] += bool(roots)
+            assert oracle is None
+            assert tops == [False] and not walks
+            seen["refuted by the search"] += len(nodes) > 1
         else:
-            assert roots == [(recording, True), (engine._node_order, True)]
-            point, unbranched = stops[-1]
-            seen["sat by no positive gap" if unbranched else "sat at a leaf"] += 1
+            phases, witness = oracle
+            assert walks == [phases]
+            assert repr(verdict) == repr(witness)
+            assert tops[0]
+            seen["walk step found"] += tops[1:].count(True)
+            seen["walk step refuted"] += tops[1:].count(False)
             num_inputs = query.meta.total_inputs
-            # An input with a lower bound is searched as its offset from it.
-            inputs = [p + (intervals[v][0] or 0) for v, p in enumerate(point[:num_inputs])]
-            outputs = relu_outputs_by_hand(query, ctx, inputs)
-            for j, node in enumerate(free):
-                assert point[num_inputs + j] == outputs[node.node_id]
-            values = evaluate_networks(query, ctx, inputs)
-            assert all(constraint_holds(c, values) for c in query.constraints)
+            for point, unbranched in points.values():
+                seen["sat by no positive gap" if unbranched else "sat at a leaf"] += 1
+                # An input with a lower bound is searched as its offset from it.
+                inputs = [p + (intervals[v][0] or 0) for v, p in enumerate(point[:num_inputs])]
+                outputs = relu_outputs_by_hand(query, ctx, inputs)
+                for j, node in enumerate(free):
+                    assert point[num_inputs + j] == outputs[node.node_id]
+                values = evaluate_networks(query, ctx, inputs)
+                assert all(constraint_holds(c, values) for c in query.constraints)
         depths = {sum(isinstance(x, Relu) for x in ctx[name].model.layers)
                   for name, _, _ in query.meta.applications}  # fmt: skip
         seen["two hidden layers"] += 2 in depths
@@ -529,7 +544,7 @@ def test_pinned_search_outputs(monkeypatch):
     assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
     assert verdicts.hexdigest() == "4c7437dc21e21ed96954fb0aa6e5c4e49e1f9fc63862e9e6e1f831768c748662"
     assert witness_lps.hexdigest() == "56d95ad0cbde6aa536bf20de032c6d22b8ad8480da1002a0af659425b5839848"
-    assert counts.hexdigest() == "d4ca1a3eaace8ad7e0fc86b815f44f73c8dc2f123587442c4cb4de9f1bafc641"
+    assert counts.hexdigest() == "6836d50271da19b61db9125aa6eeb5e812bb7a5834b9677d6689d5d02fbdff5c"
 
 
 def test_pruning_neutrality(monkeypatch):
@@ -609,8 +624,8 @@ def count_row_operations(monkeypatch) -> list:
 
 def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     # Each of the two UNSAT queries has four free ReLUs: one root LP from
-    # scratch and 6 warm ones, branching on the loosest ReLU first.  In
-    # node order the search took 22 warm LPs per query, the flat search 16.
+    # scratch and 6 warm ones, branching on the loosest ReLU first.  The
+    # flat search solves 16 leaf LPs per query.
     model = parse_vnet(controller_net.read_text(), "controller")
     ctx, q1, q2 = controller_queries(model)
     calls = count_lp_calls(monkeypatch)
@@ -620,17 +635,16 @@ def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     assert isinstance(check_query(q2, ctx), Unsat)
     assert len(calls) == 14
     assert sum(problem.parent is None for problem in calls) == 2
-    # The search runs over 2 inputs and 4 free ReLU outputs.  With the
-    # network's 11 variables and 5 equalities in every LP it made 123 pivots;
-    # branching in node order, 78; with a +/- column pair per coordinate, 40.
+    # The search runs over 2 inputs and 4 free ReLU outputs, not the
+    # network's 11 variables.  With a +/- column pair per coordinate it made
+    # 40 pivots.
     roots = [problem for problem in calls if problem.parent is None]
     assert [root.num_vars for root in roots] == [6, 6]
     assert all(c.relation != "=" for root in roots for c in root.constraints)
     assert [sorted(root.nonneg) for root in roots] == [[0, 1, 2, 3, 4, 5]] * 2
     assert len(pivots) == 28
-    # A child adds one branch row; with three phase rows per child and in
-    # node order it made 695 row operations, with one row in node order 507,
-    # with column pairs 246.
+    # A child adds one branch row; with column pairs it made 246 row
+    # operations.
     assert len(operations) == 197
 
 
@@ -650,15 +664,12 @@ def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     operations = count_row_operations(monkeypatch)
     assert isinstance(check_query(query, ctx), Unsat)
     # One root LP from scratch, then 2 warm ones: both phases of the
-    # loosest ReLU are infeasible.  Branching in node order took 8 warm
-    # LPs, the flat search 16 leaves.
+    # loosest ReLU are infeasible.  The flat search solves 16 leaf LPs.
     assert len(calls) == 3
     assert [problem.parent is None for problem in calls] == [True, False, False]
-    # In node order: over the network's 11 variables and 5 equalities, 47
-    # pivots; with three phase rows per child, 34 pivots and 317 row
-    # operations; with one branch row, 40 pivots and 286 row operations.
-    # Branching on the loosest ReLU with a +/- column pair per coordinate:
-    # 14 pivots and 121 row operations.
+    # Over 2 inputs and 4 free ReLU outputs, not the network's 11
+    # variables.  With a +/- column pair per coordinate: 14 pivots and 121
+    # row operations.
     assert calls[0].num_vars == 6
     assert all(c.relation != "=" for c in calls[0].constraints)
     assert len(pivots) == 12
@@ -744,11 +755,10 @@ def verify_calls(argv) -> int:
     "spec, net, binding, bound",
     [
         # 3 LPs: 4,019 calls (4,153 with a +/- column pair per
-        # coordinate); 9 LPs in node order made 4,741, and a tableau of
-        # Fractions 68,325.
+        # coordinate); a tableau of Fractions made 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 14 LPs: 7,679 calls (7,940 with column pairs); 46 LPs in node
-        # order made 10,922, and a tableau of Fractions 190,219.
+        # 14 LPs: 7,679 calls (7,940 with column pairs); a tableau of
+        # Fractions made 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
@@ -765,9 +775,8 @@ def test_verify_work_is_bounded(request, tmp_path, monkeypatch, spec, net, bindi
 def test_lp_count_of_deep_verified_nets(monkeypatch):
     """Verified queries on nets of two and three hidden layers, 14, 14 and
     15 free ReLUs, at a bound 1/100 above the net's maximum over a 41 x 41
-    grid of the box: the search runs close to the true maximum.  Branching
-    in node order took 305, 175 and 357 LPs.  With a +/- column pair per
-    coordinate, branching on the loosest ReLU took 21, 37 and 19 LPs and
+    grid of the box: the search runs close to the true maximum.  With a
+    +/- column pair per coordinate the search took 21, 37 and 19 LPs and
     782, 1,439 and 683 pivots."""
     rng = random.Random(7)
     nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
@@ -783,6 +792,33 @@ def test_lp_count_of_deep_verified_nets(monkeypatch):
         calls.clear()
         pivots.clear()
         assert isinstance(check_query(query, make_ctx(f=net), phase_budget=64), Unsat)
+        assert len(calls) == lps
+        assert len(pivots) == pivot_count
+
+
+def test_lp_count_of_deep_falsified_nets(monkeypatch):
+    """Falsified queries on three nets of ``test_lp_count_of_deep_verified_nets``
+    at a bound 1/1000 below the net's maximum over the 41 x 41 grid: the
+    search finds a network point, and the walk then fixes the phases of
+    the least feasible leaf, whose LP from scratch gives the witness.  The
+    refutation search followed by a second, node-order search from the
+    root took 39, 137 and 49 LPs and 380, 920 and 476 pivots."""
+    rng = random.Random(7)
+    nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
+    calls = count_lp_calls(monkeypatch)
+    pivots = count_pivots(monkeypatch)
+    meta = MetaNetwork((("f", 2, 1),))
+    for net, bound, lps, pivot_count in [
+        (nets[0], Fraction(7373, 2000), 28, 380),
+        (nets[2], Fraction(37371, 4000), 33, 396),
+        (nets[5], Fraction(-3879, 4000), 41, 470),
+    ]:
+        query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", bound)])
+        calls.clear()
+        pivots.clear()
+        verdict = check_query(query, make_ctx(f=net), phase_budget=64)
+        assert isinstance(verdict, Sat)
+        assert dict(verdict.witness)[QVar("y", 0)] > bound
         assert len(calls) == lps
         assert len(pivots) == pivot_count
 
