@@ -40,11 +40,12 @@ pre >= 0``.  The child is solved warm from the parent's final tableau;
 an infeasible node prunes its subtree.  Every point of a leaf's phase
 region satisfies the triangle rows, so a leaf is feasible exactly when
 the flat leaf LP (base plus the sign row and ``post = 0`` or ``post =
-pre`` per ReLU) is.  The walk's flat leaf LP is solved from scratch over
-all variables, all free, so the witness depends only on that constraint
-list (Bland's rule is deterministic), not on the search or its
-coordinates; it is always feasible.  A query with no free ReLU is the
-search with zero branches: its root is its only leaf.
+pre`` per ReLU) is.  The walk's flat leaf LP, over all variables, all
+free, has no parent: ``lp`` extends its seed tableau by every row, so the
+witness depends only on that constraint list (Bland's rule is
+deterministic), not on the search or its coordinates; it is always
+feasible.  A query with no free ReLU is the search with zero branches:
+its root is its only leaf.
 
 Every LP goes through the module attribute ``feasible``.
 """

@@ -143,7 +143,7 @@ def test_warm_start_agrees_with_cold_solves_and_fourier_motzkin():
     tableau: feasibility matches a solve from scratch and the oracle, and
     every warm witness satisfies every row.  Added rows are mostly
     non-strict, like the search's; a strict one on a parent without strict
-    rows is solved from scratch."""
+    rows extends the seed tableau instead."""
     rng = random.Random(4242)
     seen = {"warm": 0, "infeasible": 0, "negative rhs": 0, "=": 0, "strict": 0}
     for _ in range(500):
@@ -221,7 +221,7 @@ def test_nonneg_columns_agree_with_explicit_sign_rows():
 
 
 # sha256 of repr() of the witnesses of test_pinned_witnesses; see its docstring.
-PINNED_DIGEST = "f3715d3027f18fdea63acd772d3c5f331d03ea60a16413a0226e33de2cc98ee3"
+PINNED_DIGEST = "b80bb6ed07be71196be5a474412846e944afa9b91e44de8df0c2fc871d069738"
 
 
 def float32_like(rng: random.Random) -> Fraction:
@@ -242,8 +242,7 @@ def pinned_problem(rng: random.Random, index: int) -> LPProblem:
         rhs = Fraction(rng.randint(-8, 8))
         constraints.append(LPConstraint(tuple(terms.items()), relation, rhs))
     if index % 3 == 0:
-        # a redundant multiple of an equality, whose artificial cannot leave
-        # the basis after phase 1 and whose row is dropped
+        # a redundant multiple of an equality: an ``=`` row the others imply
         base = rng.choice(constraints)
         k = Fraction(rng.choice([2, 3, -1, -2]))
         constraints.append(LPConstraint(base.terms, "=", base.rhs))
@@ -260,13 +259,14 @@ def pinned_problem(rng: random.Random, index: int) -> LPProblem:
 def test_pinned_witnesses():
     """The solver's witnesses on a seeded corpus are pinned to a digest.
 
-    The corpus covers all five relations, negative right-hand sides (which
-    need artificials), strict rows (the eps column), redundant equalities
-    (rows dropped after phase 1) and float32-style coefficients.  The digest
-    was recorded by running this corpus on the parent commit of the sparse
-    simplex (d48a7f5, a dense tableau), before ``lp.py`` changed, so it
-    gates "same pivot path": a pivot rule that differs anywhere shows up
-    as a different witness.
+    The corpus covers all five relations, negative right-hand sides,
+    strict rows (the eps column), redundant equalities and float32-style
+    coefficients.  A pivot rule that
+    differs anywhere shows up as a different witness, so the digest gates
+    "same pivot path".  The two-phase primal simplex, whose digest
+    (f3715d30...) held from the dense tableau of d48a7f5 on, reached other
+    vertices; this one was recorded when the dual simplex from the seed
+    tableau replaced it.
     """
     rng = random.Random(20261018)
     witnesses = []
@@ -283,7 +283,7 @@ def test_pinned_witnesses():
 
 
 # sha256 of repr() of the child witnesses of test_pinned_warm_witnesses.
-PINNED_WARM_DIGEST = "352df099f953b8b93118ad06b51bcb4fbe3e15e7671a7daf6bfd41dbb3f234ca"
+PINNED_WARM_DIGEST = "07eef090f3b632b2d3a1a8a5ae95eb6269598313d57457fc5a20f8f3c34b20f1"
 
 
 def added_group(rng: random.Random, n: int, float32: bool) -> list[LPConstraint]:
@@ -308,11 +308,13 @@ def test_pinned_warm_witnesses():
     Each parent of the ``pinned_problem`` corpus that is feasible gets a
     chain of added row groups; each child is solved with its predecessor as
     ``parent``, so the dual simplex runs on it.  The groups cover negative
-    right-hand sides, ``=`` rows, strict rows (which fall back to a cold
-    solve on a parent without an ``eps`` column), groups that make the
-    problem infeasible, and, every fifth group, float32-style coefficients.
-    The digest was recorded on the rational-tableau simplex, before the
-    tableau became integer, so it gates "same dual-simplex pivots"."""
+    right-hand sides, ``=`` rows, strict rows (which extend the seed
+    tableau instead on a parent without an ``eps`` column), groups that
+    make the problem infeasible, and, every fifth group, float32-style
+    coefficients.  The digest gates "same dual-simplex pivots".  Over
+    parents solved by the two-phase primal simplex it was 352df099...,
+    from the rational tableau on; this one was recorded when every parent
+    became a dual-simplex solve from the seed tableau."""
     rng = random.Random(20261019)
     witnesses = []
     seen = {"warm": 0, "negative rhs": 0, "=": 0, "strict": 0, "infeasible": 0, "float32": 0}
@@ -350,7 +352,7 @@ def check_tableau(tableau) -> None:
     each row is primitive, right-hand side (key ``RHS``) included; its
     basic entry is positive, and its basic column is absent from every
     other row and from the reduced costs, which are <= 0 outside
-    ``banned``."""
+    ``fixed``.  A fixed column is nonbasic or basic at 0."""
     for row, b in zip(tableau.rows, tableau.basis):
         assert all(type(k) is int and k != 0 for k in row.values())
         assert all(j == RHS or 0 <= j < tableau.n_cols for j in row)
@@ -360,8 +362,9 @@ def check_tableau(tableau) -> None:
     assert all(type(k) is int and k != 0 for k in tableau.reduced.values())
     assert all(b not in tableau.reduced for b in tableau.basis)
     assert all(
-        k <= 0 for j, k in tableau.reduced.items() if j != RHS and j not in tableau.banned
+        k <= 0 for j, k in tableau.reduced.items() if j != RHS and j not in tableau.fixed
     )
+    assert all(RHS not in row for row, b in zip(tableau.rows, tableau.basis) if b in tableau.fixed)
 
 
 def test_tableaux_are_primitive_integer_rows():
@@ -379,3 +382,111 @@ def test_tableaux_are_primitive_integer_rows():
         if feasible(child) is not None:
             check_tableau(child.tableau)
         assert parent.tableau == before
+
+
+def leaving_values(monkeypatch) -> list:
+    """Record the right-hand side of the leaving row at every pivot: one
+    above 0 is a fixed slack that leaves through its negated row."""
+    from vspec.verifier import lp
+
+    values = []
+    original = lp._pivot
+
+    def recording(tableau, basis, row, col, reduced=None):
+        values.append(tableau[row].get(RHS, 0))
+        return original(tableau, basis, row, col, reduced)
+
+    monkeypatch.setattr(lp, "_pivot", recording)
+    return values
+
+
+def agrees_with_fourier_motzkin(problem: LPProblem, witness) -> bool:
+    signs = [({v: Fraction(1)}, ">=", Fraction(0)) for v in problem.nonneg]
+    rows = [(dict(c.terms), c.relation, c.rhs) for c in problem.constraints] + signs
+    return (witness is not None) == fm_feasible(problem.num_vars, rows)
+
+
+def test_equality_whose_fixed_slack_starts_above_zero(monkeypatch):
+    """``x + y = 2`` over nonnegative ``x, y``: its slack, fixed at 0,
+    starts basic at 2 and leaves through its negated row, ``x`` entering.
+    ``-x - y = 2`` has no positive entry to enter, which proves it
+    infeasible, as ``x + y = -1`` does by its negative right-hand side."""
+    values = leaving_values(monkeypatch)
+    problem = LPProblem(2, [c({0: 1, 1: 1}, "=", 2)], nonneg=frozenset({0, 1}))
+    witness = feasible(problem)
+    assert witness == [2, 0]
+    assert values == [2]
+    assert agrees_with_fourier_motzkin(problem, witness)
+    check_tableau(problem.tableau)
+    for row in (c({0: -1, 1: -1}, "=", 2), c({0: 1, 1: 1}, "=", -1)):
+        problem = LPProblem(2, [row], nonneg=frozenset({0, 1}))
+        assert feasible(problem) is None
+        assert agrees_with_fourier_motzkin(problem, None)
+
+
+def test_warm_row_pushes_a_basic_fixed_slack_above_zero(monkeypatch):
+    """The slack of ``x - y = 0`` stays basic at 0 in the parent.  The
+    child's ``y >= 1`` makes ``y`` basic at 1, which puts that slack at 1;
+    it leaves through its negated row, and the witness meets the ``=`` row
+    exactly.  The same holds over free variables and with a strict row."""
+    for nonneg in (frozenset({0, 1}), frozenset()):
+        for extra in ([], [c({0: 1}, "<", 5)]):
+            parent = LPProblem(2, [c({0: 1, 1: -1}, "=", 0)] + extra, nonneg=nonneg)
+            assert feasible(parent) is not None
+            tableau = parent.tableau
+            assert [b for b in tableau.basis if b in tableau.fixed] == list(tableau.fixed)
+            values = leaving_values(monkeypatch)
+            child = LPProblem(2, parent.constraints + [c({1: 1}, ">=", 1)], parent=parent,
+                              nonneg=nonneg)  # fmt: skip
+            witness = feasible(child)
+            monkeypatch.undo()
+            assert witness is not None and witness[0] == witness[1] >= 1
+            assert all(holds(row, witness) for row in child.constraints)
+            assert any(value > 0 for value in values)
+            assert agrees_with_fourier_motzkin(child, witness)
+            check_tableau(child.tableau)
+
+
+def test_degenerate_vertex_terminates(monkeypatch):
+    """Many rows through the one vertex ``(1, 1, 1)``, in every relation:
+    without strict rows every reduced cost is 0, so every ratio ties, and
+    Bland's rule must still stop, cold and warm, with the oracle's answer.
+    A strict row through the vertex makes the problem infeasible when
+    ``=`` rows pin the vertex."""
+    from vspec.verifier import lp
+
+    pivots = 0
+    original = lp._pivot
+
+    def counting(*args, **kwargs):
+        nonlocal pivots
+        pivots += 1
+        assert pivots < 1000, "the dual simplex cycles"
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    rng = random.Random(20261020)
+    seen = {"feasible": 0, "infeasible": 0, "warm": 0, "tied pivots": 0}
+    for _ in range(40):
+        rows = []
+        for _ in range(rng.randint(6, 9)):
+            terms = {v: rng.randint(-2, 2) for v in range(3)}
+            terms = {v: k for v, k in terms.items() if k} or {0: 1}
+            relation = rng.choice(("<=", ">=", "=", "=", "<") if rows else ("<=", ">="))
+            rows.append(c(terms, relation, sum(terms.values())))
+        nonneg = frozenset(v for v in range(3) if rng.random() < 0.5)
+        parent = LPProblem(3, rows[:1], nonneg=nonneg)
+        assert feasible(parent) is not None
+        pivots = 0
+        child = LPProblem(3, rows, parent=parent, nonneg=nonneg)
+        witness = feasible(child)
+        seen["warm"] += 1
+        pivots = 0
+        cold = LPProblem(3, rows, nonneg=nonneg)
+        assert (feasible(cold) is None) == (witness is None)
+        seen["tied pivots"] += pivots >= 3
+        assert agrees_with_fourier_motzkin(cold, witness)
+        seen["feasible" if witness is not None else "infeasible"] += 1
+        if witness is not None:
+            assert all(holds(row, witness) for row in rows)
+    assert min(seen.values()) >= 10, seen

@@ -518,7 +518,10 @@ def test_pinned_search_outputs(monkeypatch):
     and witnesses, the LP that gives each witness (its variables and its
     rows in order, which fix the witness under Bland's rule), and the LP
     counts.  The first two are outputs; the counts are search facts, which
-    a change to the search may move."""
+    a change to the search may move.  Under the two-phase primal simplex
+    the verdict digest was 4c7437dc... and the LP-count digest 6836d502...:
+    warm points, which the search reads, and 24 of the 225 witnesses
+    moved, but no witness LP did."""
     rng = random.Random(20261020)
     calls = count_lp_calls(monkeypatch)
     verdicts, witness_lps, counts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -542,9 +545,9 @@ def test_pinned_search_outputs(monkeypatch):
             shapes["sat with free" if free else "sat without"] += 1
             witness_lps.update(f"{calls[-1].num_vars} {calls[-1].constraints!r}\n".encode())
     assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
-    assert verdicts.hexdigest() == "4c7437dc21e21ed96954fb0aa6e5c4e49e1f9fc63862e9e6e1f831768c748662"
+    assert verdicts.hexdigest() == "d7e7cd352be6af5d621b7cd3e2e05fc076c02ebef2815c5d2404b6bd05f112c2"
     assert witness_lps.hexdigest() == "56d95ad0cbde6aa536bf20de032c6d22b8ad8480da1002a0af659425b5839848"
-    assert counts.hexdigest() == "6836d50271da19b61db9125aa6eeb5e812bb7a5834b9677d6689d5d02fbdff5c"
+    assert counts.hexdigest() == "d5c3c1da899e368ff1a203fdd0659a5f52a6d04a41b66ee489ed3a2beded3ec8"
 
 
 def test_pruning_neutrality(monkeypatch):
@@ -623,8 +626,8 @@ def count_row_operations(monkeypatch) -> list:
 
 
 def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
-    # Each of the two UNSAT queries has four free ReLUs: one root LP from
-    # scratch and 6 warm ones, branching on the loosest ReLU first.  The
+    # Each of the two UNSAT queries has four free ReLUs: one root LP without
+    # a parent and 6 warm ones, branching on the loosest ReLU first.  The
     # flat search solves 16 leaf LPs per query.
     model = parse_vnet(controller_net.read_text(), "controller")
     ctx, q1, q2 = controller_queries(model)
@@ -637,15 +640,15 @@ def test_lp_count_of_the_controller_fixture(monkeypatch, controller_net):
     assert sum(problem.parent is None for problem in calls) == 2
     # The search runs over 2 inputs and 4 free ReLU outputs, not the
     # network's 11 variables.  With a +/- column pair per coordinate it made
-    # 40 pivots.
+    # 40 pivots, and with the two-phase primal simplex for the roots 28.
     roots = [problem for problem in calls if problem.parent is None]
     assert [root.num_vars for root in roots] == [6, 6]
     assert all(c.relation != "=" for root in roots for c in root.constraints)
     assert [sorted(root.nonneg) for root in roots] == [[0, 1, 2, 3, 4, 5]] * 2
-    assert len(pivots) == 28
+    assert len(pivots) == 22
     # A child adds one branch row; with column pairs it made 246 row
-    # operations.
-    assert len(operations) == 197
+    # operations, and with the two-phase primal simplex 197.
+    assert len(operations) == 150
 
 
 def four_relu_query(four_relu_net):
@@ -663,17 +666,18 @@ def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     pivots = count_pivots(monkeypatch)
     operations = count_row_operations(monkeypatch)
     assert isinstance(check_query(query, ctx), Unsat)
-    # One root LP from scratch, then 2 warm ones: both phases of the
+    # One root LP without a parent, then 2 warm ones: both phases of the
     # loosest ReLU are infeasible.  The flat search solves 16 leaf LPs.
     assert len(calls) == 3
     assert [problem.parent is None for problem in calls] == [True, False, False]
     # Over 2 inputs and 4 free ReLU outputs, not the network's 11
     # variables.  With a +/- column pair per coordinate: 14 pivots and 121
-    # row operations.
+    # row operations; with the two-phase primal simplex for the root: 12
+    # and 79.
     assert calls[0].num_vars == 6
     assert all(c.relation != "=" for c in calls[0].constraints)
-    assert len(pivots) == 12
-    assert len(operations) == 79
+    assert len(pivots) == 7
+    assert len(operations) == 39
 
 
 def test_one_branch_row_agrees_with_the_three_phase_rows(
@@ -754,11 +758,12 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 3 LPs: 4,019 calls (4,153 with a +/- column pair per
-        # coordinate); a tableau of Fractions made 68,325.
+        # 3 LPs: 3,941 calls (4,024 with the two-phase primal simplex,
+        # 4,153 with a +/- column pair per coordinate); a tableau of
+        # Fractions made 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 14 LPs: 7,679 calls (7,940 with column pairs); a tableau of
-        # Fractions made 190,219.
+        # 14 LPs: 7,589 calls (7,703 with the two-phase primal simplex,
+        # 7,940 with column pairs); a tableau of Fractions made 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
@@ -777,16 +782,18 @@ def test_lp_count_of_deep_verified_nets(monkeypatch):
     15 free ReLUs, at a bound 1/100 above the net's maximum over a 41 x 41
     grid of the box: the search runs close to the true maximum.  With a
     +/- column pair per coordinate the search took 21, 37 and 19 LPs and
-    782, 1,439 and 683 pivots."""
+    782, 1,439 and 683 pivots.  With the two-phase primal simplex for the
+    root it took 25, 25 and 35 LPs and 310, 275 and 410 pivots: the root's
+    point, which the loosest-gap rule reads, moved."""
     rng = random.Random(7)
     nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
     calls = count_lp_calls(monkeypatch)
     pivots = count_pivots(monkeypatch)
     meta = MetaNetwork((("f", 2, 1),))
     for net, bound, lps, pivot_count in [
-        (nets[0], Fraction(1479, 400), 25, 310),
-        (nets[2], Fraction(7483, 800), 25, 275),
-        (nets[5], Fraction(-767, 800), 35, 410),
+        (nets[0], Fraction(1479, 400), 25, 300),
+        (nets[2], Fraction(7483, 800), 25, 272),
+        (nets[5], Fraction(-767, 800), 23, 211),
     ]:
         query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", bound)])
         calls.clear()
@@ -802,16 +809,18 @@ def test_lp_count_of_deep_falsified_nets(monkeypatch):
     search finds a network point, and the walk then fixes the phases of
     the least feasible leaf, whose LP from scratch gives the witness.  The
     refutation search followed by a second, node-order search from the
-    root took 39, 137 and 49 LPs and 380, 920 and 476 pivots."""
+    root took 39, 137 and 49 LPs and 380, 920 and 476 pivots.  The walk
+    with the two-phase primal simplex for every LP without a parent took
+    28, 33 and 41 LPs and 380, 396 and 470 pivots."""
     rng = random.Random(7)
     nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
     calls = count_lp_calls(monkeypatch)
     pivots = count_pivots(monkeypatch)
     meta = MetaNetwork((("f", 2, 1),))
     for net, bound, lps, pivot_count in [
-        (nets[0], Fraction(7373, 2000), 28, 380),
-        (nets[2], Fraction(37371, 4000), 33, 396),
-        (nets[5], Fraction(-3879, 4000), 41, 470),
+        (nets[0], Fraction(7373, 2000), 29, 400),
+        (nets[2], Fraction(37371, 4000), 29, 456),
+        (nets[5], Fraction(-3879, 4000), 22, 270),
     ]:
         query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", bound)])
         calls.clear()
