@@ -46,46 +46,46 @@ OP_SYMBOL = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Expr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Expr):
     """Bound variable; de Bruijn index, 0 = innermost binder."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopRef(Expr):
     """Reference to a top-level definition or network name."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RatLit(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NatLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorLit(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Builtin(Expr):
     """Saturated builtin application.
 
@@ -98,20 +98,20 @@ class Builtin(Expr):
     level: str | None = None  # "bool" | "prop" | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lam(Expr):
     binder: str
     binder_type: VType
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Quant(Expr):
     kind: str  # "forall" | "exists"
     binder: str
@@ -119,7 +119,7 @@ class Quant(Expr):
     body: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkApp(Expr):
     """Application of a declared network to its (tensor) argument."""
 
@@ -127,7 +127,7 @@ class NetworkApp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Index(Expr):
     tensor: Expr
     index: Expr
@@ -230,67 +230,70 @@ def print_expr(e: Expr, names: list[str] | None = None, prec: int = 0) -> str:
 
     ``names`` is the binder-name stack, innermost last.
     """
-    names = names if names is not None else []
+    return _render(e, names if names is not None else [], prec)
 
-    def go(e: Expr, prec: int) -> str:
-        if isinstance(e, Var):
-            if e.index < len(names):
-                return names[len(names) - 1 - e.index]
-            return f"#{e.index}"
-        if isinstance(e, TopRef):
-            return e.name
-        if isinstance(e, RatLit):
-            value = render_number(e.value)
-            return f"({value})" if e.value < 0 and prec >= _PREC["app"] else value
-        if isinstance(e, NatLit):
-            return str(e.value)
-        if isinstance(e, BoolLit):
-            return "True" if e.value else "False"
-        if isinstance(e, TensorLit):
-            return "[" + ", ".join(go(x, 0) for x in e.items) + "]"
-        if isinstance(e, NetworkApp):
-            return _paren(f"{e.network} {go(e.arg, _PREC['atom'])}", _PREC["app"], prec)
-        if isinstance(e, App):
-            return _paren(
-                f"{go(e.fn, _PREC['app'])} {go(e.arg, _PREC['atom'])}", _PREC["app"], prec
-            )
-        if isinstance(e, Index):
-            text = f"{go(e.tensor, _PREC['index'])} ! {go(e.index, _PREC['atom'])}"
-            return _paren(text, _PREC["index"], prec)
-        if isinstance(e, (Lam, Quant)):
-            names.append(e.binder)
-            body = go(e.body, 0)
-            names.pop()
-            if isinstance(e, Lam):
-                text = f"\\{e.binder} : {e.binder_type} . {body}"
-            else:
-                text = f"{e.kind} ({e.binder} : {e.binder_type}) . {body}"
-            return _paren(text, 0, prec)
-        if isinstance(e, Builtin):
-            return builtin_text(e, prec)
-        raise AssertionError(e)
 
-    def builtin_text(e: Builtin, prec: int) -> str:
-        if e.op == "neg":
-            return _paren(f"-{go(e.args[0], _PREC['neg'])}", _PREC["neg"], prec)
-        if e.op == "not":
-            return _paren(f"not {go(e.args[0], _PREC['not'])}", _PREC["not"], prec)
-        if e.op == "if":
-            cond, then, els = e.args
-            text = f"if {go(cond, 0)} then {go(then, 0)} else {go(els, 0)}"
-            return _paren(text, 0, prec)
-        lhs, rhs = e.args
-        if e.op in CMP_OPS:
-            p = _PREC["cmp"]
-            text = f"{go(lhs, p + 1)} {OP_SYMBOL[e.op]} {go(rhs, p + 1)}"
-            return _paren(text, p, prec)
-        p = _PREC[e.op]
-        right_assoc = e.op == "implies"
-        left = go(lhs, p + (1 if right_assoc else 0))
-        right = go(rhs, p + (0 if right_assoc else 1))
-        return _paren(f"{left} {OP_SYMBOL[e.op]} {right}", p, prec)
+def _render(e: Expr, names: list[str], prec: int) -> str:
+    if isinstance(e, Var):
+        if e.index < len(names):
+            return names[len(names) - 1 - e.index]
+        return f"#{e.index}"
+    if isinstance(e, TopRef):
+        return e.name
+    if isinstance(e, RatLit):
+        value = render_number(e.value)
+        return f"({value})" if e.value < 0 and prec >= _PREC["app"] else value
+    if isinstance(e, NatLit):
+        return str(e.value)
+    if isinstance(e, BoolLit):
+        return "True" if e.value else "False"
+    if isinstance(e, TensorLit):
+        return "[" + ", ".join(_render(x, names, 0) for x in e.items) + "]"
+    if isinstance(e, NetworkApp):
+        return _paren(f"{e.network} {_render(e.arg, names, _PREC['atom'])}", _PREC["app"], prec)
+    if isinstance(e, App):
+        text = f"{_render(e.fn, names, _PREC['app'])} {_render(e.arg, names, _PREC['atom'])}"
+        return _paren(text, _PREC["app"], prec)
+    if isinstance(e, Index):
+        tensor = _render(e.tensor, names, _PREC["index"])
+        text = f"{tensor} ! {_render(e.index, names, _PREC['atom'])}"
+        return _paren(text, _PREC["index"], prec)
+    if isinstance(e, (Lam, Quant)):
+        names.append(e.binder)
+        body = _render(e.body, names, 0)
+        names.pop()
+        if isinstance(e, Lam):
+            text = f"\\{e.binder} : {e.binder_type} . {body}"
+        else:
+            text = f"{e.kind} ({e.binder} : {e.binder_type}) . {body}"
+        return _paren(text, 0, prec)
+    if isinstance(e, Builtin):
+        return _render_builtin(e, names, prec)
+    raise AssertionError(e)
 
-    return go(e, prec)
+
+def _render_builtin(e: Builtin, names: list[str], prec: int) -> str:
+    if e.op == "neg":
+        return _paren(f"-{_render(e.args[0], names, _PREC['neg'])}", _PREC["neg"], prec)
+    if e.op == "not":
+        return _paren(f"not {_render(e.args[0], names, _PREC['not'])}", _PREC["not"], prec)
+    if e.op == "if":
+        cond, then, els = e.args
+        text = (
+            f"if {_render(cond, names, 0)} then {_render(then, names, 0)} "
+            f"else {_render(els, names, 0)}"
+        )
+        return _paren(text, 0, prec)
+    lhs, rhs = e.args
+    if e.op in CMP_OPS:
+        p = _PREC["cmp"]
+        text = f"{_render(lhs, names, p + 1)} {OP_SYMBOL[e.op]} {_render(rhs, names, p + 1)}"
+        return _paren(text, p, prec)
+    p = _PREC[e.op]
+    right_assoc = e.op == "implies"
+    left = _render(lhs, names, p + (1 if right_assoc else 0))
+    right = _render(rhs, names, p + (0 if right_assoc else 1))
+    return _paren(f"{left} {OP_SYMBOL[e.op]} {right}", p, prec)
 
 
 def _paren(text: str, node_prec: int, ctx_prec: int) -> str:

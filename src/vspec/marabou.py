@@ -20,6 +20,7 @@ application, in metanetwork order.
 
 from __future__ import annotations
 
+import re
 import shlex
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .rational import render_number
 from .verdicts import PropertyStatus, Sat, VERIFIED, Verdict, falsified
 
 MANIFEST_NAME = "queries.manifest"
+_QUERY_NAME = re.compile(r"query([1-9][0-9]*)\.txt")
 
 
 @dataclass
@@ -85,7 +87,11 @@ def write_manifest(directory: str | Path, meta: MetaNetwork, ctx: NetworkContext
 def emit_property_queries(
     plan: PropertyPlan, directory: str | Path, ctx: NetworkContext
 ) -> list[MarabouQueryFile]:
-    """Emit ``query<k>.txt`` files (k from 1) plus the manifest."""
+    """Emit ``query<k>.txt`` files (k from 1) plus the manifest.
+
+    A ``query<k>.txt`` left in the directory by an earlier emission with
+    more queries is removed, so the directory holds exactly this plan's
+    queries."""
     directory = Path(directory)
     try:
         directory.mkdir(parents=True, exist_ok=True)
@@ -97,9 +103,28 @@ def emit_property_queries(
         emit_query(q, directory / f"query{k}.txt")
         for k, q in enumerate(plan.queries, start=1)
     ]
+    _remove_queries_after(directory, len(files))
     meta = plan.queries[0].meta if plan.queries else MetaNetwork(())
     write_manifest(directory, meta, ctx)
     return files
+
+
+def _remove_queries_after(directory: Path, count: int) -> None:
+    """Remove every ``query<k>.txt`` with ``k > count`` from ``directory``.
+    Only names spelt as ``emit_property_queries`` spells them are touched."""
+    try:
+        stale = [
+            path
+            for path in directory.iterdir()
+            if (match := _QUERY_NAME.fullmatch(path.name)) and int(match[1]) > count
+        ]
+        for path in stale:
+            path.unlink()
+    except OSError as exc:
+        raise BackendError(
+            "IoError", f"cannot remove stale queries from {directory}: {exc}",
+            path=str(directory),
+        ) from None
 
 
 # ---------------------------------------------------------------------------

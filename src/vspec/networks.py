@@ -33,7 +33,7 @@ from .typecheck import TypedDecl, TypedProgram
 from .types import RAT, FunT, Scalar, TensorT, VType, is_numeric
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Affine:
     """Dense layer: out = weights @ in + bias; weights is rows x cols."""
 
@@ -49,7 +49,7 @@ class Affine:
         return len(self.weights[0]) if self.weights else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relu:
     width: int
 
@@ -65,7 +65,7 @@ class Relu:
 Layer = Affine | Relu
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkModel:
     name: str
     input_size: int
@@ -216,7 +216,7 @@ def hash_file(path: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkInfo:
     model: NetworkModel
     declared_type: VType  # declared type, normalised to tensor form
@@ -329,17 +329,50 @@ def analyze_network_types(
             declared.cod, TensorT
         )
 
-    def rewrite(e: core.Expr) -> core.Expr:
+    rewriter = _ApplicationRewriter(rewrite_arity, codomain_scalar)
+    new_decls: list[TypedDecl] = []
+    new_program = TypedProgram(decls=[])
+    new_program.synonyms = dict(program.synonyms)
+    for decl in program.decls:
+        if decl.kind == "network":
+            continue
+        if decl.kind == "def":
+            assert decl.body is not None
+            body = rewriter.rewrite(decl.body)
+            decl = TypedDecl(
+                decl.name, decl.kind, decl.signature, decl.vtype, decl.params, body, decl.pos
+            )
+            new_program.definitions[decl.name] = body
+            new_program.def_types[decl.name] = decl.vtype
+        new_decls.append(decl)
+    new_program.decls = new_decls
+    return new_program, ctx
+
+
+class _ApplicationRewriter:
+    """Rewrites each application of a network to the tensor form.
+
+    ``arity`` holds every network's curried argument count (None for a
+    tensor argument), and ``codomain_scalar`` whether its applications
+    need ``! 0``."""
+
+    __slots__ = ("arity", "codomain_scalar")
+
+    def __init__(self, arity: dict[str, int | None], codomain_scalar: dict[str, bool]):
+        self.arity = arity
+        self.codomain_scalar = codomain_scalar
+
+    def rewrite(self, e: core.Expr) -> core.Expr:
         # Collect the application spine.
         spine: list[core.Expr] = []
         head = e
         while isinstance(head, core.App):
             spine.append(head.arg)
             head = head.fn
-        if isinstance(head, core.TopRef) and head.name in ctx:
+        if isinstance(head, core.TopRef) and head.name in self.arity:
             spine.reverse()
-            args = [rewrite(a) for a in spine]
-            k = rewrite_arity[head.name]
+            args = [self.rewrite(a) for a in spine]
+            k = self.arity[head.name]
             if k is None:
                 if len(args) < 1:
                     raise NetworkError(
@@ -347,7 +380,7 @@ def analyze_network_types(
                         f"network {head.name!r} must be applied to an argument",
                     )
                 app: core.Expr = core.NetworkApp(head.name, args[0])
-                if codomain_scalar[head.name]:
+                if self.codomain_scalar[head.name]:
                     app = core.Index(app, core.NatLit(0))
                 for extra in args[1:]:
                     app = core.App(app, extra)
@@ -367,22 +400,4 @@ def analyze_network_types(
             for extra in args[k:]:
                 app = core.App(app, extra)
             return app
-        return core.map_children(e, rewrite)
-
-    new_decls: list[TypedDecl] = []
-    new_program = TypedProgram(decls=[])
-    new_program.synonyms = dict(program.synonyms)
-    for decl in program.decls:
-        if decl.kind == "network":
-            continue
-        if decl.kind == "def":
-            assert decl.body is not None
-            body = rewrite(decl.body)
-            decl = TypedDecl(
-                decl.name, decl.kind, decl.signature, decl.vtype, decl.params, body, decl.pos
-            )
-            new_program.definitions[decl.name] = body
-            new_program.def_types[decl.name] = decl.vtype
-        new_decls.append(decl)
-    new_program.decls = new_decls
-    return new_program, ctx
+        return core.map_children(e, self.rewrite)

@@ -34,14 +34,14 @@ from .typecheck import TypedProgram
 from .types import PROP, TensorT, VType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Level(core.Expr):
     """A variable bound outside the term being quoted; 0 = outermost."""
 
     level: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Binder(core.Expr):
     """A function (``kind`` "lam") or a quantifier, with its body suspended:
     ``instantiate`` maps the bound variable's value to the body's value."""
@@ -83,6 +83,12 @@ class _Normaliser:
             return _index(self.eval(e.tensor, env), self.eval(e.index, env))
         return e  # a literal
 
+    def release(self) -> None:
+        """Drop the cached definition values.  A cached function value's
+        body refers back to this normaliser, so without this the two would
+        keep each other alive until the cyclic collector ran."""
+        self._def_values.clear()
+
     def def_value(self, name: str) -> core.Expr:
         if name not in self._def_values:
             if name not in self.defs:
@@ -95,21 +101,29 @@ class _Normaliser:
             return _Binder(e.kind, e.binder, e.binder_type, lambda v: self.eval(e.body, env + [v]))
         # One scalar quantifier per element, in row-major order; the body
         # sees the tensor of their variables.
-        dims, elem = e.binder_type.dims, e.binder_type.elem
         names = [
             e.binder + "".join(f"_{i}" for i in position)
-            for position in itertools.product(*map(range, dims))
+            for position in itertools.product(*map(range, e.binder_type.dims))
         ]
+        return self.collect(e, env, names, [])
 
-        def collect(acc: list[core.Expr]) -> core.Expr:
-            if len(acc) < len(names):
-                return _Binder(e.kind, names[len(acc)], elem, lambda v: collect(acc + [v]))
-            items = acc
-            for d in reversed(dims[1:]):
-                items = [core.TensorLit(tuple(items[i : i + d])) for i in range(0, len(items), d)]
-            return self.eval(e.body, env + [core.TensorLit(tuple(items))])
-
-        return collect([])
+    def collect(
+        self, e: core.Quant, env: list[core.Expr], names: list[str], acc: list[core.Expr]
+    ) -> core.Expr:
+        """The quantifiers of the elements of ``e``'s tensor binder after
+        the ``len(acc)`` whose variables are ``acc``, then the body."""
+        assert isinstance(e.binder_type, TensorT)
+        if len(acc) < len(names):
+            return _Binder(
+                e.kind,
+                names[len(acc)],
+                e.binder_type.elem,
+                lambda v: self.collect(e, env, names, acc + [v]),
+            )
+        items = acc
+        for d in reversed(e.binder_type.dims[1:]):
+            items = [core.TensorLit(tuple(items[i : i + d])) for i in range(0, len(items), d)]
+        return self.eval(e.body, env + [core.TensorLit(tuple(items))])
 
 
 def _apply(fn: core.Expr, arg: core.Expr) -> core.Expr:
@@ -216,7 +230,10 @@ def _quote(v: core.Expr, depth: int) -> core.Expr:
 def normalise(expr: core.Expr, defs: dict[str, core.Expr] | None = None) -> core.Expr:
     """Normalise a closed core expression against a definition table."""
     norm = _Normaliser(defs or {})
-    return _quote(norm.eval(expr, []), 0)
+    try:
+        return _quote(norm.eval(expr, []), 0)
+    finally:
+        norm.release()
 
 
 def prune_non_prop(program: TypedProgram) -> list[tuple[str, core.Expr]]:
@@ -224,8 +241,11 @@ def prune_non_prop(program: TypedProgram) -> list[tuple[str, core.Expr]]:
     order; everything else has been inlined and is dropped."""
     norm = _Normaliser(program.definitions)
     props: list[tuple[str, core.Expr]] = []
-    for decl in program.decls:
-        if decl.kind == "def" and decl.vtype == PROP:
-            assert decl.body is not None
-            props.append((decl.name, _quote(norm.eval(decl.body, []), 0)))
+    try:
+        for decl in program.decls:
+            if decl.kind == "def" and decl.vtype == PROP:
+                assert decl.body is not None
+                props.append((decl.name, _quote(norm.eval(decl.body, []), 0)))
+    finally:
+        norm.release()
     return props

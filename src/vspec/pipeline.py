@@ -66,6 +66,9 @@ def compile_spec(
         program = _parse_spec(data, path)
         analysed, ctx = analyze_network_types(program, network_files)
         properties = prune_non_prop(analysed)
+        # The rewritten definitions are all inlined now; free them before
+        # query compilation, the largest stage.
+        del analysed
         if property_filter:
             known = {name for name, _ in properties}
             for wanted in property_filter:

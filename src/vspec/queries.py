@@ -45,7 +45,7 @@ from .types import VType
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Binder:
     name: str
     vtype: VType
@@ -60,7 +60,7 @@ class Disjunct:
     atoms: list[core.Expr]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaNetwork:
     """Ordered network applications with sequentially assigned variables."""
 
@@ -93,7 +93,7 @@ class MetaNetwork:
         return sum(n for _, _, n in self.applications)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class QVar:
     """A relational variable: kind 'x' (input) or 'y' (output)."""
 
@@ -104,7 +104,7 @@ class QVar:
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearConstraint:
     """sum(coeff * var) REL constant, no zero coefficients stored.
 
@@ -160,25 +160,7 @@ def analyse_quantifiers(prop: core.Expr) -> str:
     """Classify effective quantifier occurrences; quantifier-free counts as
     AllExists.  Mixed use is an error."""
     seen: set[str] = set()
-
-    def walk(e: core.Expr, positive: bool) -> None:
-        if isinstance(e, core.Quant):
-            effective = e.kind if positive else ("exists" if e.kind == "forall" else "forall")
-            seen.add(effective)
-            walk(e.body, positive)
-            return
-        if isinstance(e, core.Builtin):
-            if e.op == "not":
-                walk(e.args[0], not positive)
-                return
-            if e.op == "implies":
-                walk(e.args[0], not positive)
-                walk(e.args[1], positive)
-                return
-        for child in core.children(e):
-            walk(child, positive)
-
-    walk(prop, True)
+    _effective_quantifiers(prop, True, seen)
     if seen == {"forall"}:
         return "AllForall"
     if "forall" in seen and "exists" in seen:
@@ -187,6 +169,25 @@ def analyse_quantifiers(prop: core.Expr) -> str:
             "a property may not mix universal and existential quantification",
         )
     return "AllExists"
+
+
+def _effective_quantifiers(e: core.Expr, positive: bool, seen: set[str]) -> None:
+    """Add to ``seen`` the kind each quantifier in ``e`` has once the
+    negations above it are pushed inside (``positive`` when there are none)."""
+    if isinstance(e, core.Quant):
+        seen.add(e.kind if positive else ("exists" if e.kind == "forall" else "forall"))
+        _effective_quantifiers(e.body, positive, seen)
+        return
+    if isinstance(e, core.Builtin):
+        if e.op == "not":
+            _effective_quantifiers(e.args[0], not positive, seen)
+            return
+        if e.op == "implies":
+            _effective_quantifiers(e.args[0], not positive, seen)
+            _effective_quantifiers(e.args[1], positive, seen)
+            return
+    for child in core.children(e):
+        _effective_quantifiers(child, positive, seen)
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +323,75 @@ def compile_disjunct(d: Disjunct, ctx: NetworkContext) -> LinearQuery | None:
     Returns None when a row folds to a constant contradiction (the disjunct
     is unsatisfiable and contributes nothing to the disjunction).
     """
-    first_output: dict[core.NetworkApp, int] = {}
-    applications: list[tuple[str, int, int]] = []
-    rows: list[Row] = []
-    used: set[int] = set()
-    inputs = outputs = 0
+    numbering = _Numbering(ctx)
+    for atom in d.atoms:
+        numbering.number(atom)
+    rows = numbering.rows
+    rows.extend((atom.op, *atom.args) for atom in d.atoms)  # type: ignore[attr-defined]
+    first_output = numbering.first_output
 
-    def number(e: core.Expr) -> None:
-        nonlocal inputs, outputs
+    resolved: dict[int, QVar] = {}
+    n = len(d.binders)
+    for k in range(n):
+        if k not in numbering.used:
+            continue
+        binder = core.Var(k)
+        for i, (op, lhs, rhs) in enumerate(rows):
+            if op != "eq":
+                continue
+            if lhs == binder:
+                var = _relational(rhs, resolved, first_output)
+            elif rhs == binder:
+                var = _relational(lhs, resolved, first_output)
+            else:
+                var = None
+            if var is not None:
+                break
+        else:
+            raise QueryError(
+                "UnresolvableUserVariable",
+                f"quantified variable {d.binders[n - 1 - k].name!r} is not directly "
+                "equated to a network input or output variable",
+            )
+        resolved[k] = var
+        del rows[i]
+
+    constraints: list[LinearConstraint] = []
+    for op, lhs, rhs in rows:
+        lt, lc = _linearise(lhs, resolved, first_output, d.binders)
+        rt, rc = _linearise(rhs, resolved, first_output, d.binders)
+        terms = _add_terms(lt, rt, -1)
+        constant = rc - lc
+        if any(terms.values()):
+            constraints.append(canonical_constraint(terms, _REL[op], constant))
+        elif not core.CMP_HOLDS[op](Fraction(0), constant):
+            return None
+    return LinearQuery(constraints, MetaNetwork(tuple(numbering.applications)))
+
+
+class _Numbering:
+    """Step 1 of ``compile_disjunct``: the applications of one disjunct, in
+    first-occurrence order, and the equations of their arguments."""
+
+    __slots__ = ("ctx", "first_output", "applications", "rows", "used", "inputs", "outputs")
+
+    def __init__(self, ctx: NetworkContext):
+        self.ctx = ctx
+        self.first_output: dict[core.NetworkApp, int] = {}  # app -> its first output
+        self.applications: list[tuple[str, int, int]] = []
+        self.rows: list[Row] = []
+        self.used: set[int] = set()  # de Bruijn indices met in the atoms
+        self.inputs = self.outputs = 0
+
+    def number(self, e: core.Expr) -> None:
         if isinstance(e, core.Var):
-            used.add(e.index)
+            self.used.add(e.index)
             return
-        if isinstance(e, core.NetworkApp) and e in first_output:
+        if isinstance(e, core.NetworkApp) and e in self.first_output:
             return
         for child in core.children(e):
-            number(child)
+            self.number(child)
+        ctx = self.ctx
         output = _output_index(e)
         if output is not None:
             app, k = output
@@ -358,101 +413,70 @@ def compile_disjunct(d: Disjunct, ctx: NetworkContext) -> LinearQuery | None:
                     "NonLinearAtom",
                     f"network {e.network!r} is applied to a non-literal tensor",
                 )
-            rows.extend(("eq", item, QVar("x", inputs + t)) for t, item in enumerate(items))
+            inputs = self.inputs
+            self.rows.extend(("eq", item, QVar("x", inputs + t)) for t, item in enumerate(items))
             info = ctx[e.network]
-            applications.append((e.network, info.input_size, info.output_size))
-            first_output[e] = outputs
-            inputs += info.input_size
-            outputs += info.output_size
+            self.applications.append((e.network, info.input_size, info.output_size))
+            self.first_output[e] = self.outputs
+            self.inputs += info.input_size
+            self.outputs += info.output_size
 
-    for atom in d.atoms:
-        number(atom)
-    rows.extend((atom.op, *atom.args) for atom in d.atoms)  # type: ignore[attr-defined]
 
-    resolved: dict[int, QVar] = {}
+def _relational(
+    side: core.Expr | QVar, resolved: dict[int, QVar], first_output: dict[core.NetworkApp, int]
+) -> QVar | None:
+    """The relational variable ``side`` stands for, if any: an input
+    variable, a resolved quantified variable, or ``app ! k``."""
+    if isinstance(side, QVar):
+        return side
+    if isinstance(side, core.Var):
+        return resolved.get(side.index)
+    output = _output_index(side)
+    if output is not None:
+        return QVar("y", first_output[output[0]] + output[1])
+    return None
 
-    def relational(side: core.Expr | QVar) -> QVar | None:
-        if isinstance(side, QVar):
-            return side
-        if isinstance(side, core.Var):
-            return resolved.get(side.index)
-        output = _output_index(side)
-        if output is not None:
-            return QVar("y", first_output[output[0]] + output[1])
-        return None
 
-    n = len(d.binders)
-    for k in range(n):
-        if k not in used:
-            continue
-        binder = core.Var(k)
-        for i, (op, lhs, rhs) in enumerate(rows):
-            if op != "eq":
-                continue
-            var = relational(rhs) if lhs == binder else relational(lhs) if rhs == binder else None
-            if var is not None:
-                break
-        else:
-            raise QueryError(
-                "UnresolvableUserVariable",
-                f"quantified variable {d.binders[n - 1 - k].name!r} is not directly "
-                "equated to a network input or output variable",
-            )
-        resolved[k] = var
-        del rows[i]
-
-    names = [b.name for b in d.binders]
-
-    def linearise(e: core.Expr | QVar) -> tuple[dict[QVar, Fraction], Fraction]:
-        if isinstance(e, core.RatLit):
-            return {}, e.value
-        if isinstance(e, core.NatLit):
-            return {}, Fraction(e.value)
-        var = relational(e)
-        if var is not None:
-            return {var: Fraction(1)}, Fraction(0)
-        if isinstance(e, core.Builtin):
-            if e.op == "neg":
-                t, c = linearise(e.args[0])
-                return {v: -k for v, k in t.items()}, -c
+def _linearise(
+    e: core.Expr | QVar,
+    resolved: dict[int, QVar],
+    first_output: dict[core.NetworkApp, int],
+    binders: list[Binder],
+) -> tuple[dict[QVar, Fraction], Fraction]:
+    """``e`` as linear terms and a constant over relational variables."""
+    if isinstance(e, core.RatLit):
+        return {}, e.value
+    if isinstance(e, core.NatLit):
+        return {}, Fraction(e.value)
+    var = _relational(e, resolved, first_output)
+    if var is not None:
+        return {var: Fraction(1)}, Fraction(0)
+    if isinstance(e, core.Builtin):
+        if e.op == "neg":
+            t, c = _linearise(e.args[0], resolved, first_output, binders)
+            return {v: -k for v, k in t.items()}, -c
+        if e.op in ("add", "sub", "mul", "div"):
+            lt, lc = _linearise(e.args[0], resolved, first_output, binders)
+            rt, rc = _linearise(e.args[1], resolved, first_output, binders)
             if e.op in ("add", "sub"):
-                lt, lc = linearise(e.args[0])
-                rt, rc = linearise(e.args[1])
                 sign = 1 if e.op == "add" else -1
                 return _add_terms(lt, rt, sign), lc + sign * rc
             if e.op == "mul":
-                lt, lc = linearise(e.args[0])
-                rt, rc = linearise(e.args[1])
                 if lt and rt:
                     raise QueryError("NonLinearAtom", "product of two variables")
                 if lt:
                     return {v: k * rc for v, k in lt.items()}, lc * rc
                 return {v: k * lc for v, k in rt.items()}, lc * rc
-            if e.op == "div":
-                lt, lc = linearise(e.args[0])
-                rt, rc = linearise(e.args[1])
-                if rt:
-                    raise QueryError("NonLinearAtom", "division by a variable")
-                if rc == 0:
-                    raise QueryError("NonLinearAtom", "division by zero in atom")
-                return {v: k / rc for v, k in lt.items()}, lc / rc
-        raise QueryError(
-            "NonLinearAtom",
-            "atom contains a non-linear or non-numeric term: "
-            + core.print_expr(e, names),  # type: ignore[arg-type]
-        )
-
-    constraints: list[LinearConstraint] = []
-    for op, lhs, rhs in rows:
-        lt, lc = linearise(lhs)
-        rt, rc = linearise(rhs)
-        terms = _add_terms(lt, rt, -1)
-        constant = rc - lc
-        if any(terms.values()):
-            constraints.append(canonical_constraint(terms, _REL[op], constant))
-        elif not core.CMP_HOLDS[op](Fraction(0), constant):
-            return None
-    return LinearQuery(constraints, MetaNetwork(tuple(applications)))
+            if rt:
+                raise QueryError("NonLinearAtom", "division by a variable")
+            if rc == 0:
+                raise QueryError("NonLinearAtom", "division by zero in atom")
+            return {v: k / rc for v, k in lt.items()}, lc / rc
+    raise QueryError(
+        "NonLinearAtom",
+        "atom contains a non-linear or non-numeric term: "
+        + core.print_expr(e, [b.name for b in binders]),  # type: ignore[arg-type]
+    )
 
 
 def _add_terms(

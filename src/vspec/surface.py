@@ -35,25 +35,25 @@ from .lexer import Token, TokenKind, tokenize
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SType:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SName(SType):
     """A named type: a builtin (Bool, Prop, Nat, Int, Rat, Real) or synonym."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STensor(SType):
     elem: SType
     dims: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SFun(SType):
     dom: SType
     cod: SType
@@ -64,18 +64,18 @@ class SFun(SType):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SExpr:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SVar(SExpr):
     name: str
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNum(SExpr):
     """Numeric literal, stored exactly; is_decimal records surface spelling."""
 
@@ -84,20 +84,20 @@ class SNum(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STensorLit(SExpr):
     items: tuple[SExpr, ...]
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SApp(SExpr):
     fn: SExpr
     args: tuple[SExpr, ...]
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SBinOp(SExpr):
     op: str  # "+", "-", "*", "/", "and", "or", "=>"
     lhs: SExpr
@@ -105,7 +105,7 @@ class SBinOp(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SCmp(SExpr):
     op: str  # "<=", "<", ">=", ">", "=="
     lhs: SExpr
@@ -113,19 +113,19 @@ class SCmp(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNot(SExpr):
     arg: SExpr
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SNeg(SExpr):
     arg: SExpr
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SIf(SExpr):
     cond: SExpr
     then: SExpr
@@ -133,7 +133,7 @@ class SIf(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SQuant(SExpr):
     kind: str  # "forall" | "exists"
     binders: tuple[tuple[str, SType | None], ...]
@@ -141,7 +141,7 @@ class SQuant(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SIndex(SExpr):
     tensor: SExpr
     index: SExpr
@@ -153,21 +153,21 @@ class SIndex(SExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeSynonym:
     name: str
     rhs: SType
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkDecl:
     name: str
     signature: SType
     pos: SourcePos
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunDef:
     name: str
     signature: SType

@@ -10,12 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VType:
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar(VType):
     kind: str  # "Bool" | "Prop" | "Nat" | "Int" | "Rat"
 
@@ -23,7 +23,7 @@ class Scalar(VType):
         return self.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorT(VType):
     elem: VType
     dims: tuple[int, ...]
@@ -33,7 +33,7 @@ class TensorT(VType):
         return f"Tensor {self.elem} [{dims}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunT(VType):
     dom: VType
     cod: VType

@@ -9,14 +9,14 @@ from fractions import Fraction
 from .queries import QVar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sat:
     """Satisfiable, with an exact witness over relational variables."""
 
     witness: tuple[tuple[QVar, Fraction], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsat:
     pass
 
@@ -24,7 +24,7 @@ class Unsat:
 Verdict = Sat | Unsat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PropertyStatus:
     """Outcome for one property: Verified, Falsified (with witness), or
     NotChecked."""

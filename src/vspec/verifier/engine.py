@@ -68,7 +68,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReluNode:
     """One ReLU case split: post = max(pre, 0)."""
 

@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LPConstraint:
     """sum(terms[v] * v) REL rhs over variable ids 0..n-1."""
 

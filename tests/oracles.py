@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import struct
 from fractions import Fraction
+from pathlib import Path
 
 from vspec import core
 from vspec.queries import QVar
@@ -212,7 +213,7 @@ def read_query_file_by_hand(path) -> list[tuple[dict, str, Fraction]]:
     the emitter.  Returns (terms, relation, constant) triples
     with coefficients normalised (merged, zero-free)."""
     out = []
-    for line in open(path, encoding="utf-8"):
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line:
             continue

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import read_query_file_by_hand
+from vspec.cli import main
 from vspec.errors import BackendError
 from vspec.marabou import (
     emit_property_queries,
@@ -164,6 +165,43 @@ def test_variable_indices_stay_inside_metanetwork(tmp_path, controller_spec, con
                     query.meta.total_inputs if var.kind == "x" else query.meta.total_outputs
                 )
                 assert var.index < limit
+
+
+def test_reemission_removes_query_files_of_the_old_spec(tmp_path, capsys):
+    net = tmp_path / "net.vnet"
+    net.write_text("vnet 1\ninput 1\naffine 1 1\n1\n0\n")
+    spec = tmp_path / "spec.vcl"
+    head = "network net : Rat -> Rat\n\np : Prop\np = forall x . -1 <= x <= 1 => "
+    out = tmp_path / "q"
+    argv = ["compile", "--spec", str(spec), "--network", f"net:{net}",
+            "--target", "marabou", "--output", str(out)]  # fmt: skip
+    spec.write_text(head + "-3 <= net x <= 3\n")
+    assert main(argv) == 0
+    assert sorted(f.name for f in (out / "p").iterdir()) == [
+        "queries.manifest", "query1.txt", "query2.txt"
+    ]
+    # Names the emitter never writes are left alone.
+    kept = ["notes.txt", "query.txt", "query0.txt", "query02.txt", "query3.txt.bak", "queryx.txt"]
+    for name in kept:
+        (out / "p" / name).write_text("y0 <= 0\n")
+    capsys.readouterr()
+    spec.write_text(head + "net x <= 3\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"property p: wrote 1 queries to {out / 'p'}\n"
+    assert sorted(f.name for f in (out / "p").iterdir()) == sorted(
+        kept + ["queries.manifest", "query1.txt"]
+    )
+    assert (out / "p" / "query1.txt").read_text() == "x0 >= -1\nx0 <= 1\ny0 > 3\n"
+
+
+def test_emitting_no_queries_removes_every_query_file(tmp_path, controller_spec, controller_net):
+    plan, ctx = controller_plan(controller_spec, controller_net)
+    emit_property_queries(plan, tmp_path, ctx)
+    (tmp_path / "query10.txt").write_text("y0 <= 0\n")
+    empty = PropertyPlan(plan.name, plan.polarity, plan.negated, [], plan.disjunct_count)
+    assert emit_property_queries(empty, tmp_path, ctx) == []
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["queries.manifest"]
+    assert (tmp_path / "queries.manifest").read_text() == ""
 
 
 # -- verdict interpretation ----------------------------------------------------
