@@ -16,7 +16,7 @@ import argparse
 import functools
 import json
 import sys
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import marabou, proofcache
@@ -137,9 +137,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         return _error_exit_code(err)
     except RecursionError:
-        # The type checker enforces the nesting budget, but the parser runs
-        # before it (input several times deeper than the budget overflows
-        # there), and inlining definitions can build a deeper term.
+        # The parser and the type checker report over-deep input with a
+        # position, but inlining definitions can build a deeper term.
         err = VspecError(
             "NestingTooDeep",
             "expressions are nested too deeply to compile",
@@ -224,7 +223,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

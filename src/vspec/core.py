@@ -15,12 +15,11 @@ relational nodes.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .rational import render_number
-from .types import VType
+from .types import VType, frozen_dataclass
 
 # Builtin operation tags.
 ARITH_OPS = ("add", "sub", "mul", "div", "neg")
@@ -46,46 +45,46 @@ OP_SYMBOL = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Expr:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Var(Expr):
     """Bound variable; de Bruijn index, 0 = innermost binder."""
 
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class TopRef(Expr):
     """Reference to a top-level definition or network name."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class RatLit(Expr):
     value: Fraction
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class NatLit(Expr):
     value: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class TensorLit(Expr):
     items: tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Builtin(Expr):
     """Saturated builtin application.
 
@@ -98,20 +97,20 @@ class Builtin(Expr):
     level: str | None = None  # "bool" | "prop" | None
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Lam(Expr):
     binder: str
     binder_type: VType
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Quant(Expr):
     kind: str  # "forall" | "exists"
     binder: str
@@ -119,7 +118,7 @@ class Quant(Expr):
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class NetworkApp(Expr):
     """Application of a declared network to its (tensor) argument."""
 
@@ -127,7 +126,7 @@ class NetworkApp(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Index(Expr):
     tensor: Expr
     index: Expr

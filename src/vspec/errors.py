@@ -65,10 +65,12 @@ class TypeCheckError(VspecError):
 
     NestingTooDeep marks an expression nested deeper than the budget
     ``typecheck.MAX_NESTING``, at the position where inference passed it.
-    The CLI gives the same code, with no position, to a ``RecursionError``
-    in any pass: the parser on input nested several times deeper than the
-    budget (over about 6,600 levels of parentheses), or a term that
-    inlining definitions made deeper than the budget."""
+    ``surface.parse`` gives the same code, at the token it had reached, to
+    input nested several times deeper than the budget, which runs out of
+    parser frames first (about 6,650 levels of parentheses under the
+    CLI).  The CLI gives it, with no position, to a ``RecursionError`` in
+    a later pass, such as on a term that inlining definitions made deeper
+    than the budget."""
 
 
 class NetworkError(VspecError):

@@ -22,7 +22,6 @@ Both formats hash identically (SHA-256 over the raw file bytes).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,10 +29,10 @@ from . import core
 from .errors import NetworkError
 from .rational import parse_rational
 from .typecheck import TypedDecl, TypedProgram
-from .types import RAT, FunT, Scalar, TensorT, VType, is_numeric
+from .types import RAT, FunT, Scalar, TensorT, VType, frozen_dataclass, is_numeric
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Affine:
     """Dense layer: out = weights @ in + bias; weights is rows x cols."""
 
@@ -49,7 +48,7 @@ class Affine:
         return len(self.weights[0]) if self.weights else 0
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Relu:
     width: int
 
@@ -65,7 +64,7 @@ class Relu:
 Layer = Affine | Relu
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class NetworkModel:
     name: str
     input_size: int
@@ -216,7 +215,7 @@ def hash_file(path: str | Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class NetworkInfo:
     model: NetworkModel
     declared_type: VType  # declared type, normalised to tensor form

@@ -24,24 +24,23 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from . import core
 from .errors import NormaliseError
 from .typecheck import TypedProgram
-from .types import PROP, TensorT, VType
+from .types import PROP, TensorT, VType, frozen_dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class _Level(core.Expr):
     """A variable bound outside the term being quoted; 0 = outermost."""
 
     level: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class _Binder(core.Expr):
     """A function (``kind`` "lam") or a quantifier, with its body suspended:
     ``instantiate`` maps the bound variable's value to the body's value."""

@@ -38,14 +38,14 @@ from fractions import Fraction
 from . import core
 from .errors import QueryError
 from .networks import NetworkContext
-from .types import VType
+from .types import VType, frozen_dataclass
 
 # ---------------------------------------------------------------------------
 # Data types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Binder:
     name: str
     vtype: VType
@@ -60,7 +60,7 @@ class Disjunct:
     atoms: list[core.Expr]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class MetaNetwork:
     """Ordered network applications with sequentially assigned variables."""
 
@@ -93,7 +93,7 @@ class MetaNetwork:
         return sum(n for _, _, n in self.applications)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@frozen_dataclass(order=True)
 class QVar:
     """A relational variable: kind 'x' (input) or 'y' (output)."""
 
@@ -104,7 +104,7 @@ class QVar:
         return f"{self.kind}{self.index}"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class LinearConstraint:
     """sum(coeff * var) REL constant, no zero coefficients stored.
 

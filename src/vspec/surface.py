@@ -24,36 +24,36 @@ at the ``type`` / ``network`` keywords.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, SourcePos
+from .errors import ParseError, SourcePos, VspecError
 from .lexer import Token, TokenKind, tokenize
+from .types import frozen_dataclass
 
 # ---------------------------------------------------------------------------
 # Surface types
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SType:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SName(SType):
     """A named type: a builtin (Bool, Prop, Nat, Int, Rat, Real) or synonym."""
 
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class STensor(SType):
     elem: SType
     dims: tuple[int, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SFun(SType):
     dom: SType
     cod: SType
@@ -64,18 +64,18 @@ class SFun(SType):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SExpr:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SVar(SExpr):
     name: str
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SNum(SExpr):
     """Numeric literal, stored exactly; is_decimal records surface spelling."""
 
@@ -84,20 +84,20 @@ class SNum(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class STensorLit(SExpr):
     items: tuple[SExpr, ...]
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SApp(SExpr):
     fn: SExpr
     args: tuple[SExpr, ...]
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SBinOp(SExpr):
     op: str  # "+", "-", "*", "/", "and", "or", "=>"
     lhs: SExpr
@@ -105,7 +105,7 @@ class SBinOp(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SCmp(SExpr):
     op: str  # "<=", "<", ">=", ">", "=="
     lhs: SExpr
@@ -113,19 +113,19 @@ class SCmp(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SNot(SExpr):
     arg: SExpr
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SNeg(SExpr):
     arg: SExpr
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SIf(SExpr):
     cond: SExpr
     then: SExpr
@@ -133,7 +133,7 @@ class SIf(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SQuant(SExpr):
     kind: str  # "forall" | "exists"
     binders: tuple[tuple[str, SType | None], ...]
@@ -141,7 +141,7 @@ class SQuant(SExpr):
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class SIndex(SExpr):
     tensor: SExpr
     index: SExpr
@@ -153,21 +153,21 @@ class SIndex(SExpr):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class TypeSynonym:
     name: str
     rhs: SType
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class NetworkDecl:
     name: str
     signature: SType
     pos: SourcePos
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class FunDef:
     name: str
     signature: SType
@@ -456,7 +456,14 @@ class _Parser:
 def parse(source: str, path: str | None = None) -> list[SurfaceDecl]:
     """Parse source text into declarations (in source order)."""
     tokens = tokenize(source, path)
-    decls = _Parser(tokens, path).program()
+    parser = _Parser(tokens, path)
+    try:
+        decls = parser.program()
+    except RecursionError:
+        # Input nested several times deeper than the type checker's budget
+        # (``typecheck.MAX_NESTING``) runs out of frames here first.
+        message = "expression nested too deeply to parse"
+        raise VspecError("NestingTooDeep", message, path=path, pos=parser.peek().pos) from None
     seen: set[str] = set()
     for d in decls:
         if d.name in seen:

@@ -10,12 +10,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True, slots=True)
+def frozen_dataclass(cls=None, /, *, order: bool = False):
+    """``dataclass(frozen=True, slots=True)`` that leaves one class behind.
+
+    CPython 3.11 builds a slotted dataclass as a new class, which inherits
+    the generated ``__setattr__`` and ``__delattr__``; their closures still
+    hold the class it replaced, which so stays alive.  Their cells are
+    pointed at the new class instead."""
+    if cls is None:
+        return lambda cls: frozen_dataclass(cls, order=order)
+    new = dataclass(frozen=True, order=order, slots=True)(cls)
+    for name in ("__setattr__", "__delattr__"):
+        for cell in new.__dict__[name].__closure__ or ():
+            if cell.cell_contents is cls:
+                cell.cell_contents = new
+    return new
+
+
+@frozen_dataclass
 class VType:
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Scalar(VType):
     kind: str  # "Bool" | "Prop" | "Nat" | "Int" | "Rat"
 
@@ -23,7 +40,7 @@ class Scalar(VType):
         return self.kind
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class TensorT(VType):
     elem: VType
     dims: tuple[int, ...]
@@ -33,7 +50,7 @@ class TensorT(VType):
         return f"Tensor {self.elem} [{dims}]"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class FunT(VType):
     dom: VType
     cod: VType

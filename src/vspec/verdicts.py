@@ -3,20 +3,20 @@ verifier, and the proof cache."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .queries import QVar
+from .types import frozen_dataclass
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Sat:
     """Satisfiable, with an exact witness over relational variables."""
 
     witness: tuple[tuple[QVar, Fraction], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class Unsat:
     pass
 
@@ -24,7 +24,7 @@ class Unsat:
 Verdict = Sat | Unsat
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class PropertyStatus:
     """Outcome for one property: Verified, Falsified (with witness), or
     NotChecked."""

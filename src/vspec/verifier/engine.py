@@ -39,13 +39,17 @@ pre <= 0``; ``pre <= post <= pre`` and ``0 <= post`` is ``post = pre,
 pre >= 0``.  The child is solved warm from the parent's final tableau;
 an infeasible node prunes its subtree.  Every point of a leaf's phase
 region satisfies the triangle rows, so a leaf is feasible exactly when
-the flat leaf LP (base plus the sign row and ``post = 0`` or ``post =
-pre`` per ReLU) is.  The walk's flat leaf LP, over all variables, all
-free, has no parent: ``lp`` extends its seed tableau by every row, so the
-witness depends only on that constraint list (Bland's rule is
-deterministic), not on the search or its coordinates; it is always
-feasible.  A query with no free ReLU is the search with zero branches:
-its root is its only leaf.
+its phase region is.
+
+The witness is the point of the walk's leaf LP, built as the root is
+(``_region``) but with every phase fixed: no ReLU output is then a
+coordinate, so it is an LP over the inputs alone, its rows the query
+rows and one sign row per ReLU in node order.  It has no parent: ``lp``
+extends its seed tableau by every row, so the witness depends only on
+the query and the leaf's phases (Bland's rule is deterministic), not on
+the search, its branching order or which phases bounds fixed; it is
+always feasible.  A query with no free ReLU is the search with zero
+branches: its root is that leaf LP, and its point the witness.
 
 Every LP goes through the module attribute ``feasible``.
 """
@@ -59,6 +63,7 @@ from typing import NamedTuple
 from ..errors import VerifyError
 from ..networks import Affine, NetworkContext
 from ..queries import FLIP_REL, LinearQuery, MetaNetwork, QVar
+from ..types import frozen_dataclass
 from ..verdicts import Sat, Unsat, Verdict
 from .lp import LPConstraint, LPProblem, feasible
 
@@ -68,7 +73,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_dataclass
 class ReluNode:
     """One ReLU case split: post = max(pre, 0)."""
 
@@ -88,15 +93,6 @@ class Skeleton:
     # out_var = bias + sum(w * v for v, w in terms), a layerless model's
     # y = x included, or ("relu", node_id).
     events: list[tuple]
-
-    @property
-    def equalities(self) -> list[LPConstraint]:
-        """``out_var - sum(w * v) = bias`` per affine event, in order."""
-        return [
-            LPConstraint(((e[1], ONE),) + tuple((v, -w) for v, w in e[2]), "=", e[3])
-            for e in self.events
-            if e[0] == "affine"
-        ]
 
 
 def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> Skeleton:
@@ -307,10 +303,8 @@ def _query_constraints(query: LinearQuery, skeleton: Skeleton) -> list[LPConstra
     return out
 
 
-# The rows of one ReLU are built from the form of its pre-activation and
-# the variable of its output: the node's own two variables in the full
-# constraint list, and in free coordinates the form of ``pre_var`` and the
-# coordinate of a free output.
+# The rows of one ReLU are built from the form of its pre-activation and,
+# for a free ReLU, the coordinate of its output.
 
 
 def _sign_row(pre: Form, phase: str) -> LPConstraint:
@@ -324,24 +318,14 @@ def _minus_pre(post: int, pre: Form, scale: Fraction = ONE) -> tuple[tuple[int, 
     return ((post, scale),) + tuple((v, -k) for v, k in pre[0].items())
 
 
-def _phase_rows(pre: Form, post: int, phase: str) -> list[LPConstraint]:
-    """The sign row and ``post = 0`` (Inactive) or ``post = pre`` (Active)."""
-    if phase == "inactive":
-        return [_sign_row(pre, phase), LPConstraint(((post, ONE),), "=", ZERO)]
-    return [_sign_row(pre, phase), LPConstraint(_minus_pre(post, pre), "=", pre[1])]
-
-
 def _branch_row(pre: Form, post: int, phase: str) -> LPConstraint:
     """``post <= 0`` (Inactive) or ``post <= pre`` (Active): with the
     triangle's lower faces ``post >= 0`` (the coordinate's sign) and
-    ``post >= pre``, the region of ``_phase_rows``."""
+    ``post >= pre``, the phase's region: the sign row and ``post = 0`` or
+    ``post = pre``."""
     if phase == "inactive":
         return LPConstraint(((post, ONE),), "<=", ZERO)
     return LPConstraint(_minus_pre(post, pre), "<=", pre[1])
-
-
-def _phase_constraints(node: ReluNode, phase: str) -> list[LPConstraint]:
-    return _phase_rows(({node.pre_var: ONE}, ZERO), node.post_var, phase)
 
 
 def _triangle_rows(pre: Form, post: int, bounds: Interval) -> list[LPConstraint]:
@@ -389,21 +373,14 @@ def check_query(
             f"{len(free_nodes)} unfixed ReLU nodes exceed the phase budget "
             f"of {phase_budget}",
         )
-    # The search runs in free coordinates: the equalities and the fixed
-    # phases' definition rows become 0 = 0 there and are dropped.  An input
-    # with a lower bound is searched as its offset from it; a variable that
-    # ``intervals`` lacks is unbounded.
+    # An input with a lower bound is searched as its offset from it; a
+    # variable that ``intervals`` lacks is unbounded.
     num_inputs = query.meta.total_inputs
     lower = {
         v: lo for v in range(num_inputs) if (lo := intervals.get(v, (None, None))[0]) is not None
     }
-    num_coords, forms = free_coordinate_forms(skeleton, fixed, lower)
-    nonneg = frozenset(lower).union(range(num_inputs, num_coords))
     query_rows = _query_constraints(query, skeleton)
-    relaxation = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
-    for node_id, phase in fixed.items():
-        relaxation.append(_sign_row(forms[skeleton.relu_nodes[node_id].pre_var], phase))
-    relaxation = [c for c in relaxation if not _implied_by_sign(c, nonneg)]
+    num_coords, forms, nonneg, relaxation = _region(skeleton, query_rows, fixed, lower, num_inputs)
     relus = []
     for node in free_nodes:
         pre = forms[node.pre_var]
@@ -416,15 +393,36 @@ def check_query(
     point = _search(root, relus, tuple(range(len(relus))))
     if point is None:
         return Unsat()
-    phases = _walk(root, point, relus)
-    leaf = skeleton.equalities + query_rows
-    for node_id, phase in fixed.items():
-        leaf.extend(_phase_constraints(skeleton.relu_nodes[node_id], phase))
-    for node, phase in zip(free_nodes, phases):
-        leaf.extend(_phase_constraints(node, phase))
-    witness = feasible(LPProblem(skeleton.num_vars, leaf))
-    assert witness is not None, "a feasible leaf relaxation has an infeasible leaf LP"
-    return _restrict(witness, skeleton)
+    if relus:  # else the root is the leaf LP, and ``point`` its witness
+        phases = dict(zip((n.node_id for n in free_nodes), _walk(root, point, relus)))
+        _, forms, nonneg, leaf = _region(skeleton, query_rows, fixed | phases, lower, num_inputs)
+        point = feasible(LPProblem(num_inputs, leaf, nonneg=nonneg))
+        assert point is not None, "a feasible leaf relaxation has an infeasible leaf LP"
+    pairs = sorted(skeleton.qvar_ids.items())
+    return Sat(tuple((qv, _value(forms[vid], point)) for qv, vid in pairs))
+
+
+def _region(
+    skeleton: Skeleton,
+    query_rows: list[LPConstraint],
+    phases: dict[int, str],
+    lower: dict[int, Fraction],
+    num_inputs: int,
+) -> tuple[int, dict[int, Form], frozenset[int], list[LPConstraint]]:
+    """The free coordinates where ``phases`` fixes some ReLUs, and the
+    region of those phases: the number of coordinates, every variable's
+    form, the nonnegative coordinates, and the query rows and then one
+    sign row per fixed ReLU in node order, in those coordinates.  The
+    network's equalities and the fixed phases' definitions become ``0 =
+    0`` there and are dropped, and so is a row that only restates a
+    coordinate's sign."""
+    num_coords, forms = free_coordinate_forms(skeleton, phases, lower)
+    nonneg = frozenset(lower).union(range(num_inputs, num_coords))
+    rows = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
+    for node in skeleton.relu_nodes:
+        if node.node_id in phases:
+            rows.append(_sign_row(forms[node.pre_var], phases[node.node_id]))
+    return num_coords, forms, nonneg, [c for c in rows if not _implied_by_sign(c, nonneg)]
 
 
 def _implied_by_sign(c: LPConstraint, nonneg: frozenset[int]) -> bool:
@@ -509,12 +507,3 @@ def _value(form: Form, point: list[Fraction]) -> Fraction:
     for c, k in coeffs.items():
         value += k * point[c]
     return value
-
-
-def _restrict(witness: list[Fraction], skeleton: Skeleton) -> Sat:
-    pairs = tuple(
-        (qv, witness[vid])
-        for qv, vid in sorted(skeleton.qvar_ids.items())
-        if qv.kind in ("x", "y")
-    )
-    return Sat(pairs)

@@ -83,8 +83,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ..types import frozen_dataclass
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_dataclass
 class LPConstraint:
     """sum(terms[v] * v) REL rhs over variable ids 0..n-1."""
 

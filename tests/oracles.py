@@ -7,7 +7,7 @@ layer-by-layer network interpreter, a one-sided grid search over a query's
 input box, and a hand-rolled protobuf writer for ONNX model files.  The
 one exception is the flat phase search, the reference for the verifier's
 branch-and-bound: it shares the verifier's unrolling, bounds and LP, and
-replaces only the search.
+builds its own rows.
 """
 
 from __future__ import annotations
@@ -360,33 +360,127 @@ def grid_oracle(query, ctx, resolution: int = 8) -> Sat | None:
 # ---------------------------------------------------------------------------
 
 
+ONE = Fraction(1)
+
+
+def network_equalities(skeleton) -> list[lp.LPConstraint]:
+    """``out - sum(w * v) = bias`` per affine event of ``skeleton``."""
+    return [
+        lp.LPConstraint(((e[1], ONE),) + tuple((v, -w) for v, w in e[2]), "=", e[3])
+        for e in skeleton.events
+        if e[0] == "affine"
+    ]
+
+
+def phase_rows(pre: tuple[dict, Fraction], post: int, phase: str) -> list[lp.LPConstraint]:
+    """A ReLU's phase over the affine form ``pre`` (coefficient per
+    variable, constant) of its pre-activation and the variable ``post`` of
+    its output: ``pre <= 0`` and ``post = 0`` (Inactive), or ``pre >= 0``
+    and ``post = pre`` (Active)."""
+    coeffs, constant = pre
+    sign = lp.LPConstraint(
+        tuple(coeffs.items()), "<=" if phase == "inactive" else ">=", -constant
+    )
+    if phase == "inactive":
+        return [sign, lp.LPConstraint(((post, ONE),), "=", Fraction(0))]
+    terms = ((post, ONE),) + tuple((v, -k) for v, k in coeffs.items())
+    return [sign, lp.LPConstraint(terms, "=", constant)]
+
+
+def _node_phase_rows(node, phase: str) -> list[lp.LPConstraint]:
+    return phase_rows(({node.pre_var: ONE}, Fraction(0)), node.post_var, phase)
+
+
+def _query_rows(query, skeleton) -> list[lp.LPConstraint]:
+    rows = []
+    for c in query.constraints:
+        terms = tuple((skeleton.qvar_ids[v], k) for v, k in c.terms)
+        rows.append(lp.LPConstraint(terms, c.relation, c.constant))
+    return rows
+
+
+def input_leaf_witness(query, skeleton, intervals, phases: dict[int, str]) -> Sat:
+    """The witness of the leaf LP of ``phases``, a phase per ReLU node, over
+    the network inputs alone.  An input with a lower bound ``l`` in
+    ``intervals`` is the nonnegative column ``x - l``, any other input is
+    free.  Every variable is an affine form over the inputs, given by the
+    network's affine layers and the phases.  The rows are the query rows
+    over those forms, then one sign row per ReLU in node order, but for a
+    non-strict row that only bounds a shifted input below by a value
+    ``<= 0``, which its column's sign already says."""
+    num_inputs = query.meta.total_inputs
+    lower = {v: intervals[v][0] for v in range(num_inputs) if intervals[v][0] is not None}
+    forms = {v: ({v: ONE}, lower.get(v, Fraction(0))) for v in range(num_inputs)}
+
+    def combine(terms, constant):
+        coeffs: dict[int, Fraction] = {}
+        for v, k in terms:
+            form, offset = forms[v]
+            constant += k * offset
+            for c, a in form.items():
+                coeffs[c] = coeffs.get(c, Fraction(0)) + k * a
+        return {c: a for c, a in coeffs.items() if a}, constant
+
+    signs = []
+    for event in skeleton.events:
+        if event[0] == "affine":
+            forms[event[1]] = combine(event[2], event[3])
+            continue
+        node = skeleton.relu_nodes[event[1]]
+        pre = forms[node.pre_var]
+        active = phases[node.node_id] == "active"
+        forms[node.post_var] = pre if active else ({}, Fraction(0))
+        signs.append((pre, ">=" if active else "<="))  # events run in node order
+    rows = []
+    for c in query.constraints:
+        coeffs, constant = combine(((skeleton.qvar_ids[v], k) for v, k in c.terms), Fraction(0))
+        rows.append(lp.LPConstraint(tuple(coeffs.items()), c.relation, c.constant - constant))
+    for (coeffs, constant), rel in signs:
+        rows.append(lp.LPConstraint(tuple(coeffs.items()), rel, -constant))
+
+    def restates_a_sign(row):
+        if len(row.terms) != 1 or row.terms[0][0] not in lower:
+            return False
+        k = row.terms[0][1]
+        return row.relation == (">=" if k > 0 else "<=") and row.rhs / k <= 0
+
+    rows = [row for row in rows if not restates_a_sign(row)]
+    point = lp.feasible(lp.LPProblem(num_inputs, rows, nonneg=frozenset(lower)))
+    assert point is not None, "the leaf LP of a feasible leaf is infeasible"
+    pairs = []
+    for qv, vid in sorted(skeleton.qvar_ids.items()):
+        coeffs, value = forms[vid]
+        pairs.append((qv, value + sum(k * point[c] for c, k in coeffs.items())))
+    return Sat(tuple(pairs))
+
+
 def least_feasible_leaf(query, ctx) -> tuple[list[str], Sat] | None:
     """The phases of the ReLUs that bounds leave free at the
     lexicographically least feasible leaf (Inactive before Active, in node
-    order), and the witness of that leaf's LP; None when no leaf is
-    feasible.  A depth-first search over flat LPs over all variables: a
-    prefix LP holds the phase rows of the first free ReLUs and leaves the
-    others unconstrained, so it relaxes every leaf below it, and an
-    infeasible prefix is not extended.  Each prefix LP is solved warm from
-    its parent prefix's; the least feasible leaf's rows are solved again
-    from scratch for the witness.  It calls ``lp.feasible``, not
-    ``engine.feasible``, so the engine's LP counters never see it."""
+    order), and the witness of that leaf's LP over the inputs
+    (``input_leaf_witness``); None when no leaf is feasible.  A depth-first
+    search over flat LPs over all variables: a prefix LP holds the phase
+    rows of the first free ReLUs and leaves the others unconstrained, so it
+    relaxes every leaf below it, and an infeasible prefix is not extended.
+    Each prefix LP is solved warm from its parent prefix's.  It calls
+    ``lp.feasible``, not ``engine.feasible``, so the engine's LP counters
+    never see it."""
     skeleton = engine.unroll_meta_network(query.meta, ctx)
-    _, fixed = engine.propagate_bounds(skeleton, query)
-    base = skeleton.equalities + engine._query_constraints(query, skeleton)
+    intervals, fixed = engine.propagate_bounds(skeleton, query)
+    base = network_equalities(skeleton) + _query_rows(query, skeleton)
     for node_id, phase in fixed.items():
-        base.extend(engine._phase_constraints(skeleton.relu_nodes[node_id], phase))
+        base.extend(_node_phase_rows(skeleton.relu_nodes[node_id], phase))
     free_nodes = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
 
     def below(problem, phases):
         if lp.feasible(problem) is None:
             return None
         if len(phases) == len(free_nodes):
-            witness = lp.feasible(lp.LPProblem(skeleton.num_vars, problem.constraints))
-            return phases, engine._restrict(witness, skeleton)
+            leaf = fixed | {n.node_id: phase for n, phase in zip(free_nodes, phases)}
+            return phases, input_leaf_witness(query, skeleton, intervals, leaf)
         node = free_nodes[len(phases)]
         for phase in ("inactive", "active"):
-            rows = problem.constraints + engine._phase_constraints(node, phase)
+            rows = problem.constraints + _node_phase_rows(node, phase)
             found = below(lp.LPProblem(skeleton.num_vars, rows, parent=problem), phases + [phase])
             if found is not None:
                 return found

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 
 import pytest
@@ -87,6 +88,10 @@ def test_verify_writes_proof_file_and_exits_zero(workspace):
     assert cache.properties[0].name == "safe"
     assert cache.properties[0].status.kind == "Verified"
     assert cache.properties[0].query_count == 2
+    assert re.search(
+        r" time=\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ\n",
+        (workspace / "controller-spec.vclp").read_text(),
+    )
 
 
 def test_verify_falsified_zero_network(workspace, capsys):
@@ -347,6 +352,37 @@ def test_nesting_within_the_budget_reaches_the_type_checker(workspace):
         "deep.vcl:4:22963: error: expression nested 1001 levels deep, "
         "over the budget of 1000 levels [NestingTooDeep]\n"
     )
+
+
+def test_parentheses_too_deep_to_parse_have_a_position(workspace):
+    import subprocess
+    import sys
+
+    def compile_parens(levels):
+        body = "(" * levels + "controller x <= 0" + ")" * levels
+        spec = (
+            "network controller : Tensor Rat [2] -> Rat\n\np : Prop\n"
+            f"p = forall (x : Tensor Rat [2]) . {body}\n"
+        )
+        (workspace / "deep.vcl").write_text(spec)
+        args = ["compile", "--spec", "deep.vcl", "--network", "controller:controller.vnet"]
+        return subprocess.run(
+            [sys.executable, "-m", "vspec", *args, "--emit", "queries"],
+            capture_output=True,
+            text=True,
+        )
+
+    # Parentheses add no level to the type checker's budget: 6,000 compile.
+    result = compile_parens(6000)
+    assert result.returncode == 0, result.stderr[-500:]
+    assert result.stdout.startswith("property p: 1 queries\n")
+    # 7,000 run out of parser frames, at the token the parser had reached.
+    result = compile_parens(7000)
+    assert result.returncode == 1
+    assert re.fullmatch(
+        r"deep\.vcl:4:\d+: error: expression nested too deeply to parse \[NestingTooDeep\]\n",
+        result.stderr,
+    ), result.stderr[-500:]
 
 
 def parser_frames_per_level(wrap):

@@ -102,6 +102,23 @@ def test_frozen_dataclasses_make_instances_without_a_dict():
     assert [cls for cls in classes if hasattr(cls.__new__(cls), "__dict__")] == []
 
 
+def test_frozen_dataclasses_exist_once():
+    """The generated ``__setattr__`` and ``__delattr__`` of a slotted class
+    hold no other class than it and ``FrozenInstanceError``: not the class
+    that ``slots=True`` rebuilt, which would stay alive as a second copy."""
+    held = {
+        cls: {
+            cell.cell_contents
+            for name in ("__setattr__", "__delattr__")
+            for cell in getattr(cls, name).__closure__ or ()
+            if isinstance(cell.cell_contents, type)
+        }
+        - {cls, dataclasses.FrozenInstanceError}
+        for cls in _frozen_dataclasses()
+    }
+    assert {cls: other for cls, other in held.items() if other} == {}
+
+
 def _compile_peak(spec, networks) -> int:
     """The ``tracemalloc`` peak of one ``compile_spec`` call, in bytes."""
     compile_spec(spec, networks)  # first imports and caches

@@ -12,6 +12,8 @@ from oracles import (
     flat_phase_search,
     grid_oracle,
     least_feasible_leaf,
+    network_equalities,
+    phase_rows,
     run_network_by_hand,
 )
 from vspec import cli, verifier
@@ -83,7 +85,7 @@ def test_unroll_identity_trick_network_counts():
     assert skeleton.num_vars == 6
     assert len(skeleton.relu_nodes) == 2
     # 2 affine rows (first layer) + 1 affine row writing the output.
-    assert len(skeleton.equalities) == 3
+    assert len(network_equalities(skeleton)) == 3
 
 
 def test_unroll_affine_only_network_is_purely_linear():
@@ -416,18 +418,22 @@ def random_layered_instance(rng: random.Random):
     return make_ctx(f=model), box_query(meta, [(-1, 1), (-1, 1)], rows)
 
 
-def relu_outputs_by_hand(query, ctx, inputs: list[Fraction]) -> list[Fraction]:
-    """The output of every ReLU unit, application by application and layer
-    by layer: the order in which unrolling numbers the ReLU nodes."""
+def run_by_hand(query, ctx, inputs: list[Fraction]) -> tuple[list[Fraction], dict]:
+    """One pass through the networks: the output of every ReLU unit,
+    application by application and layer by layer (the order in which
+    unrolling numbers the ReLU nodes), and the value of every relational
+    variable, as ``evaluate_networks`` gives it."""
     outputs = []
-    in_off = query.meta.input_offsets
-    for a, (name, m, _) in enumerate(query.meta.applications):
+    variables = {QVar("x", i): v for i, v in enumerate(inputs)}
+    in_off, out_off = query.meta.input_offsets, query.meta.output_offsets
+    for a, (name, m, n) in enumerate(query.meta.applications):
         values = inputs[in_off[a] : in_off[a] + m]
         for layer in ctx[name].model.layers:
             values = run_network_by_hand((layer,), values)
             if isinstance(layer, Relu):
                 outputs += values
-    return outputs
+        variables.update((QVar("y", out_off[a] + t), values[t]) for t in range(n))
+    return outputs, variables
 
 
 def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
@@ -499,10 +505,9 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
                 seen["sat by no positive gap" if unbranched else "sat at a leaf"] += 1
                 # An input with a lower bound is searched as its offset from it.
                 inputs = [p + (intervals[v][0] or 0) for v, p in enumerate(point[:num_inputs])]
-                outputs = relu_outputs_by_hand(query, ctx, inputs)
+                outputs, values = run_by_hand(query, ctx, inputs)
                 for j, node in enumerate(free):
                     assert point[num_inputs + j] == outputs[node.node_id]
-                values = evaluate_networks(query, ctx, inputs)
                 assert all(constraint_holds(c, values) for c in query.constraints)
         depths = {sum(isinstance(x, Relu) for x in ctx[name].model.layers)
                   for name, _, _ in query.meta.applications}  # fmt: skip
@@ -521,7 +526,10 @@ def test_pinned_search_outputs(monkeypatch):
     a change to the search may move.  Under the two-phase primal simplex
     the verdict digest was 4c7437dc... and the LP-count digest 6836d502...:
     warm points, which the search reads, and 24 of the 225 witnesses
-    moved, but no witness LP did."""
+    moved, but no witness LP did.  With the witness LP over all network
+    variables, all free, the digests were d7e7cd35..., 56d95ad0... and
+    d5c3c1da...; over the inputs alone, a query with no free ReLU takes
+    its witness from the root and solves one LP fewer."""
     rng = random.Random(20261020)
     calls = count_lp_calls(monkeypatch)
     verdicts, witness_lps, counts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -545,9 +553,9 @@ def test_pinned_search_outputs(monkeypatch):
             shapes["sat with free" if free else "sat without"] += 1
             witness_lps.update(f"{calls[-1].num_vars} {calls[-1].constraints!r}\n".encode())
     assert shapes == {"no free relu": 132, "layerless": 122, "sat with free": 163, "sat without": 62}
-    assert verdicts.hexdigest() == "d7e7cd352be6af5d621b7cd3e2e05fc076c02ebef2815c5d2404b6bd05f112c2"
-    assert witness_lps.hexdigest() == "56d95ad0cbde6aa536bf20de032c6d22b8ad8480da1002a0af659425b5839848"
-    assert counts.hexdigest() == "d5c3c1da899e368ff1a203fdd0659a5f52a6d04a41b66ee489ed3a2beded3ec8"
+    assert verdicts.hexdigest() == "21015bd272fa10a4853ee4d3518fe8203fcee910374cf4c14b8dd320c7572ea4"
+    assert witness_lps.hexdigest() == "9b9efb8ac104679a3b16eb6d5a289051750c2642b1ef02a8754dab90128352b3"
+    assert counts.hexdigest() == "a4b90cce33cd8d5c3950784897f007813eb9a72fe880f1a845e579622a3a5811"
 
 
 def test_pruning_neutrality(monkeypatch):
@@ -560,6 +568,41 @@ def test_pruning_neutrality(monkeypatch):
     monkeypatch.setattr(engine, "propagate_bounds", lambda skeleton, query: ({}, {}))
     without = [isinstance(check_query(query, ctx), Sat) for ctx, query in instances]
     assert with_pruning == without
+
+
+def test_witness_does_not_depend_on_the_phases_bounds_fix(monkeypatch):
+    """With the inputs' lower bounds kept and no phase fixed by bounds,
+    every ReLU is left to the search and the walk, and the verdict and
+    witness do not move: the walk fixes each phase that bounds fixed, and
+    the witness LP has one sign row per ReLU either way.  (An upper bound
+    kept on an input that feeds a ReLU would give that ReLU a triangle
+    over bounds that do not straddle 0.)  The exception is a ReLU fixed
+    Active at a pre-activation bound of exactly 0, where the walk fixes
+    Inactive, also feasible at ``pre = 0``: a different leaf."""
+    from vspec.verifier import engine
+
+    rng = random.Random(20261022)
+    instances = []
+    while len(instances) < 150:
+        ctx, query = random_search_instance(rng)
+        skeleton = unroll_meta_network(query.meta, ctx)
+        intervals, fixed = propagate_bounds(skeleton, query)
+        boundary = any(
+            phase == "active" and intervals[skeleton.relu_nodes[i].pre_var][0] == 0
+            for i, phase in fixed.items()
+        )
+        if fixed and not boundary and len(skeleton.relu_nodes) <= 8:
+            instances.append((ctx, query))
+    verdicts = [repr(check_query(query, ctx)) for ctx, query in instances]
+    bounds = propagate_bounds
+
+    def lower_input_bounds_only(skeleton, query):
+        intervals = bounds(skeleton, query)[0]
+        return {v: (intervals[v][0], None) for v in range(query.meta.total_inputs)}, {}
+
+    monkeypatch.setattr(engine, "propagate_bounds", lower_input_bounds_only)
+    assert [repr(check_query(query, ctx)) for ctx, query in instances] == verdicts
+    assert sum(verdict.startswith("Sat(") for verdict in verdicts) >= 50
 
 
 def count_lp_calls(monkeypatch) -> list:
@@ -690,12 +733,12 @@ def test_one_branch_row_agrees_with_the_three_phase_rows(
     is.  Over both fixtures and seeded nets with one or two hidden layers."""
     from vspec.verifier import engine
 
-    phase_rows = {}
+    three_rows_of = {}
     branch_row = engine._branch_row
 
     def recording(pre, post, phase):
         row = branch_row(pre, post, phase)
-        phase_rows[row] = phase, engine._phase_rows(pre, post, phase)
+        three_rows_of[row] = phase, phase_rows(pre, post, phase)
         return row
 
     monkeypatch.setattr(engine, "_branch_row", recording)
@@ -721,7 +764,7 @@ def test_one_branch_row_agrees_with_the_three_phase_rows(
         for child in children:
             rows = list(root.constraints)
             for row in child.constraints[len(root.constraints) :]:
-                phase, three_rows = phase_rows[row]
+                phase, three_rows = three_rows_of[row]
                 rows += three_rows
             three = verifier.feasible(LPProblem(child.num_vars, rows, nonneg=child.nonneg))
             assert (three is not None) == (child.tableau is not None)
@@ -807,20 +850,22 @@ def test_lp_count_of_deep_falsified_nets(monkeypatch):
     """Falsified queries on three nets of ``test_lp_count_of_deep_verified_nets``
     at a bound 1/1000 below the net's maximum over the 41 x 41 grid: the
     search finds a network point, and the walk then fixes the phases of
-    the least feasible leaf, whose LP from scratch gives the witness.  The
-    refutation search followed by a second, node-order search from the
-    root took 39, 137 and 49 LPs and 380, 920 and 476 pivots.  The walk
-    with the two-phase primal simplex for every LP without a parent took
-    28, 33 and 41 LPs and 380, 396 and 470 pivots."""
+    the least feasible leaf, whose LP over the inputs alone gives the
+    witness.  The refutation search followed by a second, node-order
+    search from the root took 39, 137 and 49 LPs and 380, 920 and 476
+    pivots.  The walk with the two-phase primal simplex for every LP
+    without a parent took 28, 33 and 41 LPs and 380, 396 and 470 pivots,
+    and with the witness LP over all network variables 400, 456 and 270
+    pivots."""
     rng = random.Random(7)
     nets = [random_layered_model(rng, widths) for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3]
     calls = count_lp_calls(monkeypatch)
     pivots = count_pivots(monkeypatch)
     meta = MetaNetwork((("f", 2, 1),))
     for net, bound, lps, pivot_count in [
-        (nets[0], Fraction(7373, 2000), 29, 400),
-        (nets[2], Fraction(37371, 4000), 29, 456),
-        (nets[5], Fraction(-3879, 4000), 22, 270),
+        (nets[0], Fraction(7373, 2000), 29, 318),
+        (nets[2], Fraction(37371, 4000), 29, 343),
+        (nets[5], Fraction(-3879, 4000), 22, 167),
     ]:
         query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", bound)])
         calls.clear()
