@@ -168,25 +168,14 @@ class _Renderer:
     # -- expressions ------------------------------------------------------
 
     def render_expr(self, e: core.Expr, names: list[str], prec: int) -> str:
-        if isinstance(e, core.Var):
-            return names[len(names) - 1 - e.index]
-        if isinstance(e, core.TopRef):
-            name = self.rename.get(e.name, e.name)
-            return name
-        if isinstance(e, core.RatLit):
+        t = type(e)  # exact-type tests, most frequent first
+        if t is core.Builtin:
+            return self.render_builtin(e, names, prec)
+        if t is core.RatLit:
             return self.render_rational(e.value, prec)
-        if isinstance(e, core.NatLit):
-            return str(e.value)
-        if isinstance(e, core.BoolLit):
-            return "true" if e.value else "false"
-        if isinstance(e, core.TensorLit):
-            items = " ∷ ".join(self.render_expr(x, names, 0) for x in e.items)
-            return _wrap(f"tensor ({items} ∷ [])", _APP, prec)
-        if isinstance(e, core.App):
-            fn = self.render_expr(e.fn, names, _APP)
-            arg = self.render_expr(e.arg, names, _ATOM)
-            return _wrap(f"{fn} {arg}", _APP, prec)
-        if isinstance(e, core.Index):
+        if t is core.Var:
+            return names[len(names) - 1 - e.index]
+        if t is core.Index:
             if not isinstance(e.index, core.NatLit):
                 raise BackendError(
                     "UnrenderableConstruct",
@@ -194,7 +183,14 @@ class _Renderer:
                 )
             tensor = self.render_expr(e.tensor, names, _APP)
             return _wrap(f"{tensor} (# {e.index.value})", _APP, prec)
-        if isinstance(e, core.Quant):
+        if t is core.App:
+            fn = self.render_expr(e.fn, names, _APP)
+            arg = self.render_expr(e.arg, names, _ATOM)
+            return _wrap(f"{fn} {arg}", _APP, prec)
+        if t is core.TopRef:
+            name = self.rename.get(e.name, e.name)
+            return name
+        if t is core.Quant:
             names.append(e.binder)
             body = self.render_expr(e.body, names, 0)
             names.pop()
@@ -202,13 +198,18 @@ class _Renderer:
             if e.kind == "forall":
                 return _wrap(f"∀ ({e.binder} : {btype}) → {body}", 0, prec)
             return _wrap(f"∃ λ ({e.binder} : {btype}) → {body}", 0, prec)
-        if isinstance(e, core.Lam):
+        if t is core.NatLit:
+            return str(e.value)
+        if t is core.BoolLit:
+            return "true" if e.value else "false"
+        if t is core.TensorLit:
+            items = " ∷ ".join(self.render_expr(x, names, 0) for x in e.items)
+            return _wrap(f"tensor ({items} ∷ [])", _APP, prec)
+        if t is core.Lam:
             names.append(e.binder)
             body = self.render_expr(e.body, names, 0)
             names.pop()
             return _wrap(f"λ {e.binder} → {body}", 0, prec)
-        if isinstance(e, core.Builtin):
-            return self.render_builtin(e, names, prec)
         raise BackendError(
             "UnrenderableConstruct", f"no prover image for node {type(e).__name__}"
         )

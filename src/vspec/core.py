@@ -138,18 +138,20 @@ class Index(Expr):
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, TensorLit):
-        return e.items
-    if isinstance(e, Builtin):
+    # Exact-type tests, most frequent first: no node class has a subclass.
+    t = type(e)
+    if t is Builtin:
         return e.args
-    if isinstance(e, App):
-        return (e.fn, e.arg)
-    if isinstance(e, (Lam, Quant)):
-        return (e.body,)
-    if isinstance(e, NetworkApp):
-        return (e.arg,)
-    if isinstance(e, Index):
+    if t is Index:
         return (e.tensor, e.index)
+    if t is NetworkApp:
+        return (e.arg,)
+    if t is TensorLit:
+        return e.items
+    if t is App:
+        return (e.fn, e.arg)
+    if t is Lam or t is Quant:
+        return (e.body,)
     return ()
 
 
@@ -172,20 +174,21 @@ def contains_network(e: Expr) -> bool:
 
 def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """Rebuild e with f applied to each immediate child (binder-unaware)."""
-    if isinstance(e, TensorLit):
-        return TensorLit(tuple(f(x) for x in e.items))
-    if isinstance(e, Builtin):
+    t = type(e)
+    if t is Builtin:
         return Builtin(e.op, tuple(f(a) for a in e.args), e.level)
-    if isinstance(e, App):
-        return App(f(e.fn), f(e.arg))
-    if isinstance(e, Lam):
-        return Lam(e.binder, e.binder_type, f(e.body))
-    if isinstance(e, Quant):
-        return Quant(e.kind, e.binder, e.binder_type, f(e.body))
-    if isinstance(e, NetworkApp):
-        return NetworkApp(e.network, f(e.arg))
-    if isinstance(e, Index):
+    if t is Index:
         return Index(f(e.tensor), f(e.index))
+    if t is NetworkApp:
+        return NetworkApp(e.network, f(e.arg))
+    if t is TensorLit:
+        return TensorLit(tuple(f(x) for x in e.items))
+    if t is Quant:
+        return Quant(e.kind, e.binder, e.binder_type, f(e.body))
+    if t is App:
+        return App(f(e.fn), f(e.arg))
+    if t is Lam:
+        return Lam(e.binder, e.binder_type, f(e.body))
     return e
 
 

@@ -62,6 +62,11 @@ class TokenKind(Enum):
     RBRACKET = auto()
     EOF = auto()
 
+    # Members are singletons that compare by identity, so they hash by it
+    # too: ``Enum.__hash__`` hashes the name in Python code, and the parser
+    # looks kinds up in sets and dicts once or more per token.
+    __hash__ = object.__hash__
+
 
 KEYWORDS: dict[str, TokenKind] = {
     "network": TokenKind.KW_NETWORK,
@@ -132,7 +137,11 @@ def tokenize(source: str, path: str | None = None) -> list[Token]:
     """Tokenize UTF-8 source text; raises LexError with position on any
     unrecognised character.  An identifier starts with a letter or ``_``
     and continues with alphanumerics of any script (``str.isalnum``), ``_``
-    and ``'``."""
+    and ``'``.
+
+    Tokens and positions are built by ``tuple.__new__``, which skips the
+    Python-level ``__new__`` that ``NamedTuple`` generates."""
+    new = tuple.__new__
     tokens: list[Token] = []
     line = 1
     line_start = 0  # offset of the first character of the current line
@@ -144,19 +153,20 @@ def tokenize(source: str, path: str | None = None) -> list[Token]:
             line += 1
             line_start = match.end()
         elif group != "skip":
-            pos = SourcePos(line, i - line_start + 1)
+            pos = new(SourcePos, (line, i - line_start + 1))
             ch = source[i]
             if group is None or (group == "word" and not (ch.isalpha() or ch == "_")):
                 raise LexError(f"unrecognised character {ch!r}", path=path, pos=pos)
             text = match.group()
             if group == "word":
-                tokens.append(Token(KEYWORDS.get(text, TokenKind.IDENT), text, pos))
+                token = (KEYWORDS.get(text, TokenKind.IDENT), text, pos, None)
             elif group == "nat":
-                tokens.append(Token(TokenKind.NAT, text, pos, int(text)))
+                token = (TokenKind.NAT, text, pos, int(text))
             elif group == "decimal":
-                tokens.append(Token(TokenKind.DECIMAL, text, pos, parse_decimal(text)))
+                token = (TokenKind.DECIMAL, text, pos, parse_decimal(text))
             else:
-                tokens.append(Token(_OPERATORS[text], text, pos))
+                token = (_OPERATORS[text], text, pos, None)
+            tokens.append(new(Token, token))
         i = match.end()
     tokens.append(Token(TokenKind.EOF, "", SourcePos(line, i - line_start + 1)))
     return tokens

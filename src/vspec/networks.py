@@ -365,10 +365,10 @@ class _ApplicationRewriter:
         # Collect the application spine.
         spine: list[core.Expr] = []
         head = e
-        while isinstance(head, core.App):
+        while type(head) is core.App:  # exact types: no node class has a subclass
             spine.append(head.arg)
             head = head.fn
-        if isinstance(head, core.TopRef) and head.name in self.arity:
+        if type(head) is core.TopRef and head.name in self.arity:
             spine.reverse()
             args = [self.rewrite(a) for a in spine]
             k = self.arity[head.name]

@@ -62,24 +62,26 @@ class _Normaliser:
         self._def_values: dict[str, core.Expr] = {}
 
     def eval(self, e: core.Expr, env: list[core.Expr]) -> core.Expr:
-        if isinstance(e, core.Var):
-            return env[len(env) - 1 - e.index]
-        if isinstance(e, core.Builtin):
+        # Exact-type tests, most frequent first: no node class has a subclass.
+        t = type(e)
+        if t is core.Builtin:
             return _fold(e, tuple(self.eval(a, env) for a in e.args))
-        if isinstance(e, core.TopRef):
-            return self.def_value(e.name)
-        if isinstance(e, core.TensorLit):
-            return core.TensorLit(tuple(self.eval(x, env) for x in e.items))
-        if isinstance(e, core.Lam):
-            return _Binder("lam", e.binder, e.binder_type, lambda v: self.eval(e.body, env + [v]))
-        if isinstance(e, core.App):
-            return _apply(self.eval(e.fn, env), self.eval(e.arg, env))
-        if isinstance(e, core.Quant):
-            return self.eval_quant(e, env)
-        if isinstance(e, core.NetworkApp):
-            return core.NetworkApp(e.network, self.eval(e.arg, env))
-        if isinstance(e, core.Index):
+        if t is core.Var:
+            return env[len(env) - 1 - e.index]
+        if t is core.Index:
             return _index(self.eval(e.tensor, env), self.eval(e.index, env))
+        if t is core.NetworkApp:
+            return core.NetworkApp(e.network, self.eval(e.arg, env))
+        if t is core.Quant:
+            return self.eval_quant(e, env)
+        if t is core.App:
+            return _apply(self.eval(e.fn, env), self.eval(e.arg, env))
+        if t is core.Lam:
+            return _Binder("lam", e.binder, e.binder_type, lambda v: self.eval(e.body, env + [v]))
+        if t is core.TopRef:
+            return self.def_value(e.name)
+        if t is core.TensorLit:
+            return core.TensorLit(tuple(self.eval(x, env) for x in e.items))
         return e  # a literal
 
     def release(self) -> None:
@@ -208,21 +210,22 @@ def _fold(e: core.Builtin, args: tuple[core.Expr, ...]) -> core.Expr:
 
 
 def _quote(v: core.Expr, depth: int) -> core.Expr:
-    if isinstance(v, core.Builtin):
+    t = type(v)
+    if t is core.Builtin:
         return core.Builtin(v.op, tuple(_quote(a, depth) for a in v.args), v.level)
-    if isinstance(v, _Level):
+    if t is _Level:
         return core.Var(depth - 1 - v.level)
-    if isinstance(v, _Binder):
+    if t is _Binder:
         body = _quote(v.instantiate(_Level(depth)), depth + 1)
         if v.kind == "lam":
             return core.Lam(v.binder, v.binder_type, body)
         return core.Quant(v.kind, v.binder, v.binder_type, body)
-    if isinstance(v, core.TensorLit):
-        return core.TensorLit(tuple(_quote(x, depth) for x in v.items))
-    if isinstance(v, core.NetworkApp):
-        return core.NetworkApp(v.network, _quote(v.arg, depth))
-    if isinstance(v, core.Index):
+    if t is core.Index:
         return core.Index(_quote(v.tensor, depth), _quote(v.index, depth))
+    if t is core.NetworkApp:
+        return core.NetworkApp(v.network, _quote(v.arg, depth))
+    if t is core.TensorLit:
+        return core.TensorLit(tuple(_quote(x, depth) for x in v.items))
     return v  # a literal
 
 

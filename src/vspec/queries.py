@@ -174,11 +174,8 @@ def analyse_quantifiers(prop: core.Expr) -> str:
 def _effective_quantifiers(e: core.Expr, positive: bool, seen: set[str]) -> None:
     """Add to ``seen`` the kind each quantifier in ``e`` has once the
     negations above it are pushed inside (``positive`` when there are none)."""
-    if isinstance(e, core.Quant):
-        seen.add(e.kind if positive else ("exists" if e.kind == "forall" else "forall"))
-        _effective_quantifiers(e.body, positive, seen)
-        return
-    if isinstance(e, core.Builtin):
+    t = type(e)
+    if t is core.Builtin:
         if e.op == "not":
             _effective_quantifiers(e.args[0], not positive, seen)
             return
@@ -186,6 +183,10 @@ def _effective_quantifiers(e: core.Expr, positive: bool, seen: set[str]) -> None
             _effective_quantifiers(e.args[0], not positive, seen)
             _effective_quantifiers(e.args[1], positive, seen)
             return
+    elif t is core.Quant:
+        seen.add(e.kind if positive else ("exists" if e.kind == "forall" else "forall"))
+        _effective_quantifiers(e.body, positive, seen)
+        return
     for child in core.children(e):
         _effective_quantifiers(child, positive, seen)
 
@@ -297,6 +298,7 @@ def _rebuild_with_children(e: core.Expr, kids: list[core.Expr]) -> core.Expr:
 # ---------------------------------------------------------------------------
 
 _REL = {"le": "<=", "lt": "<", "ge": ">=", "gt": ">", "eq": "="}
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 # One equation or atom: (comparison tag, lhs, rhs).  A side is a core term,
 # or the input variable on the right of an argument equation.
@@ -364,7 +366,7 @@ def compile_disjunct(d: Disjunct, ctx: NetworkContext) -> LinearQuery | None:
         constant = rc - lc
         if any(terms.values()):
             constraints.append(canonical_constraint(terms, _REL[op], constant))
-        elif not core.CMP_HOLDS[op](Fraction(0), constant):
+        elif not core.CMP_HOLDS[op](_ZERO, constant):
             return None
     return LinearQuery(constraints, MetaNetwork(tuple(numbering.applications)))
 
@@ -384,28 +386,31 @@ class _Numbering:
         self.inputs = self.outputs = 0
 
     def number(self, e: core.Expr) -> None:
-        if isinstance(e, core.Var):
+        cls = type(e)  # exact-type tests: no node class has a subclass
+        if cls is core.Var:
             self.used.add(e.index)
             return
-        if isinstance(e, core.NetworkApp) and e in self.first_output:
+        if cls is core.NetworkApp and e in self.first_output:
             return
         for child in core.children(e):
             self.number(child)
         ctx = self.ctx
-        output = _output_index(e)
-        if output is not None:
-            app, k = output
-            size = ctx[app.network].output_size
-            if k >= size:
-                raise QueryError(
-                    "IndexOutOfBounds",
-                    f"index {k} out of bounds for the outputs of network "
-                    f"{app.network!r} (output count {size})",
-                )
-        if isinstance(e, core.NetworkApp):
-            if isinstance(e.arg, core.TensorLit):
+        if cls is core.Index:
+            output = _output_index(e)
+            if output is not None:
+                app, k = output
+                size = ctx[app.network].output_size
+                if k >= size:
+                    raise QueryError(
+                        "IndexOutOfBounds",
+                        f"index {k} out of bounds for the outputs of network "
+                        f"{app.network!r} (output count {size})",
+                    )
+        elif cls is core.NetworkApp:
+            arg = type(e.arg)
+            if arg is core.TensorLit:
                 items = e.arg.items
-            elif isinstance(e.arg, core.NetworkApp):
+            elif arg is core.NetworkApp:
                 width = ctx[e.arg.network].output_size
                 items = tuple(core.Index(e.arg, core.NatLit(t)) for t in range(width))
             else:
@@ -427,9 +432,10 @@ def _relational(
 ) -> QVar | None:
     """The relational variable ``side`` stands for, if any: an input
     variable, a resolved quantified variable, or ``app ! k``."""
-    if isinstance(side, QVar):
+    t = type(side)
+    if t is QVar:
         return side
-    if isinstance(side, core.Var):
+    if t is core.Var:
         return resolved.get(side.index)
     output = _output_index(side)
     if output is not None:
@@ -444,14 +450,15 @@ def _linearise(
     binders: list[Binder],
 ) -> tuple[dict[QVar, Fraction], Fraction]:
     """``e`` as linear terms and a constant over relational variables."""
-    if isinstance(e, core.RatLit):
+    cls = type(e)  # exact-type tests, most frequent first
+    if cls is core.RatLit:
         return {}, e.value
-    if isinstance(e, core.NatLit):
-        return {}, Fraction(e.value)
     var = _relational(e, resolved, first_output)
     if var is not None:
-        return {var: Fraction(1)}, Fraction(0)
-    if isinstance(e, core.Builtin):
+        return {var: _ONE}, _ZERO
+    if cls is core.NatLit:
+        return {}, Fraction(e.value)
+    if cls is core.Builtin:
         if e.op == "neg":
             t, c = _linearise(e.args[0], resolved, first_output, binders)
             return {v: -k for v, k in t.items()}, -c
@@ -484,16 +491,16 @@ def _add_terms(
 ) -> dict[QVar, Fraction]:
     terms = dict(lt)
     for v, k in rt.items():
-        terms[v] = terms.get(v, Fraction(0)) + sign * k
+        terms[v] = terms.get(v, _ZERO) + sign * k
     return terms
 
 
 def _output_index(e: core.Expr | QVar) -> tuple[core.NetworkApp, int] | None:
     """``(app, k)`` when ``e`` is ``app ! k`` with a literal ``k``."""
     if (
-        isinstance(e, core.Index)
-        and isinstance(e.tensor, core.NetworkApp)
-        and isinstance(e.index, core.NatLit)
+        type(e) is core.Index
+        and type(e.tensor) is core.NetworkApp
+        and type(e.index) is core.NatLit
     ):
         return e.tensor, e.index.value
     return None

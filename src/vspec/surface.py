@@ -222,6 +222,8 @@ class _Parser:
         self.i = 0
 
     def peek(self, ahead: int = 0) -> Token:
+        if not ahead:  # ``next`` never moves past EOF, the last token
+            return self.tokens[self.i]
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
 
     def next(self) -> Token:

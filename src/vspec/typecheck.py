@@ -20,7 +20,6 @@ must the body of a declaration with a declared Bool (co)domain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import core, surface
 from .errors import SourcePos, TypeCheckError
@@ -326,35 +325,10 @@ class _Infer:
 
     def _infer(self, e: surface.SExpr) -> UType:
         chk = self.checker
-        if isinstance(e, surface.SVar):
-            return self.lookup(e.name, e.pos)
-        if isinstance(e, surface.SNum):
+        cls = type(e)  # exact-type tests, most frequent first
+        if cls is surface.SNum:
             return chk.numeric_var()
-        if isinstance(e, surface.STensorLit):
-            if not e.items:
-                raise self.fail("TypeMismatch", "empty tensor literal", e.pos)
-            elem = self.infer(e.items[0])
-            for item in e.items[1:]:
-                chk.unify(self.infer(item), elem, e.pos)
-            resolved = _resolve(elem)
-            n = len(e.items)
-            if isinstance(resolved, TensorT):
-                return TensorT(resolved.elem, (n,) + resolved.dims)
-            return TensorT(elem, (n,))  # type: ignore[arg-type]
-        if isinstance(e, surface.SApp):
-            fn_type = self.infer(e.fn)
-            for arg in e.args:
-                fn_type = _resolve(fn_type)
-                if not isinstance(fn_type, FunT):
-                    raise self.fail(
-                        "TypeMismatch",
-                        f"applied a value of non-function type {_type_str(fn_type)}",
-                        e.pos,
-                    )
-                chk.unify(self.infer(arg), fn_type.dom, e.pos)
-                fn_type = fn_type.cod
-            return fn_type
-        if isinstance(e, surface.SBinOp):
+        if cls is surface.SBinOp:
             if e.op in _ARITH_TAG:
                 lhs = self.infer(e.lhs)
                 rhs = self.infer(e.rhs)
@@ -367,25 +341,41 @@ class _Infer:
             chk.unify(self.infer(e.lhs), PROP, e.pos)
             chk.unify(self.infer(e.rhs), PROP, e.pos)
             return PROP
-        if isinstance(e, surface.SCmp):
+        if cls is surface.SVar:
+            return self.lookup(e.name, e.pos)
+        if cls is surface.SCmp:
             lhs = self.infer(e.lhs)
             rhs = self.infer(e.rhs)
             chk.unify(lhs, rhs, e.pos)
             chk.unify(lhs, chk.numeric_var(), e.pos)
             return PROP
-        if isinstance(e, surface.SNot):
-            chk.unify(self.infer(e.arg), PROP, e.pos)
-            return PROP
-        if isinstance(e, surface.SNeg):
-            arg = self.infer(e.arg)
-            chk.unify(arg, RAT, e.pos)
-            return arg
-        if isinstance(e, surface.SIf):
-            chk.unify(self.infer(e.cond), PROP, e.pos)
-            then = self.infer(e.then)
-            chk.unify(self.infer(e.els), then, e.pos)
-            return then
-        if isinstance(e, surface.SQuant):
+        if cls is surface.SIndex:
+            tensor = _resolve(self.infer(e.tensor))
+            if not isinstance(tensor, TensorT):
+                raise self.fail(
+                    "TypeMismatch",
+                    "cannot determine the tensor type of an indexed expression; "
+                    "annotate the quantifier binder",
+                    e.pos,
+                )
+            chk.unify(self.infer(e.index), NAT, e.pos)
+            if len(tensor.dims) == 1:
+                return tensor.elem
+            return TensorT(tensor.elem, tensor.dims[1:])
+        if cls is surface.SApp:
+            fn_type = self.infer(e.fn)
+            for arg in e.args:
+                fn_type = _resolve(fn_type)
+                if not isinstance(fn_type, FunT):
+                    raise self.fail(
+                        "TypeMismatch",
+                        f"applied a value of non-function type {_type_str(fn_type)}",
+                        e.pos,
+                    )
+                chk.unify(self.infer(arg), fn_type.dom, e.pos)
+                fn_type = fn_type.cod
+            return fn_type
+        if cls is surface.SQuant:
             self.prop_sources += 1
             binder_types: list[UType] = []
             for _, btype in e.binders:
@@ -401,19 +391,29 @@ class _Infer:
             chk.unify(self.infer(e.body), PROP, e.pos)
             del self.env[-len(e.binders) :]
             return PROP
-        if isinstance(e, surface.SIndex):
-            tensor = _resolve(self.infer(e.tensor))
-            if not isinstance(tensor, TensorT):
-                raise self.fail(
-                    "TypeMismatch",
-                    "cannot determine the tensor type of an indexed expression; "
-                    "annotate the quantifier binder",
-                    e.pos,
-                )
-            chk.unify(self.infer(e.index), NAT, e.pos)
-            if len(tensor.dims) == 1:
-                return tensor.elem
-            return TensorT(tensor.elem, tensor.dims[1:])
+        if cls is surface.SNot:
+            chk.unify(self.infer(e.arg), PROP, e.pos)
+            return PROP
+        if cls is surface.SNeg:
+            arg = self.infer(e.arg)
+            chk.unify(arg, RAT, e.pos)
+            return arg
+        if cls is surface.SIf:
+            chk.unify(self.infer(e.cond), PROP, e.pos)
+            then = self.infer(e.then)
+            chk.unify(self.infer(e.els), then, e.pos)
+            return then
+        if cls is surface.STensorLit:
+            if not e.items:
+                raise self.fail("TypeMismatch", "empty tensor literal", e.pos)
+            elem = self.infer(e.items[0])
+            for item in e.items[1:]:
+                chk.unify(self.infer(item), elem, e.pos)
+            resolved = _resolve(elem)
+            n = len(e.items)
+            if isinstance(resolved, TensorT):
+                return TensorT(resolved.elem, (n,) + resolved.dims)
+            return TensorT(elem, (n,))  # type: ignore[arg-type]
         raise AssertionError(e)
 
     # -- pass 2 ---------------------------------------------------------
@@ -431,12 +431,8 @@ class _Infer:
         position.  Operands of applications, arithmetic, comparisons and
         indexing are at "prop"; of these, only a formula argument of a
         function has a level to take."""
-        if isinstance(e, surface.SVar):
-            for i, (bname, _) in enumerate(reversed(self.env)):
-                if bname == e.name:
-                    return core.Var(i)
-            return core.TopRef(e.name)
-        if isinstance(e, surface.SNum):
+        cls = type(e)  # exact-type tests, most frequent first
+        if cls is surface.SNum:
             t = self.final_type(e)
             if t == NAT:
                 if e.value.denominator != 1 or e.value < 0:
@@ -444,38 +440,29 @@ class _Infer:
                         "TypeMismatch", f"{e.value} is not a natural number", e.pos
                     )
                 return core.NatLit(int(e.value))
-            return core.RatLit(Fraction(e.value))
-        if isinstance(e, surface.STensorLit):
-            return core.TensorLit(tuple(self.build(x, "prop") for x in e.items))
-        if isinstance(e, surface.SApp):
-            expr: core.Expr = self.build(e.fn, "prop")
-            for arg in e.args:
-                expr = core.App(expr, self.build(arg, "prop"))
-            return expr
-        if isinstance(e, surface.SBinOp):
+            return core.RatLit(e.value)
+        if cls is surface.SBinOp:
             if e.op in _ARITH_TAG:
                 args = (self.build(e.lhs, "prop"), self.build(e.rhs, "prop"))
                 return core.Builtin(_ARITH_TAG[e.op], args)
             args = (self.build(e.lhs, level), self.build(e.rhs, level))
             return core.Builtin(_LOGIC_TAG[e.op], args, level)
-        if isinstance(e, surface.SCmp):
+        if cls is surface.SVar:
+            for i, (bname, _) in enumerate(reversed(self.env)):
+                if bname == e.name:
+                    return core.Var(i)
+            return core.TopRef(e.name)
+        if cls is surface.SCmp:
             args = (self.build(e.lhs, "prop"), self.build(e.rhs, "prop"))
             return core.Builtin(_CMP_TAG[e.op], args, level)
-        if isinstance(e, surface.SNot):
-            return core.Builtin("not", (self.build(e.arg, level),), level)
-        if isinstance(e, surface.SNeg):
-            return core.Builtin("neg", (self.build(e.arg, "prop"),))
-        if isinstance(e, surface.SIf):
-            if id(e.cond) in self.forces_prop:
-                self.prop_condition = True
-            args = (
-                self.build(e.cond, "bool"),
-                self.build(e.then, level),
-                self.build(e.els, level),
-            )
-            is_formula = self.final_type(e) in (BOOL, PROP)
-            return core.Builtin("if", args, level if is_formula else None)
-        if isinstance(e, surface.SQuant):
+        if cls is surface.SIndex:
+            return core.Index(self.build(e.tensor, "prop"), self.build(e.index, "prop"))
+        if cls is surface.SApp:
+            expr: core.Expr = self.build(e.fn, "prop")
+            for arg in e.args:
+                expr = core.App(expr, self.build(arg, "prop"))
+            return expr
+        if cls is surface.SQuant:
             binder_types = self.checker.binder_types[id(e)]
             final: list[VType] = []
             for t, (name, _) in zip(binder_types, e.binders):
@@ -495,6 +482,20 @@ class _Infer:
             for (name, _), t in reversed(list(zip(e.binders, final))):
                 body = core.Quant(e.kind, name, t, body)
             return body
-        if isinstance(e, surface.SIndex):
-            return core.Index(self.build(e.tensor, "prop"), self.build(e.index, "prop"))
+        if cls is surface.SNot:
+            return core.Builtin("not", (self.build(e.arg, level),), level)
+        if cls is surface.SNeg:
+            return core.Builtin("neg", (self.build(e.arg, "prop"),))
+        if cls is surface.SIf:
+            if id(e.cond) in self.forces_prop:
+                self.prop_condition = True
+            args = (
+                self.build(e.cond, "bool"),
+                self.build(e.then, level),
+                self.build(e.els, level),
+            )
+            is_formula = self.final_type(e) in (BOOL, PROP)
+            return core.Builtin("if", args, level if is_formula else None)
+        if cls is surface.STensorLit:
+            return core.TensorLit(tuple(self.build(x, "prop") for x in e.items))
         raise AssertionError(e)

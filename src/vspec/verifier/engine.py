@@ -47,9 +47,13 @@ coordinate, so it is an LP over the inputs alone, its rows the query
 rows and one sign row per ReLU in node order.  It has no parent: ``lp``
 extends its seed tableau by every row, so the witness depends only on
 the query and the leaf's phases (Bland's rule is deterministic), not on
-the search, its branching order or which phases bounds fixed; it is
-always feasible.  A query with no free ReLU is the search with zero
-branches: its root is that leaf LP, and its point the witness.
+the search or its branching order; it is always feasible.  Which phases
+bounds fixed can move the leaf in one corner: a ReLU whose pre-activation
+has a lower bound of exactly 0 is fixed Active, although Inactive
+(``pre = 0``) is feasible too, and the walk, left to choose, could take
+Inactive and so reach another leaf.  A query with no free ReLU is the
+search with zero branches: its root is that leaf LP, and its point the
+witness.
 
 Every LP goes through the module attribute ``feasible``.
 """

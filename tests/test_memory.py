@@ -1,5 +1,7 @@
 """The front end's memory: IR nodes carry no instance dict, and every
 intermediate is freed by reference counting, never by the cyclic collector.
+Also what the IR node classes promise the passes: frozen dataclass
+semantics, and no subclasses to slip past their exact-type dispatch.
 """
 
 import contextlib
@@ -117,6 +119,73 @@ def test_frozen_dataclasses_exist_once():
         for cls in _frozen_dataclasses()
     }
     assert {cls: other for cls, other in held.items() if other} == {}
+
+
+def _sample(cls) -> tuple[list, list]:
+    """Distinct hashable values for the fields of ``cls``, and its defaults."""
+    values = [f"{f.name}-{i}" for i, f in enumerate(dataclasses.fields(cls))]
+    defaults = [
+        f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING
+    ]
+    return values, defaults
+
+
+def test_frozen_dataclasses_keep_the_dataclass_guarantees():
+    """``types.frozen_dataclass`` generates its own ``__init__``: it must
+    construct what ``dataclass`` would, and the instances stay frozen."""
+    for cls in _frozen_dataclasses():
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        values, defaults = _sample(cls)
+        positional = cls(*values)
+        keyword = cls(**dict(zip(names, values)))
+        assert positional == keyword, cls
+        assert hash(positional) == hash(keyword) == hash(tuple(values)), cls
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, values))
+        assert repr(positional) == repr(keyword) == f"{cls.__qualname__}({shown})", cls
+        if defaults:
+            required = values[: len(values) - len(defaults)]
+            assert cls(*required) == cls(*required, *defaults), cls
+            assert repr(cls(*required)) == repr(cls(*required, *defaults)), cls
+        reference = dataclasses.make_dataclass(
+            cls.__name__, [(f.name, f.type, f.default) for f in fields], frozen=True
+        )
+        assert inspect.signature(cls) == inspect.signature(reference), cls
+        for name in names + ["not_a_field"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(positional, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(positional, name)
+        assert [getattr(positional, n) for n in names] == values, cls
+
+
+def test_qvars_still_order():
+    from vspec.queries import QVar
+
+    assert QVar("x", 2) < QVar("y", 0) and QVar("y", 0) > QVar("x", 9)
+    assert QVar("x", 1) <= QVar("x", 1) < QVar("x", 2)
+    shuffled = [QVar("y", 1), QVar("x", 3), QVar("y", 0), QVar("x", 0)]
+    assert sorted(shuffled) == [QVar("x", 0), QVar("x", 3), QVar("y", 0), QVar("y", 1)]
+
+
+def test_dispatched_node_classes_have_no_subclass():
+    """The passes dispatch on ``type(node) is Cls``, which a subclass of
+    ``Cls`` would slip past; so no node class may have one.  The bases
+    ``Expr``, ``SExpr``, ``SType`` and ``VType`` are never dispatched on."""
+    from vspec import core, normalise, queries, surface, types
+
+    _frozen_dataclasses()  # imports every module, so every subclass exists
+    bases = (core.Expr, surface.SExpr, surface.SType, types.VType)
+    nodes = {
+        cls
+        for module in (core, surface, types, normalise)
+        for _, cls in inspect.getmembers(module, inspect.isclass)
+        if issubclass(cls, bases) and cls not in bases
+    }
+    nodes.add(queries.QVar)
+    names = {cls.__qualname__ for cls in nodes}
+    assert {"Builtin", "Var", "SNum", "SIndex", "TensorT", "_Level", "_Binder"} <= names
+    assert {cls: cls.__subclasses__() for cls in nodes if cls.__subclasses__()} == {}
 
 
 def _compile_peak(spec, networks) -> int:

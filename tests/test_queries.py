@@ -714,20 +714,20 @@ def test_negated_if_condition_compiles_to_an_equation(tmp_path):
 
 
 def _front_end_calls(conjuncts, net_path):
-    """Python function calls made from source text to the query plan of an
-    n-conjunct chain: parse, type-check, network analysis, pruning and
-    query compilation."""
+    """Function calls made from source text to the query plan of an
+    n-conjunct chain (parse, type-check, network analysis, pruning and
+    query compilation): ``call`` counts calls of Python functions and
+    ``c_call`` those of builtins, such as ``isinstance``."""
     atoms = " and ".join(f"x ! {k % 2} <= {k}" for k in range(conjuncts))
     source = (
         "type InputVector = Tensor Rat [2]\n\nnetwork net : InputVector -> Rat\n\n"
         f"chain : Prop\nchain = forall (x : InputVector) . {atoms} => net x <= 0\n"
     )
-    calls = 0
+    calls = {"call": 0, "c_call": 0}
 
     def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
+        if event in calls:
+            calls[event] += 1
 
     sys.setprofile(count)
     try:
@@ -740,14 +740,33 @@ def _front_end_calls(conjuncts, net_path):
     return calls
 
 
-def test_front_end_scales_linearly_with_the_chain_length(tmp_path):
+@pytest.fixture(scope="module")
+def chain_calls(tmp_path_factory):
+    """The front end's calls on chains of 150 and of 300 conjuncts."""
+    net = tmp_path_factory.mktemp("chain") / "net.vnet"
+    net.write_text("vnet 1\ninput 2\naffine 1 2\n1 1\n0\n")
+    return _front_end_calls(150, str(net)), _front_end_calls(300, str(net))
+
+
+def test_front_end_scales_linearly_with_the_chain_length(chain_calls):
     # Deterministic: counts calls, not time.  Doubling the chain must at
     # most double the work of the whole front end, give or take the fixed
     # cost of the header and the network file.
-    net = tmp_path / "net.vnet"
-    net.write_text("vnet 1\ninput 2\naffine 1 2\n1 1\n0\n")
-    small, large = _front_end_calls(150, str(net)), _front_end_calls(300, str(net))
-    assert large / small <= 2.2, (small, large)
+    small, large = chain_calls
+    for event in ("call", "c_call"):
+        assert large[event] / small[event] <= 2.2, (event, small, large)
+
+
+# Calls per conjunct on CPython 3.11, measured from the 150- to the
+# 300-conjunct chain (221 Python and 170 builtin calls), plus about 5%.
+CALLS_PER_CONJUNCT = {"call": 232, "c_call": 179}
+
+
+def test_front_end_calls_per_conjunct_are_bounded(chain_calls):
+    small, large = chain_calls
+    per_conjunct = {event: (large[event] - small[event]) / 150 for event in small}
+    over = {e: n for e, n in per_conjunct.items() if n > CALLS_PER_CONJUNCT[e]}
+    assert over == {}, (per_conjunct, CALLS_PER_CONJUNCT)
 
 
 def test_running_example_compiles_to_two_queries(controller_spec, controller_net):
