@@ -82,7 +82,7 @@ UType = object  # VType | _UVar
 
 
 def _resolve(t: UType) -> UType:
-    while isinstance(t, _UVar) and t.link is not None:
+    while type(t) is _UVar and t.link is not None:
         t = t.link
     return t
 
@@ -125,18 +125,18 @@ class _Checker:
         a, b = _resolve(a), _resolve(b)
         if a is b:
             return
-        if isinstance(a, _UVar):
+        if type(a) is _UVar:
             if _occurs(a, b):
                 raise self.error("TypeMismatch", "infinite type", pos)
-            if a.must_numeric and not isinstance(b, _UVar) and not is_numeric(b):  # type: ignore[arg-type]
+            if a.must_numeric and type(b) is not _UVar and not is_numeric(b):  # type: ignore[arg-type]
                 raise self.error(
                     "TypeMismatch", f"expected a numeric type, found {_type_str(b)}", pos
                 )
-            if isinstance(b, _UVar):
+            if type(b) is _UVar:
                 b.must_numeric = b.must_numeric or a.must_numeric
             a.link = b
             return
-        if isinstance(b, _UVar):
+        if type(b) is _UVar:
             self.unify(b, a, pos)
             return
         if isinstance(a, Scalar) and isinstance(b, Scalar) and a.kind == b.kind:
@@ -156,6 +156,15 @@ class _Checker:
         v = _UVar()
         v.must_numeric = True
         return v
+
+    def require_numeric(self, t: UType, pos: SourcePos | None) -> None:
+        """Require ``t`` to be numeric: an unresolved variable is marked,
+        any other type must be one already."""
+        t = _resolve(t)
+        if type(t) is _UVar:
+            t.must_numeric = True
+        elif not is_numeric(t):  # type: ignore[arg-type]
+            raise self.error("TypeMismatch", f"expected a numeric type, found {_type_str(t)}", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +342,7 @@ class _Infer:
                 lhs = self.infer(e.lhs)
                 rhs = self.infer(e.rhs)
                 chk.unify(lhs, rhs, e.pos)
-                chk.unify(lhs, chk.numeric_var(), e.pos)
+                chk.require_numeric(lhs, e.pos)
                 if e.op == "/":
                     chk.unify(lhs, RAT, e.pos)
                 return lhs
@@ -347,7 +356,7 @@ class _Infer:
             lhs = self.infer(e.lhs)
             rhs = self.infer(e.rhs)
             chk.unify(lhs, rhs, e.pos)
-            chk.unify(lhs, chk.numeric_var(), e.pos)
+            chk.require_numeric(lhs, e.pos)
             return PROP
         if cls is surface.SIndex:
             tensor = _resolve(self.infer(e.tensor))

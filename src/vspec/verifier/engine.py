@@ -1,50 +1,52 @@
 """Sound-and-complete decision procedure for linear queries over
 piecewise-linear (affine/ReLU) networks.
 
-The metanetwork is unrolled into variables and equality constraints; each
-ReLU node is a case split (Inactive: pre <= 0, post = 0; Active: pre >= 0,
-post = pre).  Interval bound propagation over the query's input box fixes
-phases whose pre-activation cannot straddle zero.
+One forward pass over each application's layers (``_forward``) writes
+every unit as an affine form over the free coordinates and, over the
+query's input box, bounds it by interval arithmetic.  Each ReLU is a case
+split (Inactive: pre <= 0, post = 0; Active: pre >= 0, post = pre).  At a
+ReLU, ``_fixed_phase`` fixes the phase where the pre-activation's interval
+cannot straddle zero; otherwise the ReLU is free, and its output becomes
+a new coordinate.
 
-The remaining ("free") ReLUs are decided by one depth-first
-branch-and-bound search (``_search``).  It branches on the ReLU whose
-output exceeds ``max(pre, 0)`` most at the point of the node's LP,
-trying first the phase of ``pre``'s sign there (the idea of BaBSR, Bunel
-et al. 2020).  When no gap is positive, the point is an exact network
-point that satisfies the query, and the search stops.  When it runs out,
-the query is unsatisfiable: every branching order refutes the same phase
-regions.  The witness comes from the lexicographically least feasible
-phase assignment (Inactive before Active, in node order), which the walk
-(``_walk``) reaches from that point, so it does not depend on the
-branching order either.
+The free ReLUs are decided by one depth-first branch-and-bound search
+(``_search``).  It branches on the ReLU whose output exceeds ``max(pre,
+0)`` most at the point of the node's LP, trying first the phase of
+``pre``'s sign there (the idea of BaBSR, Bunel et al. 2020).  When no gap
+is positive, the point is an exact network point that satisfies the
+query, and the search stops.  When it runs out, the query is
+unsatisfiable: every branching order refutes the same phase regions.  The
+witness comes from the lexicographically least feasible phase assignment
+(Inactive before Active, in node order), which the walk (``_walk``)
+reaches from that point, so it does not depend on the branching order
+either.
 
 The search runs in free coordinates, the network inputs and the outputs
-of the free ReLUs: every other variable is an affine form over them
-(``free_coordinate_forms``), so the search LPs carry none of the
-network's equalities, and a node's LP is feasible exactly when the LP
-over all variables is.  A coordinate gets one tableau column, not a
-``+``/``-`` pair, where it is nonnegative (``LPProblem.nonneg``): a free
-ReLU's output, and an input whose box has a lower bound ``l``, shifted
-to ``x - l`` (its form is the coordinate plus ``l``).  The root LP is the
-query rows and the fixed phases' sign rows plus the triangle relaxation
-of every free ReLU (Ehlers 2017): ``post >= 0`` (the coordinate's sign),
-``post >= pre`` and, when both interval bounds ``l < 0 < u`` are known,
-``post <= u (pre - l) / (u - l)``.  A non-strict row that only restates a
-coordinate's sign, such as the shifted ``x - l >= 0``, is dropped; a
-strict ``x > l`` stays.  A child adds one row to its parent's LP, its
-ReLU's upper face for the phase: ``post <= 0`` (Inactive) or ``post <=
-pre`` (Active).  With the lower faces, that row gives exactly the
-phase's region: ``0 <= post <= 0`` and ``pre <= post`` is ``post = 0,
-pre <= 0``; ``pre <= post <= pre`` and ``0 <= post`` is ``post = pre,
-pre >= 0``.  The child is solved warm from the parent's final tableau;
-an infeasible node prunes its subtree.  Every point of a leaf's phase
-region satisfies the triangle rows, so a leaf is feasible exactly when
-its phase region is.
+of the free ReLUs: every unit is an affine form over them, so the search
+LPs carry none of the network's equalities, and a node's LP is feasible
+exactly when the LP over all units is.  A coordinate gets one tableau
+column, not a ``+``/``-`` pair, where it is nonnegative
+(``LPProblem.nonneg``): a free ReLU's output, and an input whose box has
+a lower bound ``l``, shifted to ``x - l`` (its form is the coordinate plus
+``l``).  The root LP is the query rows and the fixed phases' sign rows
+plus the triangle relaxation of every free ReLU (Ehlers 2017): ``post >=
+0`` (the coordinate's sign), ``post >= pre`` and, when both interval
+bounds ``l < 0 < u`` are known, ``post <= u (pre - l) / (u - l)``.  A
+non-strict row that only restates a coordinate's sign, such as the
+shifted ``x - l >= 0``, is dropped; a strict ``x > l`` stays.  A child
+adds one row to its parent's LP, its ReLU's upper face for the phase:
+``post <= 0`` (Inactive) or ``post <= pre`` (Active).  With the lower
+faces, that row gives exactly the phase's region: ``0 <= post <= 0`` and
+``pre <= post`` is ``post = 0, pre <= 0``; ``pre <= post <= pre`` and ``0
+<= post`` is ``post = pre, pre >= 0``.  The child is solved warm from the
+parent's final tableau; an infeasible node prunes its subtree.  Every
+point of a leaf's phase region satisfies the triangle rows, so a leaf is
+feasible exactly when its phase region is.
 
-The witness is the point of the walk's leaf LP, built as the root is
-(``_region``) but with every phase fixed: no ReLU output is then a
-coordinate, so it is an LP over the inputs alone, its rows the query
-rows and one sign row per ReLU in node order.  It has no parent: ``lp``
+The witness is the point of the walk's leaf LP, built as the root is but
+from a second pass with every phase given: no ReLU output is then a
+coordinate, so it is an LP over the inputs alone, its rows the query rows
+and one sign row per ReLU in node order.  It has no parent: ``lp``
 extends its seed tableau by every row, so the witness depends only on
 the query and the leaf's phases (Bland's rule is deterministic), not on
 the search or its branching order; it is always feasible.  Which phases
@@ -60,14 +62,13 @@ Every LP goes through the module attribute ``feasible``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from ..errors import VerifyError
-from ..networks import Affine, NetworkContext
+from ..networks import Affine, NetworkContext, Relu
 from ..queries import FLIP_REL, LinearQuery, MetaNetwork, QVar
-from ..types import frozen_dataclass
 from ..verdicts import Sat, Unsat, Verdict
 from .lp import LPConstraint, LPProblem, feasible
 
@@ -76,98 +77,30 @@ DEFAULT_PHASE_BUDGET = 20
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-
-@frozen_dataclass
-class ReluNode:
-    """One ReLU case split: post = max(pre, 0)."""
-
-    node_id: int
-    pre_var: int
-    post_var: int
-
-
-@dataclass
-class Skeleton:
-    """Variables and network definitions of an unrolled metanetwork."""
-
-    num_vars: int
-    qvar_ids: dict[QVar, int]
-    relu_nodes: list[ReluNode]
-    # The network, in forward order: ("affine", out_var, terms, bias) for
-    # out_var = bias + sum(w * v for v, w in terms), a layerless model's
-    # y = x included, or ("relu", node_id).
-    events: list[tuple]
-
-
-def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> Skeleton:
-    """Introduce hidden variables per layer; affine layers define their
-    outputs, ReLU nodes become case splits."""
-    qvar_ids: dict[QVar, int] = {}
-    counter = 0
-
-    def fresh() -> int:
-        nonlocal counter
-        counter += 1
-        return counter - 1
-
-    for i in range(meta.total_inputs):
-        qvar_ids[QVar("x", i)] = fresh()
-    for j in range(meta.total_outputs):
-        qvar_ids[QVar("y", j)] = fresh()
-
-    relu_nodes: list[ReluNode] = []
-    events: list[tuple] = []
-
-    in_off = meta.input_offsets
-    out_off = meta.output_offsets
-    for a, (name, m, n) in enumerate(meta.applications):
-        model = ctx[name].model
-        current = [qvar_ids[QVar("x", in_off[a] + t)] for t in range(m)]
-        y_ids = [qvar_ids[QVar("y", out_off[a] + t)] for t in range(n)]
-        last = len(model.layers) - 1
-        for index, layer in enumerate(model.layers):
-            # The final layer writes directly into the output variables.
-            if isinstance(layer, Affine):
-                new = y_ids if index == last else [fresh() for _ in range(layer.out_width)]
-                for r, (row, b) in enumerate(zip(layer.weights, layer.bias)):
-                    terms = tuple(
-                        (current[cidx], w) for cidx, w in enumerate(row) if w != 0
-                    )
-                    events.append(("affine", new[r], terms, b))
-                current = new
-            else:
-                new = y_ids if index == last else [fresh() for _ in range(layer.width)]
-                for pre, post in zip(current, new):
-                    node = ReluNode(len(relu_nodes), pre, post)
-                    relu_nodes.append(node)
-                    events.append(("relu", node.node_id))
-                current = new
-        if not model.layers:
-            for x_id, y_id in zip(current, y_ids):
-                events.append(("affine", y_id, ((x_id, ONE),), ZERO))
-    return Skeleton(counter, qvar_ids, relu_nodes, events)
-
-
-# ---------------------------------------------------------------------------
-# Interval bound propagation
-# ---------------------------------------------------------------------------
-
 Interval = tuple[Fraction | None, Fraction | None]  # None = unbounded
+Form = tuple[dict[int, Fraction], Fraction]  # coefficient per coordinate, constant
 
 
-def _input_box(query: LinearQuery, skeleton: Skeleton) -> dict[int, Interval]:
-    """Extract per-variable closed bounds from single-term constraints."""
-    bounds: dict[int, Interval] = {}
+# ---------------------------------------------------------------------------
+# One forward pass
+# ---------------------------------------------------------------------------
+
+
+def _input_box(query: LinearQuery) -> list[Interval]:
+    """Each input's closed bounds from the single-term rows over it.  An
+    output is never a pre-activation, so its bounds fix no phase."""
+    box: list[Interval] = [(None, None)] * query.meta.total_inputs
     for c in query.constraints:
         if len(c.terms) != 1:
             continue
         (var, coeff), = c.terms
-        vid = skeleton.qvar_ids[var]
+        if var.kind != "x":
+            continue
         value = c.constant / coeff
         rel = c.relation
         if coeff < 0:  # dividing by a negative coefficient flips the relation
             rel = FLIP_REL[rel]
-        lo, hi = bounds.get(vid, (None, None))
+        lo, hi = box[var.index]
         if rel in ("<=", "<"):
             hi = value if hi is None else min(hi, value)
         elif rel in (">=", ">"):
@@ -175,100 +108,115 @@ def _input_box(query: LinearQuery, skeleton: Skeleton) -> dict[int, Interval]:
         else:
             lo = value if lo is None else max(lo, value)
             hi = value if hi is None else min(hi, value)
-        bounds[vid] = (lo, hi)
-    return bounds
+        box[var.index] = (lo, hi)
+    return box
 
 
-def propagate_bounds(
-    skeleton: Skeleton, query: LinearQuery
-) -> tuple[dict[int, Interval], dict[int, str]]:
-    """Interval arithmetic through affine rows and ReLU clamping.
+def _fixed_phase(lo: Fraction | None, hi: Fraction | None) -> str | None:
+    """The phase of a ReLU whose pre-activation lies in ``[lo, hi]``:
+    Inactive where ``hi <= 0``, Active where ``lo >= 0`` (the boundary
+    ``pre = 0`` agrees in both phases), None (free) where it may straddle
+    zero."""
+    if hi is not None and hi <= 0:
+        return "inactive"
+    if lo is not None and lo >= 0:
+        return "active"
+    return None
 
-    Returns per-variable intervals and the phases fixed by them: a ReLU
-    whose pre-activation upper bound is <= 0 is Inactive, lower bound >= 0
-    Active (the boundary pre = 0 agrees in both phases).
-    """
-    intervals: dict[int, Interval] = dict.fromkeys(range(skeleton.num_vars), (None, None))
-    intervals.update(_input_box(query, skeleton))
-    fixed: dict[int, str] = {}
 
-    # Events are recorded in forward order, so one sweep suffices.
-    for event in skeleton.events:
-        if event[0] == "affine":
-            _, vid, terms, bias = event
-            lo: Fraction | None = bias
-            hi: Fraction | None = bias
-            for src, w in terms:
-                slo, shi = intervals[src]
-                if w > 0:
-                    lo = None if (lo is None or slo is None) else lo + w * slo
-                    hi = None if (hi is None or shi is None) else hi + w * shi
+class _Pass(NamedTuple):
+    """What one forward pass finds, every ReLU in node order: application
+    by application, layer by layer."""
+
+    free: list[tuple[Form, Interval, int]]  # per free ReLU: pre form, interval, output coordinate
+    phases: list[str | None]  # per ReLU: its fixed phase, None where free
+    signs: list[LPConstraint]  # the sign row of each fixed ReLU
+    inputs: list[Form]  # per input variable x_i
+    outputs: list[Form]  # per output variable y_j
+    num_coords: int
+    nonneg: frozenset[int]  # the shifted inputs and the free ReLUs' outputs
+
+
+def _forward(
+    meta: MetaNetwork,
+    ctx: NetworkContext,
+    box: list[Interval],
+    phases: list[str] | None = None,
+) -> _Pass:
+    """One pass over the layers of each application of ``meta``.
+
+    The coordinates are the inputs (coordinate ``i`` is input ``i`` minus
+    its lower bound in ``box``, or input ``i`` itself without one) and then
+    the outputs of the free ReLUs, in node order.  Every unit gets its form
+    over them, which holds no zero coefficient, and, unless ``phases`` is
+    given, its interval over ``box``.  A ReLU's phase is ``phases[node]``
+    where given, else ``_fixed_phase`` of its pre-activation's interval.
+    The output of a ReLU with no phase is a new coordinate, nonnegative
+    like a shifted input."""
+    inputs: list[Form] = [({i: ONE}, ZERO if lo is None else lo) for i, (lo, _) in enumerate(box)]
+    outputs: list[Form] = []
+    free: list[tuple[Form, Interval, int]] = []
+    fixed: list[str | None] = [] if phases is None else phases
+    signs: list[LPConstraint] = []
+    count = len(inputs)
+    node = 0
+    in_off = meta.input_offsets
+    for a, (name, m, _) in enumerate(meta.applications):
+        forms = inputs[in_off[a] : in_off[a] + m]
+        bounds = None if phases is not None else box[in_off[a] : in_off[a] + m]
+        for layer in ctx[name].model.layers:
+            if type(layer) is Affine:
+                new_forms, new_bounds = [], []
+                for row, bias in zip(layer.weights, layer.bias):
+                    terms = [(j, w) for j, w in enumerate(row) if w]
+                    new_forms.append(_combine(terms, bias, forms))
+                    if bounds is None:
+                        continue
+                    lo: Fraction | None = bias
+                    hi: Fraction | None = bias
+                    for j, w in terms:
+                        slo, shi = bounds[j]
+                        if w > 0:
+                            lo = None if (lo is None or slo is None) else lo + w * slo
+                            hi = None if (hi is None or shi is None) else hi + w * shi
+                        else:
+                            lo = None if (lo is None or shi is None) else lo + w * shi
+                            hi = None if (hi is None or slo is None) else hi + w * slo
+                    new_bounds.append((lo, hi))
+                forms = new_forms
+                if bounds is not None:
+                    bounds = new_bounds
+                continue
+            new_forms, new_bounds = [], []
+            for j, pre in enumerate(forms):
+                if bounds is None:
+                    phase = phases[node]
                 else:
-                    lo = None if (lo is None or shi is None) else lo + w * shi
-                    hi = None if (hi is None or slo is None) else hi + w * slo
-            old_lo, old_hi = intervals[vid]
-            intervals[vid] = (
-                lo if old_lo is None else (old_lo if lo is None else max(lo, old_lo)),
-                hi if old_hi is None else (old_hi if hi is None else min(hi, old_hi)),
-            )
-        else:
-            node = skeleton.relu_nodes[event[1]]
-            plo, phi = intervals[node.pre_var]
-            if phi is not None and phi <= 0:
-                fixed[node.node_id] = "inactive"
-                intervals[node.post_var] = (ZERO, ZERO)
-            elif plo is not None and plo >= 0:
-                fixed[node.node_id] = "active"
-                intervals[node.post_var] = (plo, phi)
-            else:
-                intervals[node.post_var] = (ZERO, phi)
-    return intervals, fixed
+                    lo, hi = bounds[j]
+                    phase = _fixed_phase(lo, hi)
+                    fixed.append(phase)
+                    if phase is None:
+                        new_bounds.append((ZERO, hi))
+                    else:
+                        new_bounds.append((ZERO, ZERO) if phase == "inactive" else (lo, hi))
+                node += 1
+                if phase is None:
+                    free.append((pre, (lo, hi), count))
+                    new_forms.append(({count: ONE}, ZERO))
+                    count += 1
+                    continue
+                signs.append(_sign_row(pre, phase))
+                new_forms.append(pre if phase == "active" else ({}, ZERO))
+            forms = new_forms
+            if bounds is not None:
+                bounds = new_bounds
+        outputs += forms
+    lower = (i for i, (lo, _) in enumerate(box) if lo is not None)
+    nonneg = frozenset(lower).union(range(len(inputs), count))
+    return _Pass(free, fixed, signs, inputs, outputs, count, nonneg)
 
 
-# ---------------------------------------------------------------------------
-# Free coordinates
-# ---------------------------------------------------------------------------
-
-Form = tuple[dict[int, Fraction], Fraction]  # coefficient per coordinate, constant
-
-
-def free_coordinate_forms(
-    skeleton: Skeleton, fixed: dict[int, str], lower: dict[int, Fraction]
-) -> tuple[int, dict[int, Form]]:
-    """The number of free coordinates, and every variable as an affine form
-    over them.
-
-    The free coordinates are the network inputs (coordinate ``v`` is input
-    variable ``v`` minus its lower bound ``lower[v]``, or ``v`` itself
-    without one; unrolling numbers the inputs first) and then the outputs
-    of the ReLUs that ``fixed`` leaves free, in node order.  The equalities
-    and the fixed phases determine every other variable.  A form holds no
-    zero coefficient.
-    """
-    forms: dict[int, Form] = {
-        vid: ({vid: ONE}, lower.get(vid, ZERO))
-        for qv, vid in skeleton.qvar_ids.items()
-        if qv.kind == "x"
-    }
-    count = len(forms)
-    for event in skeleton.events:
-        if event[0] == "affine":
-            _, vid, terms, bias = event
-            forms[vid] = _combine(terms, bias, forms)
-            continue
-        node = skeleton.relu_nodes[event[1]]
-        phase = fixed.get(node.node_id)
-        if phase is None:
-            forms[node.post_var] = ({count: ONE}, ZERO)
-            count += 1
-        elif phase == "inactive":
-            forms[node.post_var] = ({}, ZERO)
-        else:
-            forms[node.post_var] = forms[node.pre_var]
-    return count, forms
-
-
-def _combine(terms, constant: Fraction, forms: dict[int, Form]) -> Form:
+def _combine(terms, constant: Fraction, forms: list[Form]) -> Form:
     """``constant + sum(k * forms[v] for v, k in terms)``."""
     coeffs: dict[int, Fraction] = {}
     for v, k in terms:
@@ -281,15 +229,31 @@ def _combine(terms, constant: Fraction, forms: dict[int, Form]) -> Form:
     return {c: a for c, a in coeffs.items() if a}, constant
 
 
-def _in_free_coordinates(
-    c: LPConstraint, forms: dict[int, Form], num_inputs: int
-) -> LPConstraint:
-    """``c`` over the free coordinates; a row over unshifted inputs alone
-    already is."""
-    if all(v < num_inputs and not forms[v][1] for v, _ in c.terms):
-        return c
-    coeffs, constant = _combine(c.terms, ZERO, forms)
-    return LPConstraint(tuple(coeffs.items()), c.relation, c.rhs - constant)
+# Kept for ``perfbench/tracing._count_engine`` alone, which counts free
+# ReLUs through them, until ROADMAP item 2 gives the program its own
+# counters.
+
+
+def unroll_meta_network(meta: MetaNetwork, ctx: NetworkContext) -> SimpleNamespace:
+    """The query's networks, with one entry per ReLU in ``relu_nodes``."""
+    count = sum(
+        layer.width
+        for name, _, _ in meta.applications
+        for layer in ctx[name].model.layers
+        if type(layer) is Relu
+    )
+    return SimpleNamespace(meta=meta, ctx=ctx, relu_nodes=range(count))
+
+
+def propagate_bounds(
+    unrolled: SimpleNamespace, query: LinearQuery
+) -> tuple[dict[int, Interval], dict[int, str]]:
+    """The pre-activation interval of each free ReLU and the phase of each
+    fixed one, by node."""
+    run = _forward(unrolled.meta, unrolled.ctx, _input_box(query))
+    free = [node for node, phase in enumerate(run.phases) if phase is None]
+    intervals = {node: interval for node, (_, interval, _) in zip(free, run.free)}
+    return intervals, {node: phase for node, phase in enumerate(run.phases) if phase}
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +263,24 @@ def _in_free_coordinates(
 PHASES = ("inactive", "active")
 
 
-def _query_constraints(query: LinearQuery, skeleton: Skeleton) -> list[LPConstraint]:
-    out = []
+def _rows(query: LinearQuery, run: _Pass) -> list[LPConstraint]:
+    """The region of the phases ``run`` fixed, in its coordinates: the
+    query rows and then the fixed ReLUs' sign rows, but for a row that
+    only restates a coordinate's sign.  The network's equalities and the
+    fixed phases' definitions are ``0 = 0`` there.  A row over unshifted
+    inputs alone keeps its terms."""
+    num_inputs = len(run.inputs)
+    forms = run.inputs + run.outputs
+    rows = []
     for c in query.constraints:
-        terms = tuple((skeleton.qvar_ids[v], k) for v, k in c.terms)
-        out.append(LPConstraint(terms, c.relation, c.constant))
-    return out
+        terms = [(v.index if v.kind == "x" else num_inputs + v.index, k) for v, k in c.terms]
+        if all(v < num_inputs and not forms[v][1] for v, _ in terms):
+            rows.append(LPConstraint(tuple(terms), c.relation, c.constant))
+            continue
+        coeffs, constant = _combine(terms, ZERO, forms)
+        rows.append(LPConstraint(tuple(coeffs.items()), c.relation, c.constant - constant))
+    rows += run.signs
+    return [c for c in rows if not _implied_by_sign(c, run.nonneg)]
 
 
 # The rows of one ReLU are built from the form of its pre-activation and,
@@ -367,66 +343,32 @@ def check_query(
     nodes left unfixed by bound propagation, restricted to the relational
     variables.  More than ``phase_budget`` unfixed nodes is an error.
     """
-    skeleton = unroll_meta_network(query.meta, ctx)
-    intervals, fixed = propagate_bounds(skeleton, query)
-
-    free_nodes = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
-    if len(free_nodes) > phase_budget:
+    box = _input_box(query)
+    run = _forward(query.meta, ctx, box)
+    if len(run.free) > phase_budget:
         raise VerifyError(
             "PhaseBudgetExceeded",
-            f"{len(free_nodes)} unfixed ReLU nodes exceed the phase budget "
+            f"{len(run.free)} unfixed ReLU nodes exceed the phase budget "
             f"of {phase_budget}",
         )
-    # An input with a lower bound is searched as its offset from it; a
-    # variable that ``intervals`` lacks is unbounded.
-    num_inputs = query.meta.total_inputs
-    lower = {
-        v: lo for v in range(num_inputs) if (lo := intervals.get(v, (None, None))[0]) is not None
-    }
-    query_rows = _query_constraints(query, skeleton)
-    num_coords, forms, nonneg, relaxation = _region(skeleton, query_rows, fixed, lower, num_inputs)
+    relaxation = _rows(query, run)
     relus = []
-    for node in free_nodes:
-        pre = forms[node.pre_var]
-        (post,) = forms[node.post_var][0]  # the output's coordinate
-        bounds = intervals.get(node.pre_var, (None, None))  # absent: unbounded
+    for pre, bounds, post in run.free:
         relaxation.extend(_triangle_rows(pre, post, bounds))
         rows = {phase: _branch_row(pre, post, phase) for phase in PHASES}
         relus.append(_FreeRelu(pre, post, rows))
-    root = LPProblem(num_coords, relaxation, nonneg=nonneg)
+    root = LPProblem(run.num_coords, relaxation, nonneg=run.nonneg)
     point = _search(root, relus, tuple(range(len(relus))))
     if point is None:
         return Unsat()
     if relus:  # else the root is the leaf LP, and ``point`` its witness
-        phases = dict(zip((n.node_id for n in free_nodes), _walk(root, point, relus)))
-        _, forms, nonneg, leaf = _region(skeleton, query_rows, fixed | phases, lower, num_inputs)
-        point = feasible(LPProblem(num_inputs, leaf, nonneg=nonneg))
+        walked = iter(_walk(root, point, relus))
+        run = _forward(query.meta, ctx, box, [phase or next(walked) for phase in run.phases])
+        point = feasible(LPProblem(run.num_coords, _rows(query, run), nonneg=run.nonneg))
         assert point is not None, "a feasible leaf relaxation has an infeasible leaf LP"
-    pairs = sorted(skeleton.qvar_ids.items())
-    return Sat(tuple((qv, _value(forms[vid], point)) for qv, vid in pairs))
-
-
-def _region(
-    skeleton: Skeleton,
-    query_rows: list[LPConstraint],
-    phases: dict[int, str],
-    lower: dict[int, Fraction],
-    num_inputs: int,
-) -> tuple[int, dict[int, Form], frozenset[int], list[LPConstraint]]:
-    """The free coordinates where ``phases`` fixes some ReLUs, and the
-    region of those phases: the number of coordinates, every variable's
-    form, the nonnegative coordinates, and the query rows and then one
-    sign row per fixed ReLU in node order, in those coordinates.  The
-    network's equalities and the fixed phases' definitions become ``0 =
-    0`` there and are dropped, and so is a row that only restates a
-    coordinate's sign."""
-    num_coords, forms = free_coordinate_forms(skeleton, phases, lower)
-    nonneg = frozenset(lower).union(range(num_inputs, num_coords))
-    rows = [_in_free_coordinates(c, forms, num_inputs) for c in query_rows]
-    for node in skeleton.relu_nodes:
-        if node.node_id in phases:
-            rows.append(_sign_row(forms[node.pre_var], phases[node.node_id]))
-    return num_coords, forms, nonneg, [c for c in rows if not _implied_by_sign(c, nonneg)]
+    xs = [(QVar("x", i), _value(form, point)) for i, form in enumerate(run.inputs)]
+    ys = [(QVar("y", j), _value(form, point)) for j, form in enumerate(run.outputs)]
+    return Sat(tuple(xs + ys))
 
 
 def _implied_by_sign(c: LPConstraint, nonneg: frozenset[int]) -> bool:

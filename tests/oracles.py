@@ -6,8 +6,8 @@ evaluator, a Fourier-Motzkin feasibility decider (exact, strict-aware), a
 layer-by-layer network interpreter, a one-sided grid search over a query's
 input box, and a hand-rolled protobuf writer for ONNX model files.  The
 one exception is the flat phase search, the reference for the verifier's
-branch-and-bound: it shares the verifier's unrolling, bounds and LP, and
-builds its own rows.
+branch-and-bound: it shares the verifier's LP, and numbers the networks'
+units, propagates their bounds and builds its rows itself.
 """
 
 from __future__ import annotations
@@ -16,11 +16,13 @@ import itertools
 import struct
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from vspec import core
-from vspec.queries import QVar
+from vspec.networks import Affine
+from vspec.queries import FLIP_REL, QVar
 from vspec.verdicts import Sat, Unsat, Verdict
-from vspec.verifier import engine, lp
+from vspec.verifier import lp
 
 # ---------------------------------------------------------------------------
 # Direct expression evaluation
@@ -363,6 +365,109 @@ def grid_oracle(query, ctx, resolution: int = 8) -> Sat | None:
 ONE = Fraction(1)
 
 
+class ReluNode(NamedTuple):
+    """One ReLU case split: post = max(pre, 0)."""
+
+    node_id: int
+    pre_var: int
+    post_var: int
+
+
+class Skeleton(NamedTuple):
+    """The units of a query's networks, numbered: the inputs, then the
+    outputs, then each hidden unit in forward order."""
+
+    num_vars: int
+    qvar_ids: dict[QVar, int]
+    relu_nodes: list[ReluNode]
+    # In forward order: ("affine", out_var, terms, bias) for out_var = bias
+    # + sum(w * v for v, w in terms), a layerless net's y = x included, or
+    # ("relu", node_id).
+    events: list[tuple]
+
+
+def unroll(meta, ctx) -> Skeleton:
+    """Number every unit of the applications of ``meta``: a variable per
+    unit, an event per affine row and per ReLU.  The last layer writes the
+    output variables."""
+    qvar_ids = {QVar("x", i): i for i in range(meta.total_inputs)}
+    qvar_ids.update((QVar("y", j), meta.total_inputs + j) for j in range(meta.total_outputs))
+    num_vars = len(qvar_ids)
+    relu_nodes: list[ReluNode] = []
+    events: list[tuple] = []
+    for a, (name, m, n) in enumerate(meta.applications):
+        layers = ctx[name].model.layers
+        current = [meta.input_offsets[a] + t for t in range(m)]
+        y_ids = [meta.total_inputs + meta.output_offsets[a] + t for t in range(n)]
+        for index, layer in enumerate(layers):
+            if index == len(layers) - 1:
+                new = y_ids
+            else:
+                new = list(range(num_vars, num_vars + layer.out_width))
+                num_vars += layer.out_width
+            if isinstance(layer, Affine):
+                for r, (row, b) in enumerate(zip(layer.weights, layer.bias)):
+                    terms = tuple((current[c], w) for c, w in enumerate(row) if w != 0)
+                    events.append(("affine", new[r], terms, b))
+            else:
+                for pre, post in zip(current, new):
+                    relu_nodes.append(ReluNode(len(relu_nodes), pre, post))
+                    events.append(("relu", relu_nodes[-1].node_id))
+            current = new
+        if not layers:
+            events += [("affine", y, ((x, ONE),), Fraction(0)) for x, y in zip(current, y_ids)]
+    return Skeleton(num_vars, qvar_ids, relu_nodes, events)
+
+
+def propagate_bounds(skeleton: Skeleton, query) -> tuple[dict, dict[int, str]]:
+    """Every variable's interval (a bound is None where there is none) by
+    interval arithmetic from the single-term rows of ``query``, and the
+    phase of each ReLU whose pre-activation's interval cannot straddle
+    zero: Inactive where its upper bound is <= 0, else Active where its
+    lower bound is >= 0."""
+    intervals = dict.fromkeys(range(skeleton.num_vars), (None, None))
+    for c in query.constraints:
+        if len(c.terms) != 1:
+            continue
+        ((var, coeff),) = c.terms
+        vid = skeleton.qvar_ids[var]
+        value = c.constant / coeff
+        rel = FLIP_REL[c.relation] if coeff < 0 else c.relation
+        lo, hi = intervals[vid]
+        if rel != "<=" and rel != "<":
+            lo = value if lo is None else max(lo, value)
+        if rel != ">=" and rel != ">":
+            hi = value if hi is None else min(hi, value)
+        intervals[vid] = (lo, hi)
+    fixed: dict[int, str] = {}
+    for event in skeleton.events:
+        if event[0] == "affine":
+            _, vid, terms, lo = event
+            hi = lo
+            for src, w in terms:
+                slo, shi = intervals[src] if w > 0 else intervals[src][::-1]
+                lo = None if lo is None or slo is None else lo + w * slo
+                hi = None if hi is None or shi is None else hi + w * shi
+            old_lo, old_hi = intervals[vid]
+            if old_lo is not None:
+                lo = old_lo if lo is None else max(lo, old_lo)
+            if old_hi is not None:
+                hi = old_hi if hi is None else min(hi, old_hi)
+            intervals[vid] = (lo, hi)
+            continue
+        node = skeleton.relu_nodes[event[1]]
+        lo, hi = intervals[node.pre_var]
+        if hi is not None and hi <= 0:
+            fixed[node.node_id] = "inactive"
+            intervals[node.post_var] = (Fraction(0), Fraction(0))
+        elif lo is not None and lo >= 0:
+            fixed[node.node_id] = "active"
+            intervals[node.post_var] = (lo, hi)
+        else:
+            intervals[node.post_var] = (Fraction(0), hi)
+    return intervals, fixed
+
+
 def network_equalities(skeleton) -> list[lp.LPConstraint]:
     """``out - sum(w * v) = bias`` per affine event of ``skeleton``."""
     return [
@@ -465,8 +570,8 @@ def least_feasible_leaf(query, ctx) -> tuple[list[str], Sat] | None:
     Each prefix LP is solved warm from its parent prefix's.  It calls
     ``lp.feasible``, not ``engine.feasible``, so the engine's LP counters
     never see it."""
-    skeleton = engine.unroll_meta_network(query.meta, ctx)
-    intervals, fixed = engine.propagate_bounds(skeleton, query)
+    skeleton = unroll(query.meta, ctx)
+    intervals, fixed = propagate_bounds(skeleton, query)
     base = network_equalities(skeleton) + _query_rows(query, skeleton)
     for node_id, phase in fixed.items():
         base.extend(_node_phase_rows(skeleton.relu_nodes[node_id], phase))

@@ -3,9 +3,12 @@ by module attribute; these tests keep a refactor from silently breaking
 ``perfbench/run.py --trace 1``."""
 
 import importlib.util
+import random
 import shutil
+from collections import Counter
 from pathlib import Path
 
+from test_verifier import random_search_instance
 from vspec import cli
 from vspec.verifier import engine
 
@@ -100,6 +103,25 @@ def test_tracer_counts_every_warm_lp(tmp_path, monkeypatch, four_relu_spec, four
     assert tracer.counts["verifier.engine.free_relus"] == 4
     assert tracer.counts["verifier.lp.calls"] == 3
     assert tracer.counts["verifier.lp.feasible"] == 1
+
+
+def test_tracer_counts_the_free_relus_of_the_forward_pass():
+    # The tracer counts free ReLUs through ``engine.unroll_meta_network``
+    # and ``engine.propagate_bounds``, which are kept for it alone: they
+    # must count the ReLUs that the engine's forward pass leaves free.
+    tracing = load_tracing()
+    rng = random.Random(20261024)
+    seen = Counter()
+    for _ in range(100):
+        ctx, query = random_search_instance(rng)
+        counts = Counter()
+        tracing._count_engine(counts, (query, ctx), None)
+        run = engine._forward(query.meta, ctx, engine._input_box(query))
+        assert counts["verifier.engine.queries"] == 1
+        assert counts["verifier.engine.free_relus"] == len(run.free)
+        seen["free"] += len(run.free)
+        seen["fixed and free"] += 0 < len(run.free) < len(run.phases)
+    assert seen["free"] >= 100 and seen["fixed and free"] >= 10, seen
 
 
 def test_tracer_counts_the_queries_solved(

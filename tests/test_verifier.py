@@ -14,7 +14,9 @@ from oracles import (
     least_feasible_leaf,
     network_equalities,
     phase_rows,
+    propagate_bounds,
     run_network_by_hand,
+    unroll,
 )
 from vspec import cli, verifier
 from vspec.errors import VerifyError
@@ -22,7 +24,7 @@ from vspec.networks import Affine, NetworkInfo, NetworkModel, Relu, parse_vnet
 from vspec.queries import LinearConstraint, LinearQuery, MetaNetwork, QVar
 from vspec.types import RAT, FunT, TensorT
 from vspec.verdicts import Sat, Unsat
-from vspec.verifier import LPProblem, check_query, propagate_bounds, unroll_meta_network
+from vspec.verifier import LPProblem, check_query, engine
 
 IDENTITY_VNET = """\
 vnet 1
@@ -74,24 +76,43 @@ def box_query(meta, bounds, extra):
     return LinearQuery(constraints, meta)
 
 
-# -- unrolling -----------------------------------------------------------------
+# -- the forward pass -----------------------------------------------------------
+
+
+def forward(query, ctx):
+    """The engine's forward pass over ``query``'s input box."""
+    return engine._forward(query.meta, ctx, engine._input_box(query))
+
+
+def fixed_phases(run) -> dict[int, str]:
+    """The phases a forward pass fixed, by ReLU node."""
+    return {node: phase for node, phase in enumerate(run.phases) if phase}
+
+
+def free_nodes(run) -> list[int]:
+    """The ReLU nodes a forward pass left free, in node order."""
+    return [node for node, phase in enumerate(run.phases) if phase is None]
 
 
 def test_unroll_identity_trick_network_counts():
     ctx = make_ctx(f=identity_model())
     meta = MetaNetwork((("f", 1, 1),))
-    skeleton = unroll_meta_network(meta, ctx)
-    # 1 input + 1 output + 2 pre + 2 post = 6 variables, 2 relu nodes.
-    assert skeleton.num_vars == 6
-    assert len(skeleton.relu_nodes) == 2
-    # 2 affine rows (first layer) + 1 affine row writing the output.
-    assert len(network_equalities(skeleton)) == 3
+    run = engine._forward(meta, ctx, [(None, None)])
+    # An unbounded input fixes neither of the 2 ReLU nodes.  The coordinates
+    # are the input and both ReLU outputs, and y = relu(x) - relu(-x).
+    assert run.phases == [None, None]
+    assert run.num_coords == 3
+    assert run.free == [(({0: 1}, 0), (None, None), 1), (({0: -1}, 0), (None, None), 2)]
+    assert run.outputs == [({1: 1, 2: -1}, 0)]
+    # Numbered: 2 affine rows (first layer) + 1 affine row writing the output.
+    assert len(network_equalities(unroll(meta, ctx))) == 3
 
 
 def test_unroll_affine_only_network_is_purely_linear():
     ctx = make_ctx(f=affine_model([[2, -1]], [3]))
-    skeleton = unroll_meta_network(MetaNetwork((("f", 2, 1),)), ctx)
-    assert skeleton.relu_nodes == []
+    run = engine._forward(MetaNetwork((("f", 2, 1),)), ctx, [(None, None)] * 2)
+    assert run.phases == []
+    assert run.outputs == [({0: 2, 1: -1}, 3)]
 
 
 def test_unroll_two_applications_doubles_relu_nodes():
@@ -103,8 +124,8 @@ def test_unroll_two_applications_doubles_relu_nodes():
     model = NetworkModel("f", 1, 1, layers)
     ctx = make_ctx(f=model)
     meta = MetaNetwork((("f", 1, 1), ("f", 1, 1)))
-    skeleton = unroll_meta_network(meta, ctx)
-    assert len(skeleton.relu_nodes) == 16
+    run = engine._forward(meta, ctx, [(None, None)] * 2)
+    assert len(run.phases) == 16
 
 
 # -- bound propagation -----------------------------------------------------------
@@ -117,9 +138,7 @@ def test_positive_input_fixes_relu_active():
     ctx = make_ctx(f=model)
     meta = MetaNetwork((("f", 1, 1),))
     query = box_query(meta, [(1, 2)], [])
-    skeleton = unroll_meta_network(meta, ctx)
-    _, fixed = propagate_bounds(skeleton, query)
-    assert fixed == {0: "active"}
+    assert fixed_phases(forward(query, ctx)) == {0: "active"}
 
 
 def test_interval_endpoint_arithmetic():
@@ -134,11 +153,9 @@ def test_interval_endpoint_arithmetic():
     meta = MetaNetwork((("f", 2, 1),))
     bound = Fraction(13, 4)
     query = box_query(meta, [(-bound, bound), (-bound, bound)], [])
-    skeleton = unroll_meta_network(meta, ctx)
-    intervals, fixed = propagate_bounds(skeleton, query)
-    pre_var = skeleton.relu_nodes[0].pre_var
-    assert intervals[pre_var] == (Fraction(-39, 4), Fraction(39, 4))
-    assert fixed == {}
+    run = forward(query, ctx)
+    assert [bounds for _, bounds, _ in run.free] == [(Fraction(-39, 4), Fraction(39, 4))]
+    assert fixed_phases(run) == {}
 
 
 def test_unbounded_inputs_fix_nothing():
@@ -148,9 +165,7 @@ def test_unbounded_inputs_fix_nothing():
     ctx = make_ctx(f=model)
     meta = MetaNetwork((("f", 1, 1),))
     query = LinearQuery([], meta)
-    skeleton = unroll_meta_network(meta, ctx)
-    _, fixed = propagate_bounds(skeleton, query)
-    assert fixed == {}
+    assert fixed_phases(forward(query, ctx)) == {}
 
 
 # -- check_query ------------------------------------------------------------------
@@ -331,62 +346,139 @@ def random_search_instance(rng: random.Random):
     return make_ctx(**models), LinearQuery(constraints, meta)
 
 
+def search_instances(seed: int, count: int, free=range(8)):
+    """``count`` seeded ``random_search_instance``s with their forward
+    passes, skipping those whose number of free ReLUs is not in ``free``
+    (the flat search solves 2^k LPs: by default at most 7, to keep it
+    quick)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        while True:
+            ctx, query = random_search_instance(rng)
+            run = forward(query, ctx)
+            if len(run.free) in free:
+                break
+        yield ctx, query, run
+
+
 def test_search_matches_the_flat_phase_search():
     """Verdict and witness equal those of one LP per leaf in order.  The
     shapes the free-coordinate forms must handle are counted only when
     the search runs, that is when some ReLU is free."""
-    from vspec.verifier import engine
-
-    rng = random.Random(20261018)
     seen = dict.fromkeys(("sat", "unsat", "strict", "=", "no upper triangle row",
                           "two hidden layers", "two applications", "layerless",
                           "all-zero layer", "query row with no terms", "affine after affine",
                           "relu after relu", "final relu", "fixed relu feeding a layer",
                           "dyadic weights"), 0)  # fmt: skip
-    for _ in range(400):
-        while True:
-            ctx, query = random_search_instance(rng)
-            skeleton = unroll_meta_network(query.meta, ctx)
-            intervals, fixed = propagate_bounds(skeleton, query)
-            free = [n for n in skeleton.relu_nodes if n.node_id not in fixed]
-            if len(free) <= 7:  # the flat search solves 2^k LPs: keep it quick
-                break
+    for ctx, query, run in search_instances(20261018, 400):
         verdict = check_query(query, ctx)
         assert repr(verdict) == repr(flat_phase_search(query, ctx))
         relations = {c.relation for c in query.constraints}
         seen["sat" if isinstance(verdict, Sat) else "unsat"] += 1
         seen["strict"] += bool(relations & {"<", ">"})
         seen["="] += "=" in relations
-        seen["no upper triangle row"] += any(None in intervals[n.pre_var] for n in free)
+        seen["no upper triangle row"] += any(None in bounds for _, bounds, _ in run.free)
         seen["two hidden layers"] += any(
             len(ctx[name].model.layers) == 5 for name, _, _ in query.meta.applications
         )
         seen["two applications"] += len(query.meta.applications) == 2
-        if not free:
+        if not run.free:
             continue
         models = [ctx[name].model for name, _, _ in query.meta.applications]
         shapes = {"".join("R" if isinstance(x, Relu) else "A" for x in m.layers) for m in models}
         affine = [x for m in models for x in m.layers if isinstance(x, Affine)]
-        # Shifting the inputs by their lower bounds moves only the constants.
-        _, forms = engine.free_coordinate_forms(skeleton, fixed, {})
-        rows = engine._query_constraints(query, skeleton)
+        rows = engine._rows(query, run)
+        skeleton = unroll(query.meta, ctx)  # numbered: which ReLUs write an output
         outputs = {vid for qv, vid in skeleton.qvar_ids.items() if qv.kind == "y"}
         seen["layerless"] += "" in shapes
         seen["all-zero layer"] += any(not any(map(any, x.weights)) for x in affine)
-        seen["query row with no terms"] += any(
-            not engine._in_free_coordinates(c, forms, query.meta.total_inputs).terms
-            for c in rows
-        )
+        seen["query row with no terms"] += any(not c.terms for c in rows)
         seen["affine after affine"] += any("AA" in shape for shape in shapes)
         seen["relu after relu"] += any("RR" in shape for shape in shapes)
         seen["final relu"] += any(shape.endswith("R") for shape in shapes)
         seen["fixed relu feeding a layer"] += any(
-            skeleton.relu_nodes[i].post_var not in outputs for i in fixed
+            skeleton.relu_nodes[i].post_var not in outputs for i in fixed_phases(run)
         )
         seen["dyadic weights"] += any(
             w.denominator == 1 << 23 for x in affine for row in x.weights for w in row
         )
     assert min(seen.values()) >= 25, seen
+
+
+def sample_box(rng: random.Random, box) -> list[Fraction]:
+    """A point of ``box``, in steps of 1/8 of a bounded side and of 1/4
+    elsewhere."""
+    point = []
+    for lo, hi in box:
+        if lo is not None and hi is not None:
+            point.append(lo + (hi - lo) * Fraction(rng.randint(0, 8), 8))
+        elif lo is not None:
+            point.append(lo + Fraction(rng.randint(0, 16), 4))
+        elif hi is not None:
+            point.append(hi - Fraction(rng.randint(0, 16), 4))
+        else:
+            point.append(Fraction(rng.randint(-16, 16), 4))
+    return point
+
+
+def assert_pass_agrees(query, ctx, rng: random.Random, seen: dict) -> None:
+    """The forward pass fixes the phases that the oracle's numbered
+    unroller and interval propagation fix, leaves the same ReLUs free, in
+    node order, with the same pre-activation intervals, and gives their
+    outputs the coordinates after the inputs.  At seeded points of the
+    input box, run through the networks by hand, each free pre form is the
+    pre-activation (its ReLU's output is ``max(pre, 0)``) and each
+    relational variable's form its value."""
+    box = engine._input_box(query)
+    run = engine._forward(query.meta, ctx, box)
+    skeleton = unroll(query.meta, ctx)
+    intervals, fixed = propagate_bounds(skeleton, query)
+    assert fixed_phases(run) == fixed
+    assert len(run.phases) == len(skeleton.relu_nodes)
+    free = [node for node in skeleton.relu_nodes if node.node_id not in fixed]
+    assert free_nodes(run) == [node.node_id for node in free]
+    assert [bounds for _, bounds, _ in run.free] == [intervals[node.pre_var] for node in free]
+    num_inputs = query.meta.total_inputs
+    assert [post for _, _, post in run.free] == list(range(num_inputs, run.num_coords))
+
+    def value(form, point):
+        coeffs, constant = form
+        return constant + sum(k * point[c] for c, k in coeffs.items())
+
+    for _ in range(3):
+        inputs = sample_box(rng, box)
+        outputs, values = run_by_hand(query, ctx, inputs)
+        point = [x - (lo or 0) for x, (lo, _) in zip(inputs, box)]
+        point += [outputs[node] for node in free_nodes(run)]
+        for (pre, _, _), node in zip(run.free, free_nodes(run)):
+            assert max(value(pre, point), 0) == outputs[node]
+        relational = [QVar("x", i) for i in range(num_inputs)]
+        relational += [QVar("y", j) for j in range(query.meta.total_outputs)]
+        assert [value(form, point) for form in run.inputs + run.outputs] == [
+            values[qv] for qv in relational
+        ]
+    seen["free"] += len(run.free)
+    seen["fixed inactive"] += list(fixed.values()).count("inactive")
+    seen["fixed active"] += list(fixed.values()).count("active")
+    seen["half-bounded or free input"] += any(None in side for side in box)
+
+
+def test_forward_pass_agrees_with_the_numbered_unroller():
+    """Over the 400 instances of ``test_search_matches_the_flat_phase_search``
+    and the six deep nets of ``test_lp_count_of_deep_verified_nets``."""
+    rng = random.Random(20261023)
+    seen = dict.fromkeys(("free", "fixed inactive", "fixed active",
+                          "half-bounded or free input"), 0)  # fmt: skip
+    for ctx, query, _ in search_instances(20261018, 400):
+        assert_pass_agrees(query, ctx, rng, seen)
+    assert min(seen.values()) >= 25, seen
+    nets = random.Random(7)
+    meta = MetaNetwork((("f", 2, 1),))
+    query = box_query(meta, [(-1, 1), (-1, 1)], [constraint({("y", 0): 1}, ">", 0)])
+    shallow = seen["free"]
+    for widths in [(8, 8)] * 3 + [(6, 6, 6)] * 3:
+        assert_pass_agrees(query, make_ctx(f=random_layered_model(nets, widths)), rng, seen)
+    assert seen["free"] - shallow >= 60, seen
 
 
 def random_layered_model(rng: random.Random, widths, name="f"):
@@ -443,8 +535,6 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
     no walk.  Every point ``_search`` returns, from the root or from a walk
     step, is a network point: the ReLU outputs computed from the point's
     inputs are its free ReLU coordinates, and the query holds there."""
-    from vspec.verifier import engine
-
     search, walk = engine._search, engine._walk
     depth = 0
     nodes = []  # one per search node
@@ -478,10 +568,8 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
     for n in range(2_000):
         while True:
             ctx, query = generators[n % 5](rng)
-            skeleton = unroll_meta_network(query.meta, ctx)
-            intervals, fixed = propagate_bounds(skeleton, query)
-            free = [node for node in skeleton.relu_nodes if node.node_id not in fixed]
-            if 0 < len(free) <= 12:
+            run = forward(query, ctx)
+            if 0 < len(run.free) <= 12:
                 break
         nodes.clear()
         tops.clear()
@@ -504,16 +592,16 @@ def test_refutation_search_agrees_with_the_ordered_search(monkeypatch):
             for point, unbranched in points.values():
                 seen["sat by no positive gap" if unbranched else "sat at a leaf"] += 1
                 # An input with a lower bound is searched as its offset from it.
-                inputs = [p + (intervals[v][0] or 0) for v, p in enumerate(point[:num_inputs])]
+                inputs = [p + offset for p, (_, offset) in zip(point, run.inputs)]
                 outputs, values = run_by_hand(query, ctx, inputs)
-                for j, node in enumerate(free):
-                    assert point[num_inputs + j] == outputs[node.node_id]
+                for j, node in enumerate(free_nodes(run)):
+                    assert point[num_inputs + j] == outputs[node]
                 assert all(constraint_holds(c, values) for c in query.constraints)
         depths = {sum(isinstance(x, Relu) for x in ctx[name].model.layers)
                   for name, _, _ in query.meta.applications}  # fmt: skip
         seen["two hidden layers"] += 2 in depths
         seen["three hidden layers"] += 3 in depths
-        seen["9-12 free"] += len(free) >= 9
+        seen["9-12 free"] += len(run.free) >= 9
     assert min(seen.values()) >= 25, seen
 
 
@@ -530,17 +618,11 @@ def test_pinned_search_outputs(monkeypatch):
     variables, all free, the digests were d7e7cd35..., 56d95ad0... and
     d5c3c1da...; over the inputs alone, a query with no free ReLU takes
     its witness from the root and solves one LP fewer."""
-    rng = random.Random(20261020)
     calls = count_lp_calls(monkeypatch)
     verdicts, witness_lps, counts = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     shapes = dict.fromkeys(("no free relu", "layerless", "sat with free", "sat without"), 0)
-    for _ in range(400):
-        while True:
-            ctx, query = random_search_instance(rng)
-            skeleton = unroll_meta_network(query.meta, ctx)
-            free = len(skeleton.relu_nodes) - len(propagate_bounds(skeleton, query)[1])
-            if free <= 7:
-                break
+    for ctx, query, run in search_instances(20261020, 400):
+        free = len(run.free)
         calls.clear()
         verdict = check_query(query, ctx)
         verdicts.update(f"{verdict!r}\n".encode())
@@ -559,13 +641,22 @@ def test_pinned_search_outputs(monkeypatch):
 
 
 def test_pruning_neutrality(monkeypatch):
-    from vspec.verifier import engine
-
     rng = random.Random(7777)
     instances = [random_instance(rng) for _ in range(40)]
     with_pruning = [isinstance(check_query(query, ctx), Sat) for ctx, query in instances]
-    # Bound propagation that fixes no phase leaves every ReLU to the search.
-    monkeypatch.setattr(engine, "propagate_bounds", lambda skeleton, query: ({}, {}))
+    # A pass over an input box with no bounds, a rule that fixes no phase
+    # and triangles without their upper face leave every ReLU to the search
+    # with no bound used: a row whose weights are all 0 still has the
+    # interval (b, b), which would otherwise fix its ReLU and add an upper
+    # face.  The query's rows still bound the inputs.
+    triangle_rows = engine._triangle_rows
+    monkeypatch.setattr(
+        engine, "_input_box", lambda query: [(None, None)] * query.meta.total_inputs
+    )
+    monkeypatch.setattr(engine, "_fixed_phase", lambda lo, hi: None)
+    monkeypatch.setattr(
+        engine, "_triangle_rows", lambda pre, post, bounds: triangle_rows(pre, post, (None, None))
+    )
     without = [isinstance(check_query(query, ctx), Sat) for ctx, query in instances]
     assert with_pruning == without
 
@@ -574,18 +665,16 @@ def test_witness_does_not_depend_on_the_phases_bounds_fix(monkeypatch):
     """With the inputs' lower bounds kept and no phase fixed by bounds,
     every ReLU is left to the search and the walk, and the verdict and
     witness do not move: the walk fixes each phase that bounds fixed, and
-    the witness LP has one sign row per ReLU either way.  (An upper bound
-    kept on an input that feeds a ReLU would give that ReLU a triangle
-    over bounds that do not straddle 0.)  The exception is a ReLU fixed
-    Active at a pre-activation bound of exactly 0, where the walk fixes
-    Inactive, also feasible at ``pre = 0``: a different leaf."""
-    from vspec.verifier import engine
-
+    the witness LP has one sign row per ReLU either way.  (The triangles
+    keep only their lower face: the upper one, over bounds that do not
+    straddle 0, would cut off points of the network.)  The exception is a
+    ReLU fixed Active at a pre-activation bound of exactly 0, where the
+    walk fixes Inactive, also feasible at ``pre = 0``: a different leaf."""
     rng = random.Random(20261022)
     instances = []
     while len(instances) < 150:
         ctx, query = random_search_instance(rng)
-        skeleton = unroll_meta_network(query.meta, ctx)
+        skeleton = unroll(query.meta, ctx)
         intervals, fixed = propagate_bounds(skeleton, query)
         boundary = any(
             phase == "active" and intervals[skeleton.relu_nodes[i].pre_var][0] == 0
@@ -594,21 +683,17 @@ def test_witness_does_not_depend_on_the_phases_bounds_fix(monkeypatch):
         if fixed and not boundary and len(skeleton.relu_nodes) <= 8:
             instances.append((ctx, query))
     verdicts = [repr(check_query(query, ctx)) for ctx, query in instances]
-    bounds = propagate_bounds
-
-    def lower_input_bounds_only(skeleton, query):
-        intervals = bounds(skeleton, query)[0]
-        return {v: (intervals[v][0], None) for v in range(query.meta.total_inputs)}, {}
-
-    monkeypatch.setattr(engine, "propagate_bounds", lower_input_bounds_only)
+    triangle_rows = engine._triangle_rows
+    monkeypatch.setattr(engine, "_fixed_phase", lambda lo, hi: None)
+    monkeypatch.setattr(
+        engine, "_triangle_rows", lambda pre, post, bounds: triangle_rows(pre, post, (None, None))
+    )
     assert [repr(check_query(query, ctx)) for ctx, query in instances] == verdicts
     assert sum(verdict.startswith("Sat(") for verdict in verdicts) >= 50
 
 
 def count_lp_calls(monkeypatch) -> list:
     """Record every LP the engine solves, warm or cold."""
-    from vspec.verifier import engine
-
     calls = []
     original = engine.feasible
 
@@ -703,8 +788,7 @@ def four_relu_query(four_relu_net):
 
 def test_lp_count_of_a_four_free_relu_unsat_net(monkeypatch, four_relu_net):
     ctx, query = four_relu_query(four_relu_net)
-    skeleton = unroll_meta_network(query.meta, ctx)
-    assert propagate_bounds(skeleton, query)[1] == {}
+    assert forward(query, ctx).phases == [None] * 4
     calls = count_lp_calls(monkeypatch)
     pivots = count_pivots(monkeypatch)
     operations = count_row_operations(monkeypatch)
@@ -731,8 +815,6 @@ def test_one_branch_row_agrees_with_the_three_phase_rows(
     triangle lower faces, is feasible exactly when the LP with each branch
     row replaced by the phase's sign row and ``post = 0`` or ``post = pre``
     is.  Over both fixtures and seeded nets with one or two hidden layers."""
-    from vspec.verifier import engine
-
     three_rows_of = {}
     branch_row = engine._branch_row
 
@@ -744,13 +826,7 @@ def test_one_branch_row_agrees_with_the_three_phase_rows(
     monkeypatch.setattr(engine, "_branch_row", recording)
     ctx, q1, q2 = controller_queries(parse_vnet(controller_net.read_text(), "controller"))
     instances = [(ctx, q1), (ctx, q2), four_relu_query(four_relu_net)]
-    rng = random.Random(20261021)
-    while len(instances) < 120:
-        ctx, query = random_search_instance(rng)
-        skeleton = unroll_meta_network(query.meta, ctx)
-        free = len(skeleton.relu_nodes) - len(propagate_bounds(skeleton, query)[1])
-        if 0 < free <= 7:
-            instances.append((ctx, query))
+    instances += [(ctx, query) for ctx, query, _ in search_instances(20261021, 117, range(1, 8))]
     calls = count_lp_calls(monkeypatch)
     seen = dict.fromkeys(("feasible", "infeasible", "inactive", "active", "one hidden layer",
                           "two hidden layers"), 0)  # fmt: skip
@@ -801,11 +877,13 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 3 LPs: 3,941 calls (4,024 with the two-phase primal simplex,
+        # 3 LPs: 3,572 calls (3,713 with the numbered skeleton and numeric
+        # checks by unification, 4,024 with the two-phase primal simplex,
         # 4,153 with a +/- column pair per coordinate); a tableau of
         # Fractions made 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 14 LPs: 7,589 calls (7,703 with the two-phase primal simplex,
+        # 14 LPs: 6,907 calls (7,179 with the numbered skeleton and numeric
+        # checks by unification, 7,703 with the two-phase primal simplex,
         # 7,940 with column pairs); a tableau of Fractions made 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
@@ -818,6 +896,43 @@ def test_verify_work_is_bounded(request, tmp_path, monkeypatch, spec, net, bindi
     argv = ["verify", "--spec", str(spec_path), "--network", f"{binding}:{net_path}",
             "--proof-file", "p.vclp"]  # fmt: skip
     assert verify_calls(argv) <= bound
+
+
+def calls_in(function, *args, **kwargs) -> int:
+    """Python function calls made by one call of ``function``."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        function(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # ``function`` itself
+
+
+def test_engine_work_on_a_query_bounds_fix_is_bounded(controller_net):
+    """A query of the controller whose every ReLU bounds fix, like most
+    ``many-queries`` queries: the box, a hypothesis atom per disjunction
+    (k = 3) and the negated conclusion.  One forward pass and one LP:
+    1,038 calls, most of them in ``fractions``; with the numbered skeleton
+    and its three passes, 1,147.  Deterministic: counts calls, not
+    time."""
+    ctx = make_ctx(controller=parse_vnet(controller_net.read_text(), "controller"))
+    meta = MetaNetwork((("controller", 2, 1),))
+    bound = Fraction(13, 4)
+    atoms = [constraint({("x", 0): 1}, ">=", Fraction(3, 4)),
+             constraint({("x", 1): 1}, "<=", Fraction(-1, 2)),
+             constraint({("x", 1): 1}, "<=", Fraction(-3, 2))]  # fmt: skip
+    e = {("y", 0): 1, ("x", 0): 2, ("x", 1): -1}
+    query = box_query(meta, [(-bound, bound)] * 2, atoms + [constraint(e, ">", Fraction(5, 4))])
+    assert forward(query, ctx).free == []
+    assert isinstance(check_query(query, ctx), Unsat)
+    assert calls_in(check_query, query, ctx) <= 1_140
 
 
 def test_lp_count_of_deep_verified_nets(monkeypatch):
