@@ -78,7 +78,8 @@ class NetworkError(VspecError):
     UnsupportedFormat, MalformedNetworkFile, UnsupportedOperator,
     MalformedProtobuf, NonFloatTensor, NaNOrInfWeight, NetworkTypeMismatch,
     UnsupportedNetworkType, MissingNetworkFile, PartialNetworkApplication,
-    NetworkUsedAsValue, IoError."""
+    NetworkUsedAsValue, IoError.  The type checker raises the last two,
+    with no path or position."""
 
 
 class NormaliseError(VspecError):

@@ -1,4 +1,5 @@
-"""Network models: loading, validation, hashing, and type analysis.
+"""Network models: loading, validation, hashing, and matching the files
+against the declared network types.
 
 Two on-disk formats are supported, dispatched on leading bytes:
 
@@ -17,6 +18,10 @@ Two on-disk formats are supported, dispatched on leading bytes:
   Entries are ``p/q`` or decimal; comments start with ``#``.
 
 Both formats hash identically (SHA-256 over the raw file bytes).
+
+``analyze_network_types`` matches each network's file against its
+declared type; the type checker checks network applications, and the
+normaliser builds them.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ import hashlib
 from fractions import Fraction
 from pathlib import Path
 
-from . import core
 from .errors import NetworkError
 from .rational import parse_rational
-from .typecheck import TypedDecl, TypedProgram
-from .types import RAT, FunT, Scalar, TensorT, VType, frozen_dataclass, is_numeric
+from .typecheck import TypedProgram
+from .types import RAT, FunT, TensorT, VType, frozen_dataclass, network_type
 
 
 @frozen_dataclass
@@ -211,7 +215,7 @@ def hash_file(path: str | Path) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Network type analysis
+# Matching declared network types
 # ---------------------------------------------------------------------------
 
 
@@ -234,49 +238,6 @@ class NetworkInfo:
 NetworkContext = dict[str, NetworkInfo]
 
 
-def _normalise_network_type(name: str, t: VType) -> tuple[VType, int | None]:
-    """Normalise a declared network type to Tensor A [m] -> Tensor B [n].
-
-    Returns the normalised type and, for the curried scalar sugar
-    ``A -> ... -> A -> B``, the argument count k (application sites are then
-    rewritten ``f x1 ... xk`` to ``f [x1, ..., xk] ! 0``); None otherwise.
-    """
-
-    def unsupported(msg: str) -> NetworkError:
-        return NetworkError("UnsupportedNetworkType", f"network {name!r}: {msg}")
-
-    if not isinstance(t, FunT):
-        raise unsupported(f"type {t} is not a function type")
-
-    if isinstance(t.dom, TensorT):
-        dom = t.dom
-        if len(dom.dims) != 1:
-            raise unsupported("input tensor must be one-dimensional")
-        cod = t.cod
-        if isinstance(cod, TensorT):
-            if len(cod.dims) != 1:
-                raise unsupported("output tensor must be one-dimensional")
-            return FunT(dom, cod), None
-        if isinstance(cod, Scalar) and is_numeric(cod):
-            return FunT(dom, TensorT(cod, (1,))), None
-        raise unsupported(f"unsupported codomain {cod}")
-
-    # Curried scalar sugar: A -> ... -> A -> B
-    if isinstance(t.dom, Scalar) and is_numeric(t.dom):
-        elem = t.dom
-        k = 0
-        cur: VType = t
-        while isinstance(cur, FunT):
-            if cur.dom != elem:
-                raise unsupported("curried arguments must all have the same scalar type")
-            k += 1
-            cur = cur.cod
-        if not (isinstance(cur, Scalar) and is_numeric(cur)):
-            raise unsupported(f"unsupported codomain {cur}")
-        return FunT(TensorT(elem, (k,)), TensorT(cur, (1,))), k
-    raise unsupported(f"unsupported domain {t.dom}")
-
-
 def _model_matches(info_type: VType, model: NetworkModel) -> bool:
     assert isinstance(info_type, FunT)
     dom, cod = info_type.dom, info_type.cod
@@ -286,27 +247,17 @@ def _model_matches(info_type: VType, model: NetworkModel) -> bool:
     return dom.dims == (model.input_size,) and cod.dims == (model.output_size,)
 
 
-def analyze_network_types(
-    program: TypedProgram, network_files: dict[str, str]
-) -> tuple[TypedProgram, NetworkContext]:
-    """Check declared network types against their files, rewrite application
-    sites to the tensor form, and remove network declarations.
-
-    After this pass the program contains no network declarations; every
-    network application appears as a ``NetworkApp`` node whose argument has
-    the context's input tensor type.
-    """
+def analyze_network_types(program: TypedProgram, network_files: dict[str, str]) -> NetworkContext:
+    """Load and hash the file bound to each declared network, and check that
+    it implements the tensor form of the network's declared type."""
     ctx: NetworkContext = {}
-    rewrite_arity: dict[str, int | None] = {}
-    codomain_scalar: dict[str, bool] = {}
-
     for name, declared in program.networks.items():
         if name not in network_files:
             raise NetworkError(
                 "MissingNetworkFile", f"no file bound for network {name!r}"
             )
         path = network_files[name]
-        normalised, curried_k = _normalise_network_type(name, declared)
+        normalised, _, _ = network_type(name, declared)
         # The digest is taken over the bytes that were decoded, so a file
         # replaced in between cannot be recorded as verified.
         data = _read_network_file(Path(path))
@@ -321,82 +272,4 @@ def analyze_network_types(
                 path=path,
             )
         ctx[name] = NetworkInfo(model, normalised, str(path), hashlib.sha256(data).hexdigest())
-        rewrite_arity[name] = curried_k
-        assert isinstance(declared, FunT)
-        # Application sites need '! 0' when the user-facing codomain is scalar.
-        codomain_scalar[name] = curried_k is not None or not isinstance(
-            declared.cod, TensorT
-        )
-
-    rewriter = _ApplicationRewriter(rewrite_arity, codomain_scalar)
-    new_decls: list[TypedDecl] = []
-    new_program = TypedProgram(decls=[])
-    new_program.synonyms = dict(program.synonyms)
-    for decl in program.decls:
-        if decl.kind == "network":
-            continue
-        if decl.kind == "def":
-            assert decl.body is not None
-            body = rewriter.rewrite(decl.body)
-            decl = TypedDecl(
-                decl.name, decl.kind, decl.signature, decl.vtype, decl.params, body, decl.pos
-            )
-            new_program.definitions[decl.name] = body
-            new_program.def_types[decl.name] = decl.vtype
-        new_decls.append(decl)
-    new_program.decls = new_decls
-    return new_program, ctx
-
-
-class _ApplicationRewriter:
-    """Rewrites each application of a network to the tensor form.
-
-    ``arity`` holds every network's curried argument count (None for a
-    tensor argument), and ``codomain_scalar`` whether its applications
-    need ``! 0``."""
-
-    __slots__ = ("arity", "codomain_scalar")
-
-    def __init__(self, arity: dict[str, int | None], codomain_scalar: dict[str, bool]):
-        self.arity = arity
-        self.codomain_scalar = codomain_scalar
-
-    def rewrite(self, e: core.Expr) -> core.Expr:
-        # Collect the application spine.
-        spine: list[core.Expr] = []
-        head = e
-        while type(head) is core.App:  # exact types: no node class has a subclass
-            spine.append(head.arg)
-            head = head.fn
-        if type(head) is core.TopRef and head.name in self.arity:
-            spine.reverse()
-            args = [self.rewrite(a) for a in spine]
-            k = self.arity[head.name]
-            if k is None:
-                if len(args) < 1:
-                    raise NetworkError(
-                        "NetworkUsedAsValue",
-                        f"network {head.name!r} must be applied to an argument",
-                    )
-                app: core.Expr = core.NetworkApp(head.name, args[0])
-                if self.codomain_scalar[head.name]:
-                    app = core.Index(app, core.NatLit(0))
-                for extra in args[1:]:
-                    app = core.App(app, extra)
-                return app
-            if len(args) == 0:
-                raise NetworkError(
-                    "NetworkUsedAsValue",
-                    f"network {head.name!r} must be applied to an argument",
-                )
-            if len(args) < k:
-                raise NetworkError(
-                    "PartialNetworkApplication",
-                    f"network {head.name!r} expects {k} arguments, got {len(args)}",
-                )
-            packed = core.NetworkApp(head.name, core.TensorLit(tuple(args[:k])))
-            app = core.Index(packed, core.NatLit(0))
-            for extra in args[k:]:
-                app = core.App(app, extra)
-            return app
-        return core.map_children(e, self.rewrite)
+    return ctx

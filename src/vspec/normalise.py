@@ -9,12 +9,14 @@ fixed scheme ``x_<i1>_..._<ik>`` so printed output is stable.
 
 Values are core nodes: ``RatLit``, ``NatLit`` and ``BoolLit`` literals,
 ``TensorLit``s of values, and stuck ``Builtin``, ``NetworkApp`` and
-``Index`` nodes over values.  Two classes are the evaluator's own: a
+``Index`` nodes over values.  Three classes are the evaluator's own: a
 ``_Level``, the variable of a binder that quoting has opened, counted from
-the outside; and a ``_Binder``, a function or quantifier whose body is
+the outside; a ``_Binder``, a function or quantifier whose body is
 evaluated only when it is applied or quoted, so errors are found in the
-order quoting meets them.  Quoting turns levels back into de Bruijn
-indices and opens binders.
+order quoting meets them; and a ``_Network``, a network's primitive
+function, which with all its arguments is their ``NetworkApp`` (``f x1
+... xk`` is ``f [x1, ..., xk] ! 0``; see ``types.network_type``).
+Quoting turns levels back into de Bruijn indices and opens binders.
 
 Network applications and quantified scalar variables are the only stuck
 terms; everything else reduces.
@@ -30,7 +32,7 @@ from typing import Callable
 from . import core
 from .errors import NormaliseError
 from .typecheck import TypedProgram
-from .types import PROP, TensorT, VType, frozen_dataclass
+from .types import PROP, TensorT, VType, frozen_dataclass, network_type
 
 
 @frozen_dataclass
@@ -51,14 +53,26 @@ class _Binder(core.Expr):
     instantiate: Callable[[core.Expr], core.Expr]
 
 
+@frozen_dataclass
+class _Network(core.Expr):
+    """Network ``name`` applied to the first ``len(args)`` of its ``arity``
+    curried arguments; ``arity`` is None for one tensor argument."""
+
+    name: str
+    arity: int | None
+    indexed: bool  # the declared codomain is a scalar: take index 0
+    args: tuple[core.Expr, ...] = ()
+
+
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
           "div": operator.truediv, "neg": operator.neg}  # fmt: skip
 _TRUE, _FALSE = core.BoolLit(True), core.BoolLit(False)
 
 
 class _Normaliser:
-    def __init__(self, defs: dict[str, core.Expr]):
+    def __init__(self, defs: dict[str, core.Expr], networks: dict[str, VType]):
         self.defs = defs
+        self.networks = networks  # name -> declared type
         self._def_values: dict[str, core.Expr] = {}
 
     def eval(self, e: core.Expr, env: list[core.Expr]) -> core.Expr:
@@ -92,9 +106,13 @@ class _Normaliser:
 
     def def_value(self, name: str) -> core.Expr:
         if name not in self._def_values:
-            if name not in self.defs:
+            if name in self.networks:
+                _, arity, indexed = network_type(name, self.networks[name])
+                self._def_values[name] = _Network(name, arity, indexed)
+            elif name in self.defs:
+                self._def_values[name] = self.eval(self.defs[name], [])
+            else:
                 raise AssertionError(f"unknown definition {name!r} in normalisation")
-            self._def_values[name] = self.eval(self.defs[name], [])
         return self._def_values[name]
 
     def eval_quant(self, e: core.Quant, env: list[core.Expr]) -> core.Expr:
@@ -133,6 +151,15 @@ def _apply(fn: core.Expr, arg: core.Expr) -> core.Expr:
     ``(if c then f else g) a`` is ``if c then f a else g a``."""
     if isinstance(fn, _Binder):
         return fn.instantiate(arg)
+    if isinstance(fn, _Network):
+        args = fn.args + (arg,)
+        if fn.arity is None:
+            app = core.NetworkApp(fn.name, arg)
+        elif len(args) < fn.arity:
+            return _Network(fn.name, fn.arity, fn.indexed, args)
+        else:
+            app = core.NetworkApp(fn.name, core.TensorLit(args))
+        return core.Index(app, core.NatLit(0)) if fn.indexed else app
     if isinstance(fn, core.Builtin) and fn.op == "if":
         cond, then, els = fn.args
         then, els = _apply(then, arg), _apply(els, arg)
@@ -229,9 +256,14 @@ def _quote(v: core.Expr, depth: int) -> core.Expr:
     return v  # a literal
 
 
-def normalise(expr: core.Expr, defs: dict[str, core.Expr] | None = None) -> core.Expr:
-    """Normalise a closed core expression against a definition table."""
-    norm = _Normaliser(defs or {})
+def normalise(
+    expr: core.Expr,
+    defs: dict[str, core.Expr] | None = None,
+    networks: dict[str, VType] | None = None,
+) -> core.Expr:
+    """Normalise a closed core expression against a definition table and
+    the declared types of the networks it refers to."""
+    norm = _Normaliser(defs or {}, networks or {})
     try:
         return _quote(norm.eval(expr, []), 0)
     finally:
@@ -241,7 +273,7 @@ def normalise(expr: core.Expr, defs: dict[str, core.Expr] | None = None) -> core
 def prune_non_prop(program: TypedProgram) -> list[tuple[str, core.Expr]]:
     """Normalise and keep exactly the declarations of type Prop, in source
     order; everything else has been inlined and is dropped."""
-    norm = _Normaliser(program.definitions)
+    norm = _Normaliser(program.definitions, program.networks)
     props: list[tuple[str, core.Expr]] = []
     try:
         for decl in program.decls:

@@ -19,7 +19,7 @@ from .typecheck import TypedProgram, typecheck
 class CompiledSpec:
     spec_path: str
     spec_digest: str
-    program: TypedProgram  # pre-analysis: network declarations intact
+    program: TypedProgram  # the type checker's program, which every back end reads
     ctx: NetworkContext
     properties: list[tuple[str, core.Expr]]  # normalised Prop declarations
     plans: list[PropertyPlan]
@@ -54,7 +54,7 @@ def compile_spec(
     network_files: dict[str, str],
     property_filter: list[str] | None = None,
 ) -> CompiledSpec:
-    """Run frontend, network analysis, normalisation and query compilation.
+    """Run frontend, network loading, normalisation and query compilation.
 
     An error that names no file (a query, normalisation or network-use
     error) is reported against the spec; a network file's own errors keep
@@ -64,11 +64,8 @@ def compile_spec(
     try:
         data = _read_spec(path)
         program = _parse_spec(data, path)
-        analysed, ctx = analyze_network_types(program, network_files)
-        properties = prune_non_prop(analysed)
-        # The rewritten definitions are all inlined now; free them before
-        # query compilation, the largest stage.
-        del analysed
+        ctx = analyze_network_types(program, network_files)
+        properties = prune_non_prop(program)
         if property_filter:
             known = {name for name, _ in properties}
             for wanted in property_filter:

@@ -4,11 +4,15 @@ Checking runs in two passes per definition:
 
 1. unification-based inference over the surface AST (types of literals and
    unannotated quantifier binders are solved; unconstrained numeric types
-   default to Rat), which also records the nodes that have a source of Prop
-   beneath them: a quantifier, a reference to a network, or a reference to
-   a definition whose body has such a source,
+   default to Rat), which also records whether the body, or an ``if``
+   condition, has a source of Prop beneath it: a quantifier, a reference
+   to a network, or a reference to a definition whose body has such a
+   source,
 2. core-AST construction with de Bruijn indices and exact literals, which
-   also gives each comparison and logical builtin its Bool/Prop level.
+   also gives each comparison and logical builtin its Bool/Prop level and
+   checks that each network heads an application with as many arguments
+   as its type has arrows: the first misuse is a ``NetworkError``, raised
+   once every declaration has checked without a type error.
 
 For unification, Bool and Prop are collapsed into one formula type.  Pass 2
 restores the distinction: a formula takes the level of its position;
@@ -22,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import core, surface
-from .errors import SourcePos, TypeCheckError
+from .errors import NetworkError, SourcePos, TypeCheckError
 from .types import BOOL, INT, NAT, PROP, RAT, FunT, Scalar, TensorT, VType, is_numeric
 
 # The deepest nesting of expressions a specification may have.  The passes
@@ -117,6 +121,7 @@ class _Checker:
         self.path = path
         self.binder_types: dict[int, list[UType]] = {}
         self.prop_defs: set[str] = set()  # definitions whose body forces Prop
+        self.misuse: NetworkError | None = None  # the first network not fully applied
 
     def error(self, code: str, message: str, pos: SourcePos | None) -> TypeCheckError:
         return TypeCheckError(code, message, path=self.path, pos=pos)
@@ -194,6 +199,8 @@ def typecheck(decls: list[surface.SurfaceDecl], path: str | None = None) -> Type
             program.decls.append(typed)
             program.definitions[typed.name] = typed.body  # type: ignore[assignment]
             program.def_types[typed.name] = typed.vtype
+    if checker.misuse is not None:
+        raise checker.misuse
     return program
 
 
@@ -246,7 +253,7 @@ def _check_fundef(
     body_type = inf.infer(decl.body)
     checker.unify(body_type, _canon(cod), decl.pos)
 
-    forced = id(decl.body) in inf.forces_prop
+    forced = inf.prop_sources > 0
 
     while isinstance(cod, FunT):  # a body that is a formula-valued function
         cod = cod.cod
@@ -292,9 +299,8 @@ class _Infer:
         self.checker = checker
         self.program = program
         self.env = env  # innermost binder last
-        self.types: dict[int, UType] = {}  # id(surface node) -> inferred type
+        self.types: dict[int, UType] = {}  # id(SNum or SIf node) -> inferred type
         self.prop_sources = 0  # sources of Prop met so far
-        self.forces_prop: set[int] = set()  # id(surface node) with one beneath
         self.prop_condition = False  # an if condition has one beneath
         self.depth = 0  # nesting of the node being inferred
 
@@ -316,7 +322,6 @@ class _Infer:
     # -- pass 1 ---------------------------------------------------------
 
     def infer(self, e: surface.SExpr) -> UType:
-        before = self.prop_sources
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.fail(
@@ -327,16 +332,14 @@ class _Infer:
             )
         t = self._infer(e)
         self.depth -= 1
-        self.types[id(e)] = t
-        if self.prop_sources != before:
-            self.forces_prop.add(id(e))
         return t
 
     def _infer(self, e: surface.SExpr) -> UType:
         chk = self.checker
         cls = type(e)  # exact-type tests, most frequent first
         if cls is surface.SNum:
-            return chk.numeric_var()
+            t = self.types[id(e)] = chk.numeric_var()
+            return t
         if cls is surface.SBinOp:
             if e.op in _ARITH_TAG:
                 lhs = self.infer(e.lhs)
@@ -408,8 +411,11 @@ class _Infer:
             chk.unify(arg, RAT, e.pos)
             return arg
         if cls is surface.SIf:
+            before = self.prop_sources
             chk.unify(self.infer(e.cond), PROP, e.pos)
-            then = self.infer(e.then)
+            if self.prop_sources != before:
+                self.prop_condition = True
+            then = self.types[id(e)] = self.infer(e.then)
             chk.unify(self.infer(e.els), then, e.pos)
             return then
         if cls is surface.STensorLit:
@@ -426,6 +432,27 @@ class _Infer:
         raise AssertionError(e)
 
     # -- pass 2 ---------------------------------------------------------
+
+    def name(self, e: surface.SVar, applied: int) -> core.Expr:
+        """The core term of the name ``e`` applied to ``applied`` arguments,
+        a bound variable or a top-level reference.  A network applied to
+        fewer than its type has arrows is recorded as the ``misuse``."""
+        for i, (bname, _) in enumerate(reversed(self.env)):
+            if bname == e.name:
+                return core.Var(i)
+        declared = self.program.networks.get(e.name)
+        if declared is not None and self.checker.misuse is None:
+            arity = 0
+            while isinstance(declared, FunT):
+                arity += 1
+                declared = declared.cod
+            if applied == 0:
+                message = f"network {e.name!r} must be applied to an argument"
+                self.checker.misuse = NetworkError("NetworkUsedAsValue", message)
+            elif applied < arity:
+                message = f"network {e.name!r} expects {arity} arguments, got {applied}"
+                self.checker.misuse = NetworkError("PartialNetworkApplication", message)
+        return core.TopRef(e.name)
 
     def final_type(self, e: surface.SExpr) -> VType:
         t = _resolve(self.types[id(e)])
@@ -457,19 +484,25 @@ class _Infer:
             args = (self.build(e.lhs, level), self.build(e.rhs, level))
             return core.Builtin(_LOGIC_TAG[e.op], args, level)
         if cls is surface.SVar:
-            for i, (bname, _) in enumerate(reversed(self.env)):
-                if bname == e.name:
-                    return core.Var(i)
-            return core.TopRef(e.name)
+            return self.name(e, 0)
         if cls is surface.SCmp:
             args = (self.build(e.lhs, "prop"), self.build(e.rhs, "prop"))
             return core.Builtin(_CMP_TAG[e.op], args, level)
         if cls is surface.SIndex:
             return core.Index(self.build(e.tensor, "prop"), self.build(e.index, "prop"))
         if cls is surface.SApp:
-            expr: core.Expr = self.build(e.fn, "prop")
-            for arg in e.args:
-                expr = core.App(expr, self.build(arg, "prop"))
+            spine = [e]  # ``(f a) b`` is one spine, outermost application first
+            while type(spine[-1].fn) is surface.SApp:
+                spine.append(spine[-1].fn)
+            head = spine[-1].fn
+            # A name is built after its arguments, so that a misuse of a
+            # network inside them is the one found first.
+            expr = None if type(head) is surface.SVar else self.build(head, "prop")
+            args = [self.build(arg, "prop") for app in reversed(spine) for arg in app.args]
+            if expr is None:
+                expr = self.name(head, len(args))
+            for arg in args:
+                expr = core.App(expr, arg)
             return expr
         if cls is surface.SQuant:
             binder_types = self.checker.binder_types[id(e)]
@@ -496,8 +529,6 @@ class _Infer:
         if cls is surface.SNeg:
             return core.Builtin("neg", (self.build(e.arg, "prop"),))
         if cls is surface.SIf:
-            if id(e.cond) in self.forces_prop:
-                self.prop_condition = True
             args = (
                 self.build(e.cond, "bool"),
                 self.build(e.then, level),

@@ -11,6 +11,8 @@ import inspect
 import sys
 from dataclasses import MISSING, dataclass, fields
 
+from .errors import NetworkError
+
 
 def frozen_dataclass(cls=None, /, *, order: bool = False):
     """``dataclass(frozen=True, slots=True)`` with a faster ``__init__``,
@@ -119,3 +121,49 @@ NUMERIC_KINDS = ("Nat", "Int", "Rat")
 def is_numeric(t: VType) -> bool:
     return isinstance(t, Scalar) and t.kind in NUMERIC_KINDS
 
+
+def network_type(name: str, t: VType) -> tuple[FunT, int | None, bool]:
+    """The shape rule for the declared type ``t`` of network ``name``.
+
+    Returns the tensor form ``Tensor A [m] -> Tensor B [n]`` that the
+    network's file must implement; the argument count k of the curried
+    scalar sugar ``A -> ... -> A -> B`` (None for one tensor argument),
+    whose application ``f x1 ... xk`` is ``f [x1, ..., xk] ! 0``; and
+    whether an application is taken at index 0, which it is when the
+    declared codomain is a scalar.  Any other type is
+    ``UnsupportedNetworkType``.
+    """
+
+    def unsupported(msg: str) -> NetworkError:
+        return NetworkError("UnsupportedNetworkType", f"network {name!r}: {msg}")
+
+    if not isinstance(t, FunT):
+        raise unsupported(f"type {t} is not a function type")
+
+    if isinstance(t.dom, TensorT):
+        dom = t.dom
+        if len(dom.dims) != 1:
+            raise unsupported("input tensor must be one-dimensional")
+        cod = t.cod
+        if isinstance(cod, TensorT):
+            if len(cod.dims) != 1:
+                raise unsupported("output tensor must be one-dimensional")
+            return FunT(dom, cod), None, False
+        if isinstance(cod, Scalar) and is_numeric(cod):
+            return FunT(dom, TensorT(cod, (1,))), None, True
+        raise unsupported(f"unsupported codomain {cod}")
+
+    # Curried scalar sugar: A -> ... -> A -> B
+    if isinstance(t.dom, Scalar) and is_numeric(t.dom):
+        elem = t.dom
+        k = 0
+        cur: VType = t
+        while isinstance(cur, FunT):
+            if cur.dom != elem:
+                raise unsupported("curried arguments must all have the same scalar type")
+            k += 1
+            cur = cur.cod
+        if not (isinstance(cur, Scalar) and is_numeric(cur)):
+            raise unsupported(f"unsupported codomain {cur}")
+        return FunT(TensorT(elem, (k,)), TensorT(cur, (1,))), k, True
+    raise unsupported(f"unsupported domain {t.dom}")

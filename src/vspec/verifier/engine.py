@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 from ..errors import VerifyError
 from ..networks import Affine, NetworkContext, Relu
-from ..queries import FLIP_REL, LinearQuery, MetaNetwork, QVar
+from ..queries import FLIP_REL, LinearConstraint, LinearQuery, MetaNetwork, QVar
 from ..verdicts import Sat, Unsat, Verdict
 from .lp import LPConstraint, LPProblem, feasible
 
@@ -86,16 +86,18 @@ Form = tuple[dict[int, Fraction], Fraction]  # coefficient per coordinate, const
 # ---------------------------------------------------------------------------
 
 
-def _input_box(query: LinearQuery) -> list[Interval]:
-    """Each input's closed bounds from the single-term rows over it.  An
-    output is never a pre-activation, so its bounds fix no phase."""
+def _input_box(query: LinearQuery) -> tuple[list[Interval], list[LinearConstraint]]:
+    """Each input's closed bounds from the single-term rows over it, and
+    the other query rows.  An output is never a pre-activation, so its
+    bounds fix no phase.  A non-strict lower bound on an input is dropped:
+    over the shifted coordinate ``x - l`` its sign implies it."""
     box: list[Interval] = [(None, None)] * query.meta.total_inputs
+    rows = []
     for c in query.constraints:
-        if len(c.terms) != 1:
+        if len(c.terms) != 1 or c.terms[0][0].kind != "x":
+            rows.append(c)
             continue
         (var, coeff), = c.terms
-        if var.kind != "x":
-            continue
         value = c.constant / coeff
         rel = c.relation
         if coeff < 0:  # dividing by a negative coefficient flips the relation
@@ -109,7 +111,9 @@ def _input_box(query: LinearQuery) -> list[Interval]:
             lo = value if lo is None else max(lo, value)
             hi = value if hi is None else min(hi, value)
         box[var.index] = (lo, hi)
-    return box
+        if rel != ">=":
+            rows.append(c)
+    return box, rows
 
 
 def _fixed_phase(lo: Fraction | None, hi: Fraction | None) -> str | None:
@@ -250,7 +254,7 @@ def propagate_bounds(
 ) -> tuple[dict[int, Interval], dict[int, str]]:
     """The pre-activation interval of each free ReLU and the phase of each
     fixed one, by node."""
-    run = _forward(unrolled.meta, unrolled.ctx, _input_box(query))
+    run = _forward(unrolled.meta, unrolled.ctx, _input_box(query)[0])
     free = [node for node, phase in enumerate(run.phases) if phase is None]
     intervals = {node: interval for node, (_, interval, _) in zip(free, run.free)}
     return intervals, {node: phase for node, phase in enumerate(run.phases) if phase}
@@ -263,16 +267,16 @@ def propagate_bounds(
 PHASES = ("inactive", "active")
 
 
-def _rows(query: LinearQuery, run: _Pass) -> list[LPConstraint]:
+def _rows(query_rows: list[LinearConstraint], run: _Pass) -> list[LPConstraint]:
     """The region of the phases ``run`` fixed, in its coordinates: the
-    query rows and then the fixed ReLUs' sign rows, but for a row that
-    only restates a coordinate's sign.  The network's equalities and the
-    fixed phases' definitions are ``0 = 0`` there.  A row over unshifted
-    inputs alone keeps its terms."""
+    query rows that ``_input_box`` kept and then the fixed ReLUs' sign
+    rows, but for a row that only restates a coordinate's sign.  The
+    network's equalities and the fixed phases' definitions are ``0 = 0``
+    there.  A row over unshifted inputs alone keeps its terms."""
     num_inputs = len(run.inputs)
     forms = run.inputs + run.outputs
     rows = []
-    for c in query.constraints:
+    for c in query_rows:
         terms = [(v.index if v.kind == "x" else num_inputs + v.index, k) for v, k in c.terms]
         if all(v < num_inputs and not forms[v][1] for v, _ in terms):
             rows.append(LPConstraint(tuple(terms), c.relation, c.constant))
@@ -343,7 +347,7 @@ def check_query(
     nodes left unfixed by bound propagation, restricted to the relational
     variables.  More than ``phase_budget`` unfixed nodes is an error.
     """
-    box = _input_box(query)
+    box, query_rows = _input_box(query)
     run = _forward(query.meta, ctx, box)
     if len(run.free) > phase_budget:
         raise VerifyError(
@@ -351,7 +355,7 @@ def check_query(
             f"{len(run.free)} unfixed ReLU nodes exceed the phase budget "
             f"of {phase_budget}",
         )
-    relaxation = _rows(query, run)
+    relaxation = _rows(query_rows, run)
     relus = []
     for pre, bounds, post in run.free:
         relaxation.extend(_triangle_rows(pre, post, bounds))
@@ -364,7 +368,7 @@ def check_query(
     if relus:  # else the root is the leaf LP, and ``point`` its witness
         walked = iter(_walk(root, point, relus))
         run = _forward(query.meta, ctx, box, [phase or next(walked) for phase in run.phases])
-        point = feasible(LPProblem(run.num_coords, _rows(query, run), nonneg=run.nonneg))
+        point = feasible(LPProblem(run.num_coords, _rows(query_rows, run), nonneg=run.nonneg))
         assert point is not None, "a feasible leaf relaxation has an infeasible leaf LP"
     xs = [(QVar("x", i), _value(form, point)) for i, form in enumerate(run.inputs)]
     ys = [(QVar("y", j), _value(form, point)) for j, form in enumerate(run.outputs)]

@@ -58,8 +58,8 @@ def criterion(number: int, name: str, budget_seconds: float):
 
 def compiled_controller(controller_spec, controller_net):
     program = load_program(str(controller_spec))
-    analysed, ctx = analyze_network_types(program, {"controller": str(controller_net)})
-    [(name, prop)] = prune_non_prop(analysed)
+    ctx = analyze_network_types(program, {"controller": str(controller_net)})
+    [(name, prop)] = prune_non_prop(program)
     return name, prop, ctx
 
 
@@ -335,10 +335,8 @@ def test_c6_metanetwork_labelling(tmp_path):
             "f a ! 0 <= f b ! 0 and g c ! 0 <= g c ! 1"
         )
         program = typecheck(parse(source))
-        analysed, ctx = analyze_network_types(
-            program, {"f": str(f_net), "g": str(g_net)}
-        )
-        [(name, prop)] = prune_non_prop(analysed)
+        ctx = analyze_network_types(program, {"f": str(f_net), "g": str(g_net)})
+        [(name, prop)] = prune_non_prop(program)
         plan = compile_property(name, prop, ctx)
         [query] = plan.queries
         m_f, n_f = 2, 1
@@ -354,10 +352,8 @@ def test_c6_metanetwork_labelling(tmp_path):
             "mono : Prop\nmono = forall x1 x2 . x1 <= x2 => h [x1] ! 0 <= h [x2] ! 0"
         )
         mono_program = typecheck(parse(mono_source))
-        mono_analysed, mono_ctx = analyze_network_types(
-            mono_program, {"h": str(mono_net)}
-        )
-        [(mono_name, mono_prop)] = prune_non_prop(mono_analysed)
+        mono_ctx = analyze_network_types(mono_program, {"h": str(mono_net)})
+        [(mono_name, mono_prop)] = prune_non_prop(mono_program)
         mono_plan = compile_property(mono_name, mono_prop, mono_ctx)
         [mono_query] = mono_plan.queries
         assert len(mono_query.meta.applications) == 2

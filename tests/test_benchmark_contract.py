@@ -116,7 +116,7 @@ def test_tracer_counts_the_free_relus_of_the_forward_pass():
         ctx, query = random_search_instance(rng)
         counts = Counter()
         tracing._count_engine(counts, (query, ctx), None)
-        run = engine._forward(query.meta, ctx, engine._input_box(query))
+        run = engine._forward(query.meta, ctx, engine._input_box(query)[0])
         assert counts["verifier.engine.queries"] == 1
         assert counts["verifier.engine.free_relus"] == len(run.free)
         seen["free"] += len(run.free)

@@ -904,3 +904,69 @@ def test_bad_inputs_give_a_coded_diagnostic_not_a_traceback(tmp_path, row):
     assert result.stderr.startswith(f"{offender}:"), result.stderr
     assert result.stderr.rstrip().endswith(f"[{code}]"), result.stderr
     assert "Traceback" not in result.stderr
+
+
+_ONE = "vnet 1\ninput 1\naffine 1 1\n1\n0\n"
+_TWO = "vnet 1\ninput 2\naffine 1 2\n1 1\n0\n"
+_USED_AS_VALUE = "s.vcl: error: network 'f' must be applied to an argument [NetworkUsedAsValue]\n"
+
+# (spec after _F's network line, network files, exit code, stdout, stderr);
+# a file of None is bound but not written.
+_NETWORK_USES = {
+    "unused-bare-reference": (
+        "d : Rat -> Rat\nd = f\n\np : Prop\np = forall x . f x <= 1\n", {"f": _ONE},
+        1, "", _USED_AS_VALUE,
+    ),
+    "if-branches": (
+        "p : Prop\np = forall x . (if x >= 0 then f else f) x <= 1\n", {"f": _ONE},
+        1, "", _USED_AS_VALUE,
+    ),
+    "argument": (
+        "g : (Rat -> Rat) -> Prop\ng h = h 0 <= 0\n\np : Prop\np = g f\n", {"f": _ONE},
+        1, "", _USED_AS_VALUE,
+    ),
+    "partial-curried": (
+        "network h : Rat -> Rat -> Rat\n\ng : (Rat -> Rat) -> Prop\ng k = k 0 <= 0\n\n"
+        "p : Prop\np = forall a . g (h a)\n", {"f": _ONE, "h": _TWO},
+        1, "", "s.vcl: error: network 'h' expects 2 arguments, got 1 [PartialNetworkApplication]\n",
+    ),
+    "shadowed-by-a-binder": (
+        "g : Rat -> Prop\ng f = f <= 1\n\np : Prop\np = forall x . g (f x)\n", {"f": _ONE},
+        0, "property p: 1 queries\nquery 1:\n  y0 > 1\n  # application 1: f x0..x0 -> y0..y0\n", "",
+    ),
+    "applied-to-a-network-output": (
+        "network h : Rat -> Rat -> Rat\n\np : Prop\np = forall x . f (h x (f x)) <= 1\n",
+        {"f": _ONE, "h": _TWO},
+        0,
+        "property p: 1 queries\nquery 1:\n  x0 -1x1 = 0\n  y0 -1x2 = 0\n  y1 -1x3 = 0\n  y2 > 1\n"
+        "  # application 1: f x0..x0 -> y0..y0\n  # application 2: h x1..x2 -> y1..y1\n"
+        "  # application 3: f x3..x3 -> y2..y2\n",
+        "",
+    ),
+    # Two faults: every type error comes before a network misuse, ...
+    "misuse-then-type-error": (
+        "d : Rat -> Rat\nd = f\n\np : Prop\np = forall x . f x <= true\n", {"f": _ONE},
+        1, "", "s.vcl:7:23: error: unknown identifier 'true' [UnknownIdentifier]\n",
+    ),
+    # ... and a misuse, which the type checker finds, before any error of
+    # a network file.
+    "misuse-and-missing-file": (
+        "p : Prop\np = forall x . (if x >= 0 then f else f) x <= 1\n", {"f": None},
+        1, "", _USED_AS_VALUE,
+    ),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("row", sorted(_NETWORK_USES))
+def test_network_uses_give_their_diagnostics(tmp_path, monkeypatch, capsys, row):
+    """The exit code, stdout and stderr of each use of a network, byte for
+    byte."""
+    body, files, exit_code, out, err = _NETWORK_USES[row]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.vcl").write_text("network f : Rat -> Rat\n\n" + body)
+    argv = ["compile", "--spec", "s.vcl", "--emit", "queries"]
+    for name, text in files.items():
+        if text is not None:
+            (tmp_path / f"{name}.vnet").write_text(text)
+        argv += ["--network", f"{name}:{name}.vnet"]
+    assert (run(argv), *capsys.readouterr()) == (exit_code, out, err)

@@ -45,8 +45,8 @@ def by_hand(query: LinearQuery) -> list[tuple[dict, str, Fraction]]:
 
 def controller_plan(controller_spec, controller_net):
     program = typecheck(parse(controller_spec.read_text()))
-    analysed, ctx = analyze_network_types(program, {"controller": str(controller_net)})
-    [(name, prop)] = prune_non_prop(analysed)
+    ctx = analyze_network_types(program, {"controller": str(controller_net)})
+    [(name, prop)] = prune_non_prop(program)
     return compile_property(name, prop, ctx), ctx
 
 

@@ -184,7 +184,7 @@ def test_dispatched_node_classes_have_no_subclass():
     }
     nodes |= {queries.QVar, typecheck._UVar, networks.Affine, networks.Relu}
     names = {cls.__qualname__ for cls in nodes}
-    assert {"Builtin", "Var", "SNum", "SIndex", "TensorT", "_Level", "_Binder"} <= names
+    assert {"Builtin", "Var", "SNum", "SIndex", "TensorT", "_Level", "_Binder", "_Network"} <= names
     assert {cls: cls.__subclasses__() for cls in nodes if cls.__subclasses__()} == {}
 
 

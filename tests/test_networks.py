@@ -8,6 +8,7 @@ from oracles import run_network_by_hand
 from vspec import core, networks
 from vspec.errors import NetworkError
 from vspec.networks import Affine, NetworkModel, Relu, analyze_network_types, hash_file, parse_vnet
+from vspec.normalise import prune_non_prop
 from vspec.surface import parse
 from vspec.typecheck import typecheck
 from vspec.types import RAT, FunT, TensorT
@@ -197,23 +198,22 @@ def test_spec_digest_is_of_the_compiled_bytes(
 
 
 def analyse(source, bindings):
-    return analyze_network_types(typecheck(parse(source)), bindings)
+    """The normalised properties of ``source`` and its network context."""
+    program = typecheck(parse(source))
+    ctx = analyze_network_types(program, bindings)
+    return prune_non_prop(program), ctx
 
 
 def test_scalar_codomain_normalised_with_index(controller_spec, controller_net):
-    program = typecheck(parse(controller_spec.read_text()))
-    analysed, ctx = analyze_network_types(
-        program, {"controller": str(controller_net)}
-    )
+    [(_, prop)], ctx = analyse(controller_spec.read_text(), {"controller": str(controller_net)})
     info = ctx["controller"]
     assert info.declared_type == FunT(TensorT(RAT, (2,)), TensorT(RAT, (1,)))
     assert info.digest == hash_file(controller_net)
-    # Application sites gained '! 0'.  The chained comparison desugared into
-    # two atoms, each holding one copy of the application.
-    body = analysed.definitions["safeOutput"].body
+    # Applications are taken at '! 0'.  The chained comparison desugared
+    # into two atoms, each holding one copy of the application.
     hits = [
         sub
-        for sub in core.subterms(body)
+        for sub in core.subterms(prop)
         if isinstance(sub, core.Index) and isinstance(sub.tensor, core.NetworkApp)
     ]
     assert len(hits) == 2
@@ -222,9 +222,11 @@ def test_scalar_codomain_normalised_with_index(controller_spec, controller_net):
 
 
 def test_no_network_declarations_remain(controller_spec, controller_net):
-    program = typecheck(parse(controller_spec.read_text()))
-    analysed, ctx = analyze_network_types(program, {"controller": str(controller_net)})
-    assert all(d.kind != "network" for d in analysed.decls)
+    props, ctx = analyse(controller_spec.read_text(), {"controller": str(controller_net)})
+    assert [name for name, _ in props] == ["safe"]
+    # A reference to the network would be a TopRef.
+    refs = [s for _, prop in props for s in core.subterms(prop) if isinstance(s, core.TopRef)]
+    assert refs == []
     assert "controller" in ctx
 
 
@@ -240,10 +242,9 @@ def test_curried_sugar_rewrites_to_tensor_application(controller_net):
         "network f : Rat -> Rat -> Rat\n\n"
         "p : Prop\np = forall a b . f a b <= 0"
     )
-    analysed, ctx = analyse(source, {"f": str(controller_net)})
+    [(_, prop)], ctx = analyse(source, {"f": str(controller_net)})
     assert ctx["f"].declared_type == FunT(TensorT(RAT, (2,)), TensorT(RAT, (1,)))
-    body = analysed.definitions["p"]
-    apps = [s for s in core.subterms(body) if isinstance(s, core.NetworkApp)]
+    apps = [s for s in core.subterms(prop) if isinstance(s, core.NetworkApp)]
     assert len(apps) == 1
     assert isinstance(apps[0].arg, core.TensorLit)
     assert len(apps[0].arg.items) == 2
@@ -281,14 +282,10 @@ def test_missing_network_file(controller_spec):
 def test_network_app_arguments_have_context_tensor_type(
     controller_spec, controller_net
 ):
-    analysed, ctx = analyse(
-        controller_spec.read_text(), {"controller": str(controller_net)}
-    )
+    [(_, prop)], ctx = analyse(controller_spec.read_text(), {"controller": str(controller_net)})
     m = ctx["controller"].input_size
-    for body in analysed.definitions.values():
-        for sub in core.subterms(body):
-            if isinstance(sub, core.NetworkApp):
-                # Argument is a single expression of tensor type [m]; here the
-                # user passed the quantified vector directly.
-                assert not isinstance(sub.arg, core.NetworkApp)
+    apps = [sub for sub in core.subterms(prop) if isinstance(sub, core.NetworkApp)]
+    # The argument is one tensor of m items: the quantified vector, which
+    # normalisation expanded into its m scalar variables.
+    assert apps and all(sub.arg == core.TensorLit((core.Var(1), core.Var(0))) for sub in apps)
     assert m == 2

@@ -21,8 +21,8 @@ def check(source):
 
 def analysed_controller(controller_spec, controller_net):
     program = check(controller_spec.read_text())
-    analysed, _ = analyze_network_types(program, {"controller": str(controller_net)})
-    return analysed
+    analyze_network_types(program, {"controller": str(controller_net)})
+    return program
 
 
 # -- tensor quantifier expansion ----------------------------------------------
@@ -393,16 +393,18 @@ def test_pinned_normal_forms(tmp_path):
     tensor = tmp_path / "g.vnet"
     tensor.write_text("vnet 1\ninput 2\naffine 2 2\n1 -1\n3 1\n0 1\n")
     bindings = {"f": str(curried), "g": str(tensor)}
-    header, _ = analyze_network_types(check(PINNED_HEADER), bindings)
-    rendered = [normalise(header.definitions[name], header.definitions)
+    header = check(PINNED_HEADER)
+    analyze_network_types(header, bindings)
+    rendered = [normalise(header.definitions[name], header.definitions, header.networks)
                 for name in ("h", "s", "near", "pick", "w", "flag")]  # fmt: skip
     rng = random.Random(20261018)
     codes = []
     for index in range(240):
-        analysed, _ = analyze_network_types(check(PINNED_HEADER + pinned_spec(rng, index)), bindings)
+        analysed = check(PINNED_HEADER + pinned_spec(rng, index))
+        analyze_network_types(analysed, bindings)
         for run in (
             lambda: prune_non_prop(analysed),
-            lambda: normalise(analysed.definitions["k"], analysed.definitions),
+            lambda: normalise(analysed.definitions["k"], analysed.definitions, analysed.networks),
         ):
             try:
                 rendered.append(run())

@@ -30,8 +30,8 @@ from vspec.types import RAT, FunT, TensorT
 
 def compile_props(source, bindings):
     program = typecheck(parse(source))
-    analysed, ctx = analyze_network_types(program, bindings)
-    return [(name, expr, ctx) for name, expr in prune_non_prop(analysed)]
+    ctx = analyze_network_types(program, bindings)
+    return [(name, expr, ctx) for name, expr in prune_non_prop(program)]
 
 
 def q(kind, body, name="v"):
@@ -656,8 +656,8 @@ def one_input_net(tmp_path):
 def test_unresolvable_user_variable_full_pipeline(tmp_path):
     source = "network f : Rat -> Rat\n\np : Prop\np = exists v . f (v + 2) <= 0"
     program = typecheck(parse(source))
-    analysed, ctx = analyze_network_types(program, {"f": one_input_net(tmp_path)})
-    [(name, prop)] = prune_non_prop(analysed)
+    ctx = analyze_network_types(program, {"f": one_input_net(tmp_path)})
+    [(name, prop)] = prune_non_prop(program)
     with pytest.raises(QueryError) as err:
         compile_property(name, prop, ctx)
     assert err.value.code == "UnresolvableUserVariable"
@@ -667,8 +667,9 @@ def _rendered_queries(body, tmp_path):
     from vspec.marabou import render_constraint
 
     source = f"network f : Rat -> Rat\n\np : Prop\np = {body}\n"
-    analysed, ctx = analyze_network_types(typecheck(parse(source)), {"f": one_input_net(tmp_path)})
-    [(name, prop)] = prune_non_prop(analysed)
+    program = typecheck(parse(source))
+    ctx = analyze_network_types(program, {"f": one_input_net(tmp_path)})
+    [(name, prop)] = prune_non_prop(program)
     plan = compile_property(name, prop, ctx)
     return [
         ([render_constraint(c) for c in query.constraints], query.meta.applications)
@@ -731,8 +732,9 @@ def _front_end_calls(conjuncts, net_path):
 
     sys.setprofile(count)
     try:
-        analysed, ctx = analyze_network_types(typecheck(parse(source)), {"net": net_path})
-        plans = [compile_property(name, prop, ctx) for name, prop in prune_non_prop(analysed)]
+        program = typecheck(parse(source))
+        ctx = analyze_network_types(program, {"net": net_path})
+        plans = [compile_property(name, prop, ctx) for name, prop in prune_non_prop(program)]
     finally:
         sys.setprofile(None)
     [plan] = plans
@@ -758,10 +760,13 @@ def test_front_end_scales_linearly_with_the_chain_length(chain_calls):
 
 
 # Calls per conjunct on CPython 3.11, measured from the 150- to the
-# 300-conjunct chain (213 Python and 133 builtin calls), plus about 5%.
-# Before comparisons and arithmetic marked their operand numeric in place,
-# not by unifying it with a fresh numeric variable: 221 and 170.
-CALLS_PER_CONJUNCT = {"call": 224, "c_call": 140}
+# 300-conjunct chain (193 Python and 129 builtin calls), plus about 5%.
+# Before the type checker's program was the only one (network applications
+# rewritten by a pass of their own, and a type and a Prop flag recorded for
+# every node): 213 and 133.  Before comparisons and arithmetic marked their
+# operand numeric in place, not by unifying it with a fresh numeric
+# variable: 221 and 170.
+CALLS_PER_CONJUNCT = {"call": 203, "c_call": 136}
 
 
 def test_front_end_calls_per_conjunct_are_bounded(chain_calls):
@@ -807,8 +812,8 @@ def test_monotonicity_property_compiles_with_two_applications(tmp_path):
         "mono : Prop\nmono = forall x1 x2 . x1 <= x2 => f [x1] ! 0 <= f [x2] ! 0"
     )
     program = typecheck(parse(source))
-    analysed, ctx = analyze_network_types(program, {"f": str(path)})
-    [(name, prop)] = prune_non_prop(analysed)
+    ctx = analyze_network_types(program, {"f": str(path)})
+    [(name, prop)] = prune_non_prop(program)
     plan = compile_property(name, prop, ctx)
     assert len(plan.queries) == 1
     query = plan.queries[0]
@@ -951,8 +956,9 @@ def test_pinned_query_output(tmp_path):
     props = []
     for index in range(320):
         source = header + f"p : Prop\np = {pinned_property(rng, index)}\n"
-        analysed, ctx = analyze_network_types(typecheck(parse(source)), bindings)
-        props += prune_non_prop(analysed)
+        program = typecheck(parse(source))
+        ctx = analyze_network_types(program, bindings)
+        props += prune_non_prop(program)
     g_v = core.Index(core.NetworkApp("g", core.TensorLit((X, X))), core.NatLit(0))
     branches = (cmp("le", X, lit(1)), cmp("ge", X, lit(1)))
     props.append(("if", q("forall", core.Builtin("if", (cmp("ge", g_v, lit(0)), *branches), "prop"))))

@@ -81,7 +81,7 @@ def box_query(meta, bounds, extra):
 
 def forward(query, ctx):
     """The engine's forward pass over ``query``'s input box."""
-    return engine._forward(query.meta, ctx, engine._input_box(query))
+    return engine._forward(query.meta, ctx, engine._input_box(query)[0])
 
 
 def fixed_phases(run) -> dict[int, str]:
@@ -387,7 +387,7 @@ def test_search_matches_the_flat_phase_search():
         models = [ctx[name].model for name, _, _ in query.meta.applications]
         shapes = {"".join("R" if isinstance(x, Relu) else "A" for x in m.layers) for m in models}
         affine = [x for m in models for x in m.layers if isinstance(x, Affine)]
-        rows = engine._rows(query, run)
+        rows = engine._rows(engine._input_box(query)[1], run)
         skeleton = unroll(query.meta, ctx)  # numbered: which ReLUs write an output
         outputs = {vid for qv, vid in skeleton.qvar_ids.items() if qv.kind == "y"}
         seen["layerless"] += "" in shapes
@@ -429,7 +429,7 @@ def assert_pass_agrees(query, ctx, rng: random.Random, seen: dict) -> None:
     input box, run through the networks by hand, each free pre form is the
     pre-activation (its ReLU's output is ``max(pre, 0)``) and each
     relational variable's form its value."""
-    box = engine._input_box(query)
+    box, _ = engine._input_box(query)
     run = engine._forward(query.meta, ctx, box)
     skeleton = unroll(query.meta, ctx)
     intervals, fixed = propagate_bounds(skeleton, query)
@@ -651,7 +651,9 @@ def test_pruning_neutrality(monkeypatch):
     # face.  The query's rows still bound the inputs.
     triangle_rows = engine._triangle_rows
     monkeypatch.setattr(
-        engine, "_input_box", lambda query: [(None, None)] * query.meta.total_inputs
+        engine,
+        "_input_box",
+        lambda query: ([(None, None)] * query.meta.total_inputs, query.constraints),
     )
     monkeypatch.setattr(engine, "_fixed_phase", lambda lo, hi: None)
     monkeypatch.setattr(
@@ -877,14 +879,17 @@ def verify_calls(argv) -> int:
 @pytest.mark.parametrize(
     "spec, net, binding, bound",
     [
-        # 3 LPs: 3,572 calls (3,713 with the numbered skeleton and numeric
-        # checks by unification, 4,024 with the two-phase primal simplex,
-        # 4,153 with a +/- column pair per coordinate); a tableau of
-        # Fractions made 68,325.
+        # 3 LPs: 3,318 calls (3,508 with network applications rewritten by
+        # a pass of their own and the input box's rows read twice; 3,713
+        # with the numbered skeleton and numeric checks by unification,
+        # 4,024 with the two-phase primal simplex, 4,153 with a +/- column
+        # pair per coordinate); a tableau of Fractions made 68,325.
         ("four_relu_spec", "four_relu_net", "net", 16_000),
-        # 14 LPs: 6,907 calls (7,179 with the numbered skeleton and numeric
-        # checks by unification, 7,703 with the two-phase primal simplex,
-        # 7,940 with column pairs); a tableau of Fractions made 190,219.
+        # 14 LPs: 6,494 calls (6,875 with network applications rewritten
+        # by a pass of their own and the input box's rows read twice; 7,179
+        # with the numbered skeleton and numeric checks by unification,
+        # 7,703 with the two-phase primal simplex, 7,940 with column
+        # pairs); a tableau of Fractions made 190,219.
         ("controller_spec", "controller_net", "controller", 34_000),
     ],
 )
@@ -919,9 +924,10 @@ def test_engine_work_on_a_query_bounds_fix_is_bounded(controller_net):
     """A query of the controller whose every ReLU bounds fix, like most
     ``many-queries`` queries: the box, a hypothesis atom per disjunction
     (k = 3) and the negated conclusion.  One forward pass and one LP:
-    1,038 calls, most of them in ``fractions``; with the numbered skeleton
-    and its three passes, 1,147.  Deterministic: counts calls, not
-    time."""
+    906 calls, most of them in ``fractions``; 1,038 when the box's lower
+    bounds were shifted and then dropped as implied by the coordinates'
+    signs, and 1,147 with the numbered skeleton and its three passes.
+    Deterministic: counts calls, not time."""
     ctx = make_ctx(controller=parse_vnet(controller_net.read_text(), "controller"))
     meta = MetaNetwork((("controller", 2, 1),))
     bound = Fraction(13, 4)
@@ -932,7 +938,7 @@ def test_engine_work_on_a_query_bounds_fix_is_bounded(controller_net):
     query = box_query(meta, [(-bound, bound)] * 2, atoms + [constraint(e, ">", Fraction(5, 4))])
     assert forward(query, ctx).free == []
     assert isinstance(check_query(query, ctx), Unsat)
-    assert calls_in(check_query, query, ctx) <= 1_140
+    assert calls_in(check_query, query, ctx) <= 950
 
 
 def test_lp_count_of_deep_verified_nets(monkeypatch):
